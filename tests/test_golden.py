@@ -1,0 +1,70 @@
+"""Golden-result guard: the pipeline's output at a fixed seed, pinned by digest.
+
+For each base centrality, BA(200, 3) seed 11 relabeled with shuffle seed
+child_seed(11, 0) (as `generate --shuffle-labels` does) is reconstructed
+with alpha = 50, master seed 11, jobs 1.  Three sha256 digests pin the
+result: the bins, the raw bytes of the pre-cycle-break digraph arrays
+(labels, src, dst, weights) and the probability bucket table rows.  Any
+change to them must be a deliberate change of method, with new digests.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from netchrono import (
+    BAConfig,
+    CentralityKind,
+    PipelineConfig,
+    child_seed,
+    generate_ba,
+    probability_bucket_table,
+    shuffle_vertex_labels,
+)
+from netchrono.reconstruction import reconstruct_with_ranking
+
+SEED, N, C, ALPHA = 11, 200, 3, 50
+
+GOLDEN = {
+    CentralityKind.DEGREE: (
+        "9d0a0d8c5a0aafcdf541fd5e5156bfc3f690fdfbab492169c6a472a270277105",
+        "2e8428abf2613e11f54f9111afbaf1fab02f891736f02a71123a47ec37b755b2",
+        "c04ac63c6bb87d75516931be0a784f9cdef50485f1d45f2eefe867f517399142"),
+    CentralityKind.BETWEENNESS: (
+        "4db5a7fea40a2589bc053f28f9e1b569ddfc95e1f25490edf0b4b5c23a2fc274",
+        "0fc41036c3c684820c24ace5567797f88b1707e404fa2ab39664f1698815fd43",
+        "240e79dd653842431420c63980c700d6be2a1362847c34e93c6e75a1668e962e"),
+    CentralityKind.EIGENVECTOR: (
+        "43a07dc16b03ef42008a252309decbb0c2a204c86ae245bcfe9914313470d54a",
+        "1a3592524c9d93aff2f22376ff766824c938df2c53e7c35200664c50d04eca68",
+        "92cf1779ae04452bf27db570bd1d7ed8f8bb8d2858b00be036ecd463e897ab6d"),
+}
+
+
+def _sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def digests(kind: CentralityKind) -> tuple[str, str, str]:
+    g0, truth0 = generate_ba(BAConfig(N, C, SEED))
+    g, truth = shuffle_vertex_labels(g0, truth0, child_seed(SEED, 0))
+    cfg = PipelineConfig(alpha=ALPHA, connections=C, kind=kind, master_seed=SEED)
+    bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=1)
+    bins_text = "\n".join(",".join(map(str, sorted(b))) for b in bins.bins)
+    labels, src, dst, w = dg.arrays()
+    arrays = (np.ascontiguousarray(labels, dtype=np.int64), np.ascontiguousarray(src, dtype=np.int64),
+              np.ascontiguousarray(dst, dtype=np.int64), np.ascontiguousarray(w, dtype=np.float64))
+    rows = "\n".join(
+        f"{r.range_low!r} {r.range_high!r} {r.edge_fraction!r} {r.correct_fraction!r} {r.edge_count}"
+        for r in probability_bucket_table(dg, truth))
+    return (_sha([bins_text.encode()]), _sha(a.tobytes() for a in arrays), _sha([rows.encode()]))
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN), ids=lambda k: k.value)
+def test_pipeline_output_is_pinned(kind):
+    assert digests(kind) == GOLDEN[kind]
