@@ -56,3 +56,7 @@ class DegenerateBinsError(NetchronoError):
 
 class TooSmallError(NetchronoError):
     pass
+
+
+class InputFormatError(NetchronoError, ValueError):
+    """A malformed line in an input file; the message starts with path:line."""

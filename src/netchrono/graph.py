@@ -174,10 +174,11 @@ class WeightedDigraph:
     itself admits opposite pairs so cycle detection can be exercised on
     arbitrary digraphs.  Edges are stored as flat numpy arrays in
     canonical (source, target) order so that the cycle-breaking and
-    binning passes stay vectorized even at ~|V|^2/2 edges.
+    binning passes stay vectorized even at ~|V|^2/2 edges; sorted sources
+    make the arrays a CSR structure, see `out_indptr`.
     """
 
-    __slots__ = ("_labels", "_index", "_src", "_dst", "_w")
+    __slots__ = ("_labels", "_src", "_dst", "_w")
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[tuple[int, int], float]):
         labels = np.fromiter(sorted({int(v) for v in vertices}), dtype=np.int64)
@@ -195,15 +196,19 @@ class WeightedDigraph:
             src[k] = index[u]
             dst[k] = index[v]
             w[k] = weight
-        self._finish(labels, index, src, dst, w)
+        self._finish(labels, src, dst, w)
 
-    def _finish(self, labels, index, src, dst, w) -> None:
-        order = np.lexsort((dst, src))
+    def _finish(self, labels, src, dst, w) -> None:
+        # one O(m) check; pipeline stages hand over arrays already in canonical order
+        key = src * len(labels)
+        key += dst
+        if np.any(key[1:] < key[:-1]):
+            order = np.lexsort((dst, src))
+            src, dst, w = src[order], dst[order], w[order]
         self._labels = labels
-        self._index = index
-        self._src = src[order]
-        self._dst = dst[order]
-        self._w = w[order]
+        self._src = src
+        self._dst = dst
+        self._w = w
         for a in (self._labels, self._src, self._dst, self._w):
             a.setflags(write=False)
 
@@ -212,10 +217,8 @@ class WeightedDigraph:
                      w: np.ndarray) -> "WeightedDigraph":
         # internal fast path: src/dst are positions into labels (which is sorted)
         dg = cls.__new__(cls)
-        index = {int(v): i for i, v in enumerate(labels)}
-        dg._finish(np.asarray(labels, dtype=np.int64), index,
-                   np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
-                   np.asarray(w, dtype=np.float64))
+        dg._finish(np.asarray(labels, dtype=np.int64), np.asarray(src, dtype=np.int64),
+                   np.asarray(dst, dtype=np.int64), np.asarray(w, dtype=np.float64))
         return dg
 
     @property
@@ -234,22 +237,35 @@ class WeightedDigraph:
         """(labels, src, dst, weights); src/dst are positions into labels."""
         return self._labels, self._src, self._dst, self._w
 
+    def out_indptr(self) -> np.ndarray:
+        """CSR row pointers: the out-edges of position i are [indptr[i], indptr[i+1])."""
+        return np.searchsorted(self._src, np.arange(len(self._labels) + 1))
+
     def edges(self) -> Iterator[tuple[tuple[int, int], float]]:
         for s, d, weight in zip(self._src, self._dst, self._w):
             yield (int(self._labels[s]), int(self._labels[d])), float(weight)
 
+    def _position(self, v: int) -> int | None:
+        i = int(np.searchsorted(self._labels, v))
+        return i if i < len(self._labels) and self._labels[i] == v else None
+
+    def _edge_index(self, u: int, v: int) -> int | None:
+        """Index of edge (u, v) in the arrays, by binary search on the canonical order."""
+        ui, vi = self._position(u), self._position(v)
+        if ui is None or vi is None:
+            return None
+        lo, hi = np.searchsorted(self._src, (ui, ui + 1))
+        k = int(lo + np.searchsorted(self._dst[lo:hi], vi))
+        return k if k < hi and self._dst[k] == vi else None
+
     def weight(self, u: int, v: int) -> float:
-        ui, vi = self._index[u], self._index[v]
-        hits = np.flatnonzero((self._src == ui) & (self._dst == vi))
-        if len(hits) == 0:
+        k = self._edge_index(u, v)
+        if k is None:
             raise KeyError((u, v))
-        return float(self._w[hits[0]])
+        return float(self._w[k])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u not in self._index or v not in self._index:
-            return False
-        ui, vi = self._index[u], self._index[v]
-        return bool(np.any((self._src == ui) & (self._dst == vi)))
+        return self._edge_index(u, v) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
@@ -291,13 +307,13 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     return UndirectedGraph._trusted(adj)
 
 
-def _scc_positions(dg: WeightedDigraph) -> np.ndarray:
+def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:
     """Strong-component id per vertex position (scipy csgraph backend)."""
     n = dg.vertex_count
-    _, src, dst, _ = dg.arrays()
-    mat = sp.csr_matrix(
-        (np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n)
-    )
+    _, _, dst, w = dg.arrays()
+    # the canonical arrays are already CSR; components read only the structure,
+    # so the weights stand in as data without a copy
+    mat = sp.csr_matrix((w, dst, dg.out_indptr()), shape=(n, n))
     _, comp = csgraph.connected_components(mat, directed=True, connection="strong")
     return comp
 
@@ -307,7 +323,7 @@ def strongly_connected_components(dg: WeightedDigraph) -> list[frozenset[int]]:
     labels, _, _, _ = dg.arrays()
     if dg.vertex_count == 0:
         return []
-    comp = _scc_positions(dg)
+    comp = strong_component_ids(dg)
     blocks: dict[int, set[int]] = {}
     for pos, cid in enumerate(comp):
         blocks.setdefault(int(cid), set()).add(int(labels[pos]))
@@ -321,5 +337,5 @@ def is_acyclic(dg: WeightedDigraph) -> bool:
         return False
     if dg.vertex_count == 0:
         return True
-    comp = _scc_positions(dg)
+    comp = strong_component_ids(dg)
     return bool(np.all(np.bincount(comp) <= 1))

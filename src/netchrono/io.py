@@ -6,15 +6,33 @@ contiguous 0..N-1 carries a "# vertices: N" header so isolated vertices
 survive a round trip.
 
 Chronology: one vertex label per line, in arrival order.
+
+Readers reject a malformed line with an `InputFormatError` naming
+path:line: a wrong number of fields, or a token that is not a
+non-negative decimal integer.
 """
 from __future__ import annotations
 
 import re
 from pathlib import Path
 
+from .errors import InputFormatError
 from .graph import Chronology, UndirectedGraph, from_edge_list
 
 _VERTICES_HEADER = re.compile(r"#\s*vertices:\s*(\d+)\s*$")
+
+
+def _labels(line: str, count: int, path, lineno: int) -> list[int]:
+    """The line's `count` whitespace-separated non-negative integer labels."""
+    parts = line.split()
+    if len(parts) != count:
+        raise InputFormatError(
+            f"{path}:{lineno}: expected {count} label(s), got {line!r}")
+    for token in parts:
+        if not (token.isascii() and token.isdecimal()):
+            raise InputFormatError(
+                f"{path}:{lineno}: {token!r} is not a non-negative integer label")
+    return [int(token) for token in parts]
 
 
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
@@ -46,10 +64,8 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
                 if m:
                     declared = int(m.group(1))
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two labels, got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            u, v = _labels(line, 2, path, lineno)
+            pairs.append((u, v))
     g = from_edge_list(pairs)
     if declared is not None and g.vertex_count < declared:
         adj = {v: g.neighbors(v) for v in g.vertices}
@@ -68,9 +84,9 @@ def write_chronology(chron: Chronology, path: str | Path) -> None:
 def read_chronology(path: str | Path) -> Chronology:
     order: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            order.append(int(line))
+            order.extend(_labels(line, 1, path, lineno))
     return Chronology(order)

@@ -33,7 +33,13 @@ from .errors import (
     InvalidConfigError,
     SizeMismatchError,
 )
-from .graph import Chronology, UndirectedGraph, WeightedDigraph, is_acyclic
+from .graph import (
+    Chronology,
+    UndirectedGraph,
+    WeightedDigraph,
+    is_acyclic,
+    strong_component_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -149,26 +155,32 @@ def pairwise_digraph(pred_lists: list[Chronology], alpha: int) -> WeightedDigrap
         raise SizeMismatchError(f"got {len(pred_lists)} lists for alpha={alpha}")
     vertex_set = set(pred_lists[0].order)
     labels = np.fromiter(sorted(vertex_set), dtype=np.int64)
-    index = {int(v): i for i, v in enumerate(labels)}
     n = len(labels)
 
-    before = np.zeros((n, n), dtype=np.int32)
+    # counts[i, j]: lists placing labels[i] before labels[j]; counts[j, i] = alpha - counts[i, j]
+    counts = np.zeros((n, n), dtype=np.min_scalar_type(alpha))
     pos = np.empty(n, dtype=np.int64)
     for chron in pred_lists:
         if set(chron.order) != vertex_set:
             raise SizeMismatchError("prediction lists cover different vertex sets")
-        for k, v in enumerate(chron):
-            pos[index[v]] = k
-        before += pos[:, None] < pos[None, :]
+        pos[np.searchsorted(labels, chron.order)] = np.arange(n)
+        counts += pos[:, None] < pos[None, :]
 
-    iu, iv = np.triu_indices(n, k=1)
-    cnt = before[iu, iv].astype(np.int64)
-    u_first = 2 * cnt > alpha
-    v_first = 2 * cnt < alpha  # exact ties fall through to min->max with weight 0.5
-    src = np.where(v_first, iv, iu)
-    dst = np.where(v_first, iu, iv)
-    w = np.where(u_first, cnt / alpha, 1.0 - cnt / alpha)
-    return WeightedDigraph._from_arrays(labels, src, dst, w)
+    # i -> j when more than half the lists put i first (2k > alpha, written
+    # without doubling k so the narrow dtype cannot wrap)
+    half = alpha // 2
+    oriented = counts > half
+    if alpha % 2 == 0:
+        oriented |= np.triu(counts == half, k=1)
+    src, dst = np.nonzero(oriented)  # row-major, so already in canonical order
+    # A pair's weight depends on k, the lists placing its min label first:
+    # k/alpha when 2k > alpha, else 1 - k/alpha, formed exactly so, since
+    # (alpha - k)/alpha can differ in the last bit.
+    k = np.arange(alpha + 1)
+    weight_of = np.where(2 * k > alpha, k / alpha, 1.0 - k / alpha)
+    min_first = counts[oriented]
+    min_first = np.where(src < dst, min_first, alpha - min_first)
+    return WeightedDigraph._from_arrays(labels, src, dst, weight_of[min_first])
 
 
 def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
@@ -178,52 +190,78 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     edge of least weight, ties by smallest (source, target) label pair.
     Deletion never creates cycles, so the removed set is exactly the
     shortest prefix of the ascending (weight, source, target) edge order
-    whose removal leaves the graph acyclic; that prefix length is found by
-    binary search with an SCC-based acyclicity probe per step.
+    whose removal leaves the graph acyclic.  That prefix is found in two
+    binary searches with an SCC-based acyclicity probe per step: first
+    over the distinct weights (at most alpha + 1 in a pairwise digraph),
+    then over the canonical-order edges of the one threshold weight.
     """
     labels, src, dst, w = dg.arrays()
-    m = len(src)
-    if dg.vertex_count == 0 or m == 0 or is_acyclic(dg):
+    if len(src) == 0 or is_acyclic(dg):
         return dg
-    order = np.lexsort((dst, src, w))
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = np.arange(m)
 
-    def acyclic_without_first(k: int) -> bool:
-        keep = rank >= k
-        return is_acyclic(WeightedDigraph._from_arrays(labels, src[keep], dst[keep], w[keep]))
+    def subgraph(edges: np.ndarray) -> WeightedDigraph:
+        # edges: ascending edge indices, so the subgraph stays in canonical order
+        return WeightedDigraph._from_arrays(labels, src.take(edges), dst.take(edges),
+                                            w.take(edges))
 
-    lo, hi = 0, m  # removing all edges is trivially acyclic
+    # smallest weight whose removal, with every lighter edge, leaves a DAG;
+    # removing nothing leaves a cycle, removing every edge (the last level) does not
+    levels = np.unique(w)
+    threshold = levels[_first_true(
+        -1, len(levels) - 1, lambda j: is_acyclic(subgraph(np.flatnonzero(w > levels[j]))))]
+    tied = np.flatnonzero(w == threshold)
+
+    def without_first(count: int, edges: np.ndarray) -> np.ndarray:
+        """`edges`, none lighter than threshold, minus the first `count` tied edges."""
+        cut = tied[count] if count < len(tied) else len(w)
+        return edges[(w[edges] > threshold) | (edges >= cut)]
+
+    # Every digraph probed below is a subgraph of the one keeping the edges
+    # not lighter than threshold, which has a cycle, and each of its cycles
+    # lies within one strong component of that digraph: so probes take only
+    # the edges inside those, often a small fraction.
+    at_least = w >= threshold
+    comp = strong_component_ids(subgraph(np.flatnonzero(at_least)))
+    inside = np.flatnonzero(at_least & (comp[src] == comp[dst]))
+
+    # removing none of the tied edges leaves a cycle, removing all of them does not
+    count = _first_true(0, len(tied), lambda k: is_acyclic(subgraph(without_first(k, inside))))
+    return subgraph(without_first(count, np.flatnonzero(at_least)))
+
+
+def _first_true(lo: int, hi: int, pred) -> int:
+    """Smallest x in (lo, hi] with pred(x), for pred monotone, false at lo, true at hi."""
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if acyclic_without_first(mid):
+        if pred(mid):
             hi = mid
         else:
             lo = mid
-    keep = rank >= hi
-    return WeightedDigraph._from_arrays(labels, src[keep], dst[keep], w[keep])
+    return hi
 
 
 def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
     """Peel the DAG into bins of minimum remaining in-degree.
 
-    Each round recomputes in-degrees on the surviving induced subgraph,
-    bins every vertex attaining the minimum, and removes them; bins are
-    ordered by creation.
+    Each round bins every surviving vertex of minimum in-degree within the
+    surviving induced subgraph and removes them; bins are ordered by
+    creation.  In-degrees are counted once and then lowered by the
+    out-edges of each removed bin.
     """
     if not is_acyclic(dag):
         raise CyclicInputError("binning requires an acyclic digraph")
-    labels, src, dst, _ = dag.arrays()
+    labels, _, dst, _ = dag.arrays()
     n = len(labels)
+    indptr = dag.out_indptr()
+    indeg = np.bincount(dst, minlength=n)
     alive = np.ones(n, dtype=bool)
     bins: list[frozenset[int]] = []
     while alive.any():
-        valid = alive[src] & alive[dst]
-        indeg = np.bincount(dst[valid], minlength=n)
-        min_in = indeg[alive].min()
-        members = alive & (indeg == min_in)
-        bins.append(frozenset(int(labels[i]) for i in np.flatnonzero(members)))
-        alive &= ~members
+        members = np.flatnonzero(alive & (indeg == indeg[alive].min()))
+        bins.append(frozenset(labels[members].tolist()))
+        alive[members] = False
+        targets = [dst[indptr[v]:indptr[v + 1]] for v in members]
+        indeg -= np.bincount(np.concatenate(targets), minlength=n)
     return BinOrdering(tuple(bins))
 
 

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: exhaustive shortest-path
 enumeration for betweenness, dense eigendecomposition for eigenvector
-scores, edge-probability random graphs for fuzzing.  None of it shares
-code with the package internals.
+scores, edge-probability random graphs for fuzzing, and the pairwise
+digraph, cycle break and in-degree binning on raw position arrays with
+full-mask probing.  None of it shares code with the package internals.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import random
 from collections import deque
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from netchrono import UndirectedGraph, from_edge_list
 
@@ -99,3 +101,72 @@ def dense_dominant_eigenvector(g: UndirectedGraph) -> tuple[dict[int, float], fl
     if x.sum() < 0:
         x = -x
     return {v: float(x[index[v]]) for v in labels}, lam
+
+
+# Pairwise-digraph stages, as first written: (src, dst) are vertex positions
+# 0..n-1, every probe rebuilds the full edge set from a mask.
+
+def _oracle_acyclic(n: int, src: np.ndarray, dst: np.ndarray) -> bool:
+    if np.any(src == dst):
+        return False
+    if n == 0:
+        return True
+    mat = csr_matrix((np.ones(len(src), dtype=np.int8), (src, dst)), shape=(n, n))
+    count, _ = csgraph.connected_components(mat, directed=True, connection="strong")
+    return count == n
+
+
+def oracle_pairwise_digraph(orders: list[list[int]], alpha: int):
+    """(labels, src, dst, w) in (src, dst) order, one pair at a time in Python."""
+    labels = sorted(orders[0])
+    n = len(labels)
+    before = [[0] * n for _ in range(n)]
+    for order in orders:
+        pos = {v: k for k, v in enumerate(order)}
+        for i in range(n):
+            for j in range(n):
+                if pos[labels[i]] < pos[labels[j]]:
+                    before[i][j] += 1
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        cnt = before[i][j]  # lists placing labels[i] first; ties orient i -> j
+        w = cnt / alpha if 2 * cnt > alpha else 1.0 - cnt / alpha
+        edges.append((j, i, w) if 2 * cnt < alpha else (i, j, w))
+    edges.sort()
+    src = np.array([e[0] for e in edges], dtype=np.int64)
+    dst = np.array([e[1] for e in edges], dtype=np.int64)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    return np.array(labels, dtype=np.int64), src, dst, w
+
+
+def oracle_break_cycles(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Keep-mask over the input edges: the shortest prefix of the ascending
+    (w, src, dst) order whose removal leaves the digraph acyclic, removed."""
+    m = len(src)
+    if m == 0 or _oracle_acyclic(n, src, dst):
+        return np.ones(m, dtype=bool)
+    order = np.lexsort((dst, src, w))
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    lo, hi = 0, m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        keep = rank >= mid
+        if _oracle_acyclic(n, src[keep], dst[keep]):
+            hi = mid
+        else:
+            lo = mid
+    return rank >= hi
+
+
+def oracle_bin_by_indegree(n: int, src: np.ndarray, dst: np.ndarray) -> list[frozenset[int]]:
+    """Bins of vertex positions: each round recounts in-degrees among survivors."""
+    alive = np.ones(n, dtype=bool)
+    bins = []
+    while alive.any():
+        valid = alive[src] & alive[dst]
+        indeg = np.bincount(dst[valid], minlength=n)
+        members = alive & (indeg == indeg[alive].min())
+        bins.append(frozenset(np.flatnonzero(members).tolist()))
+        alive &= ~members
+    return bins

@@ -147,6 +147,25 @@ def test_weighted_digraph_accessors():
     assert sorted(dg.edges()) == [((1, 3), 0.6), ((2, 1), 1.0)]
 
 
+def test_weighted_digraph_lookup_matches_edge_map():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        labels = rng.sample(range(50), n)
+        edges = {(u, v): rng.choice([0.5, 0.7, 1.0])
+                 for u in labels for v in labels if rng.random() < 0.3}
+        dg = WeightedDigraph(labels, edges)
+        probe = labels + [-1, 50, min(labels) - 1, max(labels) + 1]
+        for u in probe:
+            for v in probe:
+                assert dg.has_edge(u, v) == ((u, v) in edges)
+                if (u, v) in edges:
+                    assert dg.weight(u, v) == edges[(u, v)]
+                else:
+                    with pytest.raises(KeyError):
+                        dg.weight(u, v)
+
+
 def test_chronology_rejects_duplicates():
     with pytest.raises(ValueError):
         Chronology([1, 2, 1])

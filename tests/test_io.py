@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from netchrono import (
@@ -9,6 +11,7 @@ from netchrono import (
     write_chronology,
     write_edge_list,
 )
+from netchrono.errors import InputFormatError
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -44,6 +47,33 @@ def test_edge_list_malformed_line(tmp_path):
     path.write_text("0 1 2\n")
     with pytest.raises(ValueError):
         read_edge_list(path)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0 1\n-1 2\n", 2),       # negative label
+    ("# c\n0 1\n3\n", 3),     # one field
+    ("0 1 2\n", 1),           # three fields
+    ("0 1\n1 x\n", 2),        # non-integer token
+    ("1.5 2\n", 1),           # non-integer number
+])
+def test_edge_list_rejects_malformed_line(tmp_path, text, lineno):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("0\n1\nabc\n", 3),       # not a number
+    ("0\n2.0\n", 2),          # non-integer number
+    ("4\n-3\n", 2),           # negative label
+    ("0 1\n", 1),             # two labels on one line
+])
+def test_chronology_rejects_malformed_line(tmp_path, text, lineno):
+    path = tmp_path / "bad.chron"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
+        read_chronology(path)
 
 
 def test_chronology_roundtrip(tmp_path):
