@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: exhaustive shortest-path
 enumeration for betweenness, dense eigendecomposition for eigenvector
-scores, edge-probability random graphs for fuzzing, and the pairwise
+scores, edge-probability random graphs for fuzzing, the pairwise
 digraph, cycle break and in-degree binning on raw position arrays with
-full-mask probing.  None of it shares code with the package internals.
+full-mask probing, and the CSR build and block Brandes kernel as first
+written.  None of it shares code with the package internals.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import random
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse import csgraph, csr_matrix
 
 from netchrono import UndirectedGraph, from_edge_list
@@ -84,6 +86,66 @@ def brute_betweenness(g: UndirectedGraph) -> dict[int, float]:
             through = sum(1 for p in paths if v in p)
             score[v] += through / len(paths)
     return score
+
+
+def oracle_csr_arrays(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, indptr, indices) built one row at a time; indices are row positions."""
+    labels = np.fromiter(sorted(g.vertices), dtype=np.int64, count=g.vertex_count)
+    index = {int(v): i for i, v in enumerate(labels)}
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    chunks = []
+    for i, v in enumerate(labels):
+        nbrs = np.fromiter(sorted(index[w] for w in g.neighbors(int(v))), dtype=np.int64,
+                           count=g.degree(int(v)))
+        indptr[i + 1] = indptr[i] + len(nbrs)
+        chunks.append(nbrs)
+    indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    return labels, indptr, indices
+
+
+def oracle_brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
+    """Brandes dependency sums over ordered pairs, as first written: per block
+    of 256 sources, (b x n) distance and path-count matrices, each BFS level
+    found by full-size masks.  The per-block column sums, added to the total
+    block by block, fix the floating-point reduction order."""
+    block = 256
+    adj = sp.csr_array(
+        (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
+        shape=(n, n),
+    )
+    total = np.zeros(n, dtype=np.float64)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        b = hi - lo
+        rows = np.arange(b)
+        dist = np.full((b, n), -1, dtype=np.int32)
+        sigma = np.zeros((b, n), dtype=np.float64)
+        dist[rows, np.arange(lo, hi)] = 0
+        sigma[rows, np.arange(lo, hi)] = 1.0
+
+        frontier = dist == 0
+        level = 0
+        while True:
+            paths = (sigma * frontier) @ adj
+            newly = (paths > 0) & (dist < 0)
+            if not newly.any():
+                break
+            level += 1
+            dist[newly] = level
+            sigma[newly] = paths[newly]
+            frontier = newly
+
+        delta = np.zeros((b, n), dtype=np.float64)
+        for lev in range(level, 0, -1):
+            at = dist == lev
+            coef = np.zeros((b, n), dtype=np.float64)
+            np.divide(1.0 + delta, sigma, out=coef, where=at)
+            contrib = coef @ adj
+            prev = dist == (lev - 1)
+            delta[prev] += (contrib * sigma)[prev]
+        delta[rows, np.arange(lo, hi)] = 0.0
+        total += delta.sum(axis=0)
+    return total
 
 
 def dense_dominant_eigenvector(g: UndirectedGraph) -> tuple[dict[int, float], float]:

@@ -1,0 +1,108 @@
+"""Betweenness against the block Brandes kernel as first written, and networkx.
+
+The first-written kernel in `oracles.py` fixes the floating-point
+reduction order (per 256-source block, then block by block), so scores
+must match it bit for bit.  Graphs of more than 256 vertices span several
+source blocks, with a ragged last one; they are the cases that can show a
+change of reduction order.  networkx is an independent second oracle,
+compared within 1e-9.
+"""
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netchrono import BAConfig, UndirectedGraph, betweenness_centrality, generate_ba, remove_vertices
+
+from oracles import oracle_brandes_ordered_sums, oracle_csr_arrays
+
+
+def oracle_scores(g: UndirectedGraph) -> dict[int, float]:
+    labels, indptr, indices = oracle_csr_arrays(g)
+    raw = oracle_brandes_ordered_sums(indptr, indices, len(labels))
+    return {int(v): float(raw[i]) / 2.0 for i, v in enumerate(labels)}
+
+
+def assert_bit_identical(g: UndirectedGraph) -> None:
+    got = betweenness_centrality(g).scores
+    want = oracle_scores(g)
+    labels = sorted(want)
+    assert sorted(got) == labels
+    assert np.array_equal(np.array([got[v] for v in labels]), np.array([want[v] for v in labels]))
+
+
+def peeling_levels(g: UndirectedGraph, count: int) -> list[UndirectedGraph]:
+    """g and its next `count` levels, each dropping every minimum-degree vertex."""
+    levels = [g]
+    for _ in range(count):
+        h = levels[-1]
+        low = min(h.degree(v) for v in h.vertices)
+        levels.append(remove_vertices(h, [v for v in h.vertices if h.degree(v) == low]))
+    return levels
+
+
+def union(*graphs: UndirectedGraph) -> UndirectedGraph:
+    adj: dict[int, list[int]] = {}
+    for g in graphs:
+        for v in g.vertices:
+            adj[v] = list(g.neighbors(v))
+    return UndirectedGraph(adj)
+
+
+def shifted(g: UndirectedGraph, offset: int) -> UndirectedGraph:
+    return UndirectedGraph({v + offset: [w + offset for w in g.neighbors(v)] for v in g.vertices})
+
+
+@pytest.mark.parametrize("n", [600, 1000])
+def test_ba_and_peeled_levels_match_first_kernel(n):
+    g, _ = generate_ba(BAConfig(n, 3, 5))
+    for level in peeling_levels(g, 2):
+        assert_bit_identical(level)
+
+
+def test_disconnected_graph_matches_first_kernel():
+    a, _ = generate_ba(BAConfig(300, 3, 8))
+    b, _ = generate_ba(BAConfig(200, 2, 9))
+    assert_bit_identical(union(a, shifted(b, 1000)))
+
+
+def test_isolated_vertices_match_first_kernel():
+    g, _ = generate_ba(BAConfig(400, 3, 10))
+    # spread the isolated labels through the label order, so they land in every block
+    spread = UndirectedGraph({3 * v: [3 * w for w in g.neighbors(v)] for v in g.vertices})
+    lonely = UndirectedGraph({3 * v + 1: [] for v in range(0, 400, 7)})
+    assert_bit_identical(union(spread, lonely))
+
+
+@st.composite
+def small_graphs(draw) -> UndirectedGraph:
+    labels = draw(st.lists(st.integers(0, 500), min_size=1, max_size=40, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=120))
+    adj: dict[int, set[int]] = {v: set() for v in labels}
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return UndirectedGraph(adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_random_small_graphs_match_first_kernel(g):
+    assert_bit_identical(g)
+
+
+@pytest.mark.parametrize("n,seed", [(200, 1), (300, 2), (400, 3)])
+def test_ba_matches_networkx(n, seed):
+    g, _ = generate_ba(BAConfig(n, 3, seed))
+    G = nx.Graph()
+    G.add_nodes_from(g.vertices)
+    G.add_edges_from(g.edges())
+    want = nx.betweenness_centrality(G, normalized=False)
+    got = betweenness_centrality(g).scores
+    assert got.keys() == want.keys()
+    for v in want:
+        assert got[v] == pytest.approx(want[v], abs=1e-9)

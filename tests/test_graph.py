@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from netchrono import (
@@ -13,7 +14,7 @@ from netchrono import (
 )
 from netchrono.errors import SelfLoopError, UnknownVertexError
 
-from oracles import random_graph
+from oracles import oracle_csr_arrays, random_graph
 
 
 def test_from_edge_list_path():
@@ -164,6 +165,23 @@ def test_weighted_digraph_lookup_matches_edge_map():
                 else:
                     with pytest.raises(KeyError):
                         dg.weight(u, v)
+
+
+def test_csr_arrays_match_per_row_build():
+    rng = random.Random(17)
+    graphs = [UndirectedGraph({}), UndirectedGraph({9: []}), from_edge_list([(5, 2)])]
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 60), rng.uniform(0.0, 0.3))
+        # non-contiguous labels in an order unrelated to the positions
+        relabel = dict(zip(sorted(g.vertices), rng.sample(range(10 ** 6), g.vertex_count)))
+        graphs.append(UndirectedGraph(
+            {relabel[v]: [relabel[w] for w in g.neighbors(v)] for v in g.vertices}))
+    for g in graphs:
+        got = g.csr_arrays()
+        want = oracle_csr_arrays(g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, b)
 
 
 def test_chronology_rejects_duplicates():
