@@ -2,9 +2,9 @@
 
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
-block at once through dense-by-sparse matrix products.  This is the hot
-loop of the whole pipeline (it runs once per peeling level per network),
-so it trades O(block * |V|) memory for C-speed inner loops.
+block at once through one sparse-by-dense matrix product.  This is the
+hot loop of the whole pipeline (it runs once per peeling level per
+network), so it trades O(block * |V|) memory for C-speed inner loops.
 """
 from __future__ import annotations
 
@@ -68,43 +68,52 @@ def betweenness_centrality(g: UndirectedGraph) -> ScoreTable:
 
 
 def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
-    """Dependency sums over ordered source-target pairs, all sources."""
+    """Dependency sums over ordered source-target pairs, all sources.
+
+    Per block of b sources, path counts and dependencies live in (n x b)
+    arrays, one column per source, so `adj @ X` is a plain CSR product.
+    Each BFS level is kept as flat indices into those arrays; only the
+    frontier is loaded into the product buffer and only the entries of
+    the next (or previous) level are written back.  Path counts are
+    integers, each dependency entry is written once, and the column sums
+    add the sources of a block in source order: scores do not depend on
+    how the levels are stored.
+    """
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
         shape=(n, n),
     )
     total = np.zeros(n, dtype=np.float64)
     for lo in range(0, n, _SOURCE_BLOCK):
-        hi = min(lo + _SOURCE_BLOCK, n)
-        b = hi - lo
-        rows = np.arange(b)
-        dist = np.full((b, n), -1, dtype=np.int32)
-        sigma = np.zeros((b, n), dtype=np.float64)
-        dist[rows, np.arange(lo, hi)] = 0
-        sigma[rows, np.arange(lo, hi)] = 1.0
-
-        frontier = dist == 0
-        level = 0
+        b = min(_SOURCE_BLOCK, n - lo)
+        sigma = np.zeros(n * b, dtype=np.float64)
+        buf = np.zeros((n, b), dtype=np.float64)
+        flat_buf = buf.reshape(-1)
+        start = np.arange(lo, lo + b) * b + np.arange(b)
+        sigma[start] = 1.0
+        levels = [start]
         while True:
-            paths = (sigma * frontier) @ adj
-            newly = (paths > 0) & (dist < 0)
-            if not newly.any():
+            frontier = levels[-1]
+            flat_buf[frontier] = sigma[frontier]
+            paths = (adj @ buf).reshape(-1)
+            flat_buf[frontier] = 0.0
+            reached = np.flatnonzero(paths)
+            reached = reached[sigma[reached] == 0.0]
+            if reached.size == 0:
                 break
-            level += 1
-            dist[newly] = level
-            sigma[newly] = paths[newly]
-            frontier = newly
+            sigma[reached] = paths[reached]
+            levels.append(reached)
 
-        delta = np.zeros((b, n), dtype=np.float64)
-        for lev in range(level, 0, -1):
-            at = dist == lev
-            coef = np.zeros((b, n), dtype=np.float64)
-            np.divide(1.0 + delta, sigma, out=coef, where=at)
-            contrib = coef @ adj
-            prev = dist == (lev - 1)
-            delta[prev] += (contrib * sigma)[prev]
-        delta[rows, np.arange(lo, hi)] = 0.0
-        total += delta.sum(axis=0)
+        # the sources (level 0) get no dependency, so the walk back stops at level 1
+        delta = np.zeros(n * b, dtype=np.float64)
+        for k in range(len(levels) - 1, 1, -1):
+            at, prev = levels[k], levels[k - 1]
+            flat_buf[at] = (1.0 + delta[at]) / sigma[at]
+            contrib = (adj @ buf).reshape(-1)
+            flat_buf[at] = 0.0
+            delta[prev] = contrib[prev] * sigma[prev]
+        # (b x n) C order, so the sum adds the block's sources one after another
+        total += delta.reshape(n, b).T.copy().sum(axis=0)
     return total
 
 

@@ -10,6 +10,7 @@ new objects, which makes them safe to share across worker processes.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -92,19 +93,17 @@ class UndirectedGraph:
         this repeatedly on shared graphs.
         """
         if self._csr is None:
-            labels = np.fromiter(sorted(self._adj), dtype=np.int64, count=len(self._adj))
-            index = {int(v): i for i, v in enumerate(labels)}
-            indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-            chunks = []
-            for i, v in enumerate(labels):
-                nbrs = np.fromiter(
-                    sorted(index[w] for w in self._adj[int(v)]),
-                    dtype=np.int64,
-                    count=len(self._adj[int(v)]),
-                )
-                indptr[i + 1] = indptr[i] + len(nbrs)
-                chunks.append(nbrs)
-            indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+            order = sorted(self._adj)
+            labels = np.fromiter(order, dtype=np.int64, count=len(order))
+            degrees = np.fromiter((len(self._adj[v]) for v in order), dtype=np.int64,
+                                  count=len(order))
+            nbrs = np.fromiter(chain.from_iterable(self._adj[v] for v in order), dtype=np.int64,
+                               count=2 * self._edge_count)
+            rows = np.repeat(np.arange(len(order), dtype=np.int64), degrees)
+            cols = np.searchsorted(labels, nbrs)
+            indices = cols[np.lexsort((cols, rows))]
+            indptr = np.zeros(len(order) + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
             self._csr = (labels, indptr, indices)
         return self._csr
 
