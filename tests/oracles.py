@@ -4,8 +4,11 @@ Everything here is deliberately naive: exhaustive shortest-path
 enumeration for betweenness, dense eigendecomposition for eigenvector
 scores, edge-probability random graphs for fuzzing, the pairwise
 digraph, cycle break and in-degree binning on raw position arrays with
-full-mask probing, and the CSR build and block Brandes kernel as first
-written.  None of it shares code with the package internals.
+full-mask probing, the CSR build and block Brandes kernel as first
+written, and the BA draw loop, dict-based core peeling and sort-key tie
+salting as first written.  None of it shares code with the package
+internals, except that the peeling oracle scores each level through the
+public `netchrono.centrality.compute`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph, csr_matrix
 
-from netchrono import UndirectedGraph, from_edge_list
+from netchrono import ScoreTable, UndirectedGraph, from_edge_list
+from netchrono.centrality import CentralityKind, compute
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -232,3 +236,88 @@ def oracle_bin_by_indegree(n: int, src: np.ndarray, dst: np.ndarray) -> list[fro
         bins.append(frozenset(np.flatnonzero(members).tolist()))
         alive &= ~members
     return bins
+
+
+# Synthetic-ensemble stages, as first written: a per-draw Python loop over
+# the attachment list, peeling by copying the graph's neighbour sets, and a
+# sort key holding a Python-integer splitmix64 hash.
+
+def oracle_generate_ba(n: int, c: int, seed: int) -> dict[int, set[int]]:
+    """Adjacency sets of BA(n, c) grown from `seed`, one scalar draw at a time."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u in range(c):
+        for v in range(u + 1, c):
+            adj[u].add(v)
+            adj[v].add(u)
+
+    # attachment list: vertex v appears deg(v) times; frozen per arrival
+    attach: list[int] = []
+    for v in range(c):
+        attach.extend([v] * (c - 1))
+
+    for u in range(c, n):
+        snapshot_len = len(attach)
+        targets: list[int] = []
+        seen: set[int] = set()
+        if snapshot_len == 0:
+            # degenerate c=1 start: K_1 has no degree mass, fall back to uniform
+            targets.append(int(rng.integers(0, u)))
+        else:
+            while len(targets) < c:
+                pick = attach[int(rng.integers(0, snapshot_len))]
+                if pick not in seen:
+                    seen.add(pick)
+                    targets.append(pick)
+        for v in targets:
+            adj[u].add(v)
+            adj[v].add(u)
+            attach.append(v)
+        attach.extend([u] * c)
+    return adj
+
+
+def _oracle_remove_vertices(g: UndirectedGraph, drop: set[int]) -> UndirectedGraph:
+    return UndirectedGraph({v: g.neighbors(v) - drop for v in g.vertices if v not in drop})
+
+
+def _oracle_level_scores(g: UndirectedGraph, kind: CentralityKind) -> dict[int, float]:
+    table = compute(g, kind)
+    if kind is CentralityKind.BETWEENNESS and g.vertex_count >= 3:
+        n = g.vertex_count
+        scale = 2.0 / ((n - 1) * (n - 2))
+        return {v: s * scale for v, s in table.scores.items()}
+    return dict(table.scores)
+
+
+def oracle_differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> dict[int, float]:
+    """DCM per vertex, peeling a copied graph level by level."""
+    dcm = {v: 0.0 for v in g.vertices}
+    current_graph = g
+    current = _oracle_level_scores(current_graph, kind)
+    while current_graph.vertex_count > 0:
+        degrees = {v: current_graph.degree(v) for v in current_graph.vertices}
+        min_degree = min(degrees.values())
+        peeled = {v for v, d in degrees.items() if d == min_degree}
+        next_graph = _oracle_remove_vertices(current_graph, peeled)
+        nxt = _oracle_level_scores(next_graph, kind) if next_graph.vertex_count > 0 else {}
+        for v in current_graph.vertices:
+            if v in peeled:
+                dcm[v] += abs(current[v])
+            else:
+                dcm[v] += abs(nxt[v] - current[v])
+        current_graph, current = next_graph, nxt
+    return dcm
+
+
+def oracle_mix64(x: int) -> int:
+    x &= 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return x ^ (x >> 31)
+
+
+def oracle_salted_rank(table: ScoreTable, salt: int) -> list[int]:
+    """Score-descending labels, ties by the splitmix64 hash of label ^ salt."""
+    return sorted(table.scores, key=lambda v: (-table.scores[v], oracle_mix64(v ^ salt)))

@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchrono import (
     BAConfig,
@@ -13,6 +16,8 @@ from netchrono import (
 )
 from netchrono.ba import DegreeDistribution
 from netchrono.errors import InsufficientSupportError, InvalidConfigError
+
+from oracles import oracle_generate_ba
 
 
 def expected_edges(n, c):
@@ -115,3 +120,34 @@ def test_shuffle_vertex_labels():
     assert sg2 == sg and schron2 == schron
     # degree multiset preserved
     assert sorted(g.degree(v) for v in g.vertices) == sorted(sg.degree(v) for v in sg.vertices)
+
+
+# sha256 of the sorted edge list ("u v" lines) of generate_ba(BAConfig(n, c, seed)),
+# as grown by the first-written scalar draw loop; pins the PCG64 draw stream
+EDGE_LIST_DIGESTS = [
+    (60, 1, 5, "73a894007fd6698d26a9ef4ff96ccb76b6474e62c46342f719ce652e33ed8325"),
+    (400, 1, 2**63 + 11, "1468f6284941daac2cc58e38e11a1ef85df9b279ff58c56faba7a534534e3222"),
+    (500, 2, 17, "32f1021d2eef4e3c96bd0ee13cdb49f60cd14451250e644a9ae198f048f8de8d"),
+    (3000, 3, 1, "c44350218e821cdde6453b97958c6d8a774af2c914ddc2fa0a9550838124dd37"),
+    (3000, 3, 2**63 + 2**40 + 3,
+     "20fb2aa876e0c17fb91dfd7a8a9a482ef58af0d75cd1aa603731b255d1b30853"),
+    (1000, 3, 2**64 - 1, "8e6ad7d279fdf44efbdb7d19562d74e3a273a51509cb42281349c81f11651a58"),
+    (2000, 5, 404, "c16a3cd566e793485b1f777b7663143c33f26659c128350ae0ab29a1c37d1e77"),
+]
+
+
+@pytest.mark.parametrize("n,c,seed,digest", EDGE_LIST_DIGESTS)
+def test_edge_list_digest(n, c, seed, digest):
+    g, _ = generate_ba(BAConfig(n, c, seed))
+    text = "\n".join(f"{u} {v}" for u, v in g.edges())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 7), extra=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
+    n = c + extra
+    g, _ = generate_ba(BAConfig(n, c, seed))
+    expected = oracle_generate_ba(n, c, seed)
+    assert g.vertices == frozenset(expected)
+    assert all(g.neighbors(v) == frozenset(nbrs) for v, nbrs in expected.items())

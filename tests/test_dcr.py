@@ -1,18 +1,21 @@
 import random
 
+import numpy as np
 import pytest
 
 from netchrono import (
+    BAConfig,
     CentralityKind,
     ScoreTable,
     UndirectedGraph,
     differential_core_ranking,
     from_edge_list,
+    generate_ba,
     rank_descending,
 )
 from netchrono.centrality import degree_centrality
 
-from oracles import random_graph
+from oracles import oracle_differential_core_ranking, random_graph
 
 PATH3 = from_edge_list([(0, 1), (1, 2)])
 TRIANGLE = from_edge_list([(0, 1), (1, 2), (0, 2)])
@@ -99,3 +102,51 @@ def test_rank_descending_examples():
     assert rank_descending(ScoreTable({0: 0.5, 1: 1.0, 2: 0.5}, "dcm")) == [1, 0, 2]
     assert rank_descending(ScoreTable({3: 1.0, 1: 1.0, 2: 1.0}, "dcm")) == [1, 2, 3]
     assert rank_descending(ScoreTable({}, "dcm")) == []
+
+
+def _assert_bit_equal_dcm(g, kind):
+    got = differential_core_ranking(g, kind).scores
+    expected = oracle_differential_core_ranking(g, kind)
+    assert set(got) == set(expected)
+    labels = sorted(expected)
+    a = np.array([got[v] for v in labels])
+    b = np.array([expected[v] for v in labels])
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CentralityKind))
+def test_ba_matches_copying_peel(kind):
+    g, _ = generate_ba(BAConfig(1000, 3, 8))
+    _assert_bit_equal_dcm(g, kind)
+
+
+def _scattered(rng: random.Random, g: UndirectedGraph) -> UndirectedGraph:
+    """g relabeled onto sparse, non-contiguous labels, plus a few isolated vertices."""
+    labels = rng.sample(range(10**9), g.vertex_count + 3)
+    names = dict(zip(sorted(g.vertices), labels))
+    adj = {names[v]: [names[w] for w in g.neighbors(v)] for v in g.vertices}
+    for extra in labels[g.vertex_count:]:
+        adj[extra] = []
+    return UndirectedGraph(adj)
+
+
+@pytest.mark.parametrize("kind", list(CentralityKind))
+def test_random_graphs_match_copying_peel(kind):
+    rng = random.Random(53)
+    for _ in range(12):
+        parts = [random_graph(rng, rng.randint(1, 25), rng.uniform(0.05, 0.4))
+                 for _ in range(rng.randint(1, 3))]
+        adj = {}
+        for k, part in enumerate(parts):  # disjoint union: disconnected parts
+            adj.update({1000 * k + v: [1000 * k + w for w in part.neighbors(v)]
+                        for v in part.vertices})
+        g = UndirectedGraph(adj)
+        _assert_bit_equal_dcm(g, kind)
+        _assert_bit_equal_dcm(_scattered(rng, g), kind)
+
+
+@pytest.mark.parametrize("kind", list(CentralityKind))
+def test_tiny_graphs_match_copying_peel(kind):
+    for g in (UndirectedGraph({7: []}), UndirectedGraph({3: [9], 9: [3]}),
+              UndirectedGraph({2: [], 5: [], 11: []}), PATH3, TRIANGLE):
+        _assert_bit_equal_dcm(g, kind)

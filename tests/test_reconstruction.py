@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchrono import (
     BAConfig,
@@ -27,6 +29,10 @@ from netchrono.errors import (
     InvalidConfigError,
     SizeMismatchError,
 )
+from netchrono.centrality import ScoreTable
+from netchrono.reconstruction import _salted_rank
+
+from oracles import oracle_salted_rank
 
 
 def test_pipeline_config_validation():
@@ -323,3 +329,26 @@ def test_pair_probability_validation():
     PairProbability(0, 1, 0.75)
     with pytest.raises(ValueError):
         PairProbability(0, 1, 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 2**63 - 1), min_size=0, max_size=60, unique=True),
+    pool=st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0, 1e-300, 0.1 + 0.2, 0.3]),
+                  min_size=1, max_size=4),
+    data=st.data(),
+    salt=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+)
+def test_salted_rank_matches_sort_key(labels, pool, data, salt):
+    # few distinct scores, so most vertices tie, 0.0 and -0.0 among them
+    scores = data.draw(st.lists(st.sampled_from(pool), min_size=len(labels),
+                                max_size=len(labels)))
+    table = ScoreTable(dict(zip(labels, scores)), "dcm")
+    assert _salted_rank(table, salt) == oracle_salted_rank(table, salt)
+
+
+def test_salted_rank_ties_zero_signs_and_extreme_labels():
+    labels = [0, 1, 2**63 - 1, 2**62 + 5, 12, 2**40]
+    table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5])), "dcm")
+    for salt in (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
+        assert _salted_rank(table, salt) == oracle_salted_rank(table, salt)
