@@ -50,42 +50,106 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
     degree (equivalent to inverting the cumulative degree distribution);
     duplicate targets within one arrival are rejected and redrawn.
     Returns the graph and the chronology [0, 1, ..., n-1].
+
+    The draws are those of one scalar `integers(0, len(list))` call per
+    pick, in arrival order, but made a chunk of arrivals at a time; see
+    `_draw_targets`.
     """
     n, c = cfg.n, cfg.c
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
-    for u in range(c):
-        for v in range(u + 1, c):
-            adj[u].add(v)
-            adj[v].add(u)
-
-    # attachment list: vertex v appears deg(v) times; frozen per arrival
-    attach: list[int] = []
-    for v in range(c):
-        attach.extend([v] * (c - 1))
-
-    for u in range(c, n):
-        snapshot_len = len(attach)
-        targets: list[int] = []
-        seen: set[int] = set()
-        if snapshot_len == 0:
-            # degenerate c=1 start: K_1 has no degree mass, fall back to uniform
-            targets.append(int(rng.integers(0, u)))
-        else:
-            while len(targets) < c:
-                pick = attach[int(rng.integers(0, snapshot_len))]
-                if pick not in seen:
-                    seen.add(pick)
-                    targets.append(pick)
-        for v in targets:
-            adj[u].add(v)
-            adj[v].add(u)
-            attach.append(v)
-        attach.extend([u] * c)
-
-    g = UndirectedGraph._trusted({v: frozenset(nbrs) for v, nbrs in adj.items()})
+    targets = _draw_targets(n, c, np.random.Generator(np.random.PCG64(cfg.seed)))
+    clique_u, clique_v = np.triu_indices(c, k=1)
+    src = np.concatenate([clique_u, np.repeat(np.arange(c, n), c)])
+    dst = np.concatenate([clique_v, targets.reshape(-1)])
+    rows = np.concatenate([src, dst])
+    cols = np.concatenate([dst, src])
+    indices = cols[np.argsort(rows * n + cols)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    g = UndirectedGraph._from_csr(np.arange(n, dtype=np.int64), indptr, indices)
     return g, Chronology(range(n))
+
+
+def _draw_targets(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
+    """targets[u - c]: the c distinct vertices arrival u attaches to, in draw order.
+
+    The attachment list is never built.  Arrival u draws below the fixed
+    bound c(c-1) + 2c(u-c), and a list position p resolves by index alone:
+    below c(c-1) it is seed vertex p // (c-1); past that, each earlier
+    arrival w owns a block of 2c positions, its c targets and then w
+    itself c times.  A chunk of arrivals takes one `integers` call on the
+    array of their bounds, which yields the values and leaves the
+    generator state of the same scalar calls made in order.  The chunk
+    holds as long as no arrival in it draws a repeat; at the first one that
+    does, the state saved before the chunk is restored, the draws up to and
+    including that arrival's first c are made again, and its redraws are
+    scalar, as in the plain loop.
+    """
+    base = c * (c - 1)
+    targets = np.empty((n - c, c), dtype=np.int64)
+    flat = targets.reshape(-1)
+    u = c
+    if base == 0:
+        # degenerate c=1 start: K_1 has no degree mass, fall back to uniform
+        targets[0, 0] = rng.integers(0, u)
+        u += 1
+    while u < n:
+        end = min(n, u + max(_CHUNK_MIN, u // _CHUNK_SHARE))
+        saved = rng.bit_generator.state
+        bounds = np.repeat(base + 2 * c * (np.arange(u, end) - c), c)
+        picks = _resolve(rng.integers(0, bounds), flat, base, c, (u - c) * c)
+        rows = picks.reshape(-1, c)
+        ordered = np.sort(rows, axis=1)
+        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+        if repeats.size == 0:
+            targets[u - c:end - c] = rows
+            u = end
+            continue
+        k = int(repeats[0])
+        targets[u - c:u - c + k] = rows[:k]
+        rng.bit_generator.state = saved
+        rng.integers(0, bounds[:(k + 1) * c])
+        u += k
+        chosen = list(dict.fromkeys(rows[k].tolist()))
+        while len(chosen) < c:
+            pick = int(_resolve(rng.integers(0, bounds[k * c:k * c + 1]), flat, base, c,
+                                len(flat))[0])
+            if pick not in chosen:
+                chosen.append(pick)
+        targets[u - c] = chosen
+        u += 1
+    return targets
+
+
+# chunk length: at least _CHUNK_MIN arrivals, else one in _CHUNK_SHARE of
+# those already grown, so a repeat costs a redraw of a short prefix
+_CHUNK_MIN = 64
+_CHUNK_SHARE = 8
+
+
+def _resolve(pos: np.ndarray, flat: np.ndarray, base: int, c: int, lo: int) -> np.ndarray:
+    """Vertices at attachment-list positions `pos`, the picks flat[lo:lo + len(pos)].
+
+    A position inside an earlier arrival's target block refers to one of
+    its picks: before `lo` it is read from `flat`; inside this chunk it is
+    another of these picks, followed by pointer jumping (references always
+    point to earlier picks).
+    """
+    block, r = np.divmod(pos - base, 2 * c)
+    vertex = np.where(pos < base, pos // max(c - 1, 1), block + c)
+    ref = np.where((pos >= base) & (r < c), block * c + r, -1)
+    earlier = (ref >= 0) & (ref < lo)
+    vertex[earlier] = flat[ref[earlier]]
+    ref = np.where(ref >= lo, ref - lo, -1)
+    pending = np.flatnonzero(ref >= 0)
+    while pending.size:
+        to = ref[pending]
+        onward = ref[to]
+        done = onward < 0
+        vertex[pending[done]] = vertex[to[done]]
+        ref[pending[done]] = -1
+        ref[pending[~done]] = onward[~done]
+        pending = pending[~done]
+    return vertex
 
 
 def shuffle_vertex_labels(

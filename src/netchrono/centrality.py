@@ -1,5 +1,11 @@
 """Degree, betweenness and eigenvector centrality.
 
+Each measure is an array kernel on a CSR structure (`degree_scores`,
+`betweenness_scores`, `eigenvector_scores`), scores in row order; the
+`ScoreTable` functions run the kernel on a graph's `csr_arrays` and key
+the scores by label.  Differential core ranking calls the kernels on
+each peeling level directly.
+
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
 block at once through one sparse-by-dense matrix product.  This is the
@@ -41,13 +47,31 @@ class ScoreTable:
     dominant_eigenvalue: float | None = None
 
 
+def _table(labels: np.ndarray, scores: np.ndarray, tag: str, **extra) -> ScoreTable:
+    return ScoreTable(dict(zip(labels.tolist(), scores.tolist())), tag, **extra)
+
+
+def degree_scores(degrees: np.ndarray) -> np.ndarray:
+    """deg(v) / (|V| - 1) from the degree array; all zeros when |V| <= 1."""
+    n = len(degrees)
+    if n <= 1:
+        return np.zeros(n)
+    return degrees / float(n - 1)
+
+
 def degree_centrality(g: UndirectedGraph) -> ScoreTable:
     """deg(v) / (|V| - 1); defined as 0 on a single-vertex graph."""
-    n = g.vertex_count
-    if n <= 1:
-        return ScoreTable({v: 0.0 for v in g.vertices}, "degree")
-    denom = float(n - 1)
-    return ScoreTable({v: g.degree(v) / denom for v in g.vertices}, "degree")
+    labels, indptr, _ = g.csr_arrays()
+    return _table(labels, degree_scores(np.diff(indptr)), "degree")
+
+
+def betweenness_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Unnormalized betweenness per CSR row (see `betweenness_centrality`)."""
+    n = len(indptr) - 1
+    if len(indices) == 0:
+        return np.zeros(n)
+    # ordered-pair Brandes counts each unordered pair twice
+    return _brandes_ordered_sums(indptr, indices, n) / 2.0
 
 
 def betweenness_centrality(g: UndirectedGraph) -> ScoreTable:
@@ -56,15 +80,8 @@ def betweenness_centrality(g: UndirectedGraph) -> ScoreTable:
     score(v) = sum over pairs {s, t} (s != v != t) of the fraction of
     shortest s-t paths through v; disconnected pairs contribute 0.
     """
-    n = g.vertex_count
-    if n == 0:
-        return ScoreTable({}, "betweenness")
     labels, indptr, indices = g.csr_arrays()
-    if g.edge_count == 0:
-        return ScoreTable({int(v): 0.0 for v in labels}, "betweenness")
-    raw = _brandes_ordered_sums(indptr, indices, n)
-    # ordered-pair Brandes counts each unordered pair twice
-    return ScoreTable({int(v): float(raw[i]) / 2.0 for i, v in enumerate(labels)}, "betweenness")
+    return _table(labels, betweenness_scores(indptr, indices), "betweenness")
 
 
 def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
@@ -117,30 +134,16 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     return total
 
 
-def eigenvector_centrality(
-    g: UndirectedGraph,
+def eigenvector_scores(
+    indptr: np.ndarray,
+    indices: np.ndarray,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> ScoreTable:
-    """Entrywise non-negative dominant eigenvector of the adjacency matrix.
-
-    Power iteration from the uniform positive vector, applied to A + I so
-    that bipartite graphs (paired +/- eigenvalues) still converge; the
-    shift leaves eigenvectors untouched.  Scores are normalized to unit
-    Euclidean length and the dominant eigenvalue is the Rayleigh quotient
-    of A at the returned vector.  Graphs with no edges score all zeros
-    with eigenvalue 0.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    n = g.vertex_count
-    if n == 0:
-        return ScoreTable({}, "eigenvector", dominant_eigenvalue=0.0)
-    labels, indptr, indices = g.csr_arrays()
-    if g.edge_count == 0:
-        return ScoreTable({int(v): 0.0 for v in labels}, "eigenvector", dominant_eigenvalue=0.0)
+) -> tuple[np.ndarray, float]:
+    """(scores per CSR row, dominant eigenvalue); see `eigenvector_centrality`."""
+    n = len(indptr) - 1
+    if len(indices) == 0:
+        return np.zeros(n), 0.0
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
         shape=(n, n),
@@ -166,11 +169,30 @@ def eigenvector_centrality(
             )
         ax = adj @ x
         lam = float(x @ ax)
-    return ScoreTable(
-        {int(v): float(x[i]) for i, v in enumerate(labels)},
-        "eigenvector",
-        dominant_eigenvalue=lam,
-    )
+    return x, lam
+
+
+def eigenvector_centrality(
+    g: UndirectedGraph,
+    tolerance: float = DEFAULT_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> ScoreTable:
+    """Entrywise non-negative dominant eigenvector of the adjacency matrix.
+
+    Power iteration from the uniform positive vector, applied to A + I so
+    that bipartite graphs (paired +/- eigenvalues) still converge; the
+    shift leaves eigenvectors untouched.  Scores are normalized to unit
+    Euclidean length and the dominant eigenvalue is the Rayleigh quotient
+    of A at the returned vector.  Graphs with no edges score all zeros
+    with eigenvalue 0.
+    """
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    labels, indptr, indices = g.csr_arrays()
+    x, lam = eigenvector_scores(indptr, indices, tolerance, max_iterations)
+    return _table(labels, x, "eigenvector", dominant_eigenvalue=lam)
 
 
 def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:

@@ -29,7 +29,7 @@ from .ba import (
 from .baselines import centrality_bins, degree_bins, ranking_to_chronology
 from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
-from .errors import NetchronoError
+from .errors import NetchronoError, SizeMismatchError
 from .evaluation import bqm, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph
 from .reconstruction import PipelineConfig, child_seed, default_jobs, reconstruct_with_ranking
@@ -136,8 +136,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _load_reference(graph_path: Path, truth_path: Path | None) -> tuple[UndirectedGraph, Chronology | None]:
+    """The reference network and, if given, its true chronology, which must
+    list exactly the network's vertices (checked before any pipeline work)."""
     g = nio.read_edge_list(graph_path)
-    truth = nio.read_chronology(truth_path) if truth_path else None
+    if truth_path is None:
+        return g, None
+    truth = nio.read_chronology(truth_path)
+    labels = set(truth.order)
+    if labels != g.vertices:
+        raise SizeMismatchError(
+            f"{truth_path} lists {len(labels)} vertices, {len(labels - g.vertices)} of them "
+            f"not in {graph_path}, which has {g.vertex_count} vertices, "
+            f"{len(g.vertices - labels)} of them missing from the chronology"
+        )
     return g, truth
 
 
@@ -257,7 +268,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_compare_bins(args: argparse.Namespace) -> int:
     g, truth = _load_reference(args.graph, args.truth)
-    assert truth is not None
     cfg = PipelineConfig(
         alpha=args.alpha,
         connections=args.connections,

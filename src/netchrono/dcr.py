@@ -4,16 +4,49 @@ Peel the graph level by level (each level removes every vertex of current
 minimum degree) and charge each vertex the absolute change of its base
 centrality between consecutive levels; removed vertices are charged their
 full last value.  The accumulated total is the vertex's DCM score.
+
+Peeling runs on the graph's CSR arrays with an alive mask: a level's
+removal lowers the survivors' degrees by one `bincount` over the removed
+vertices' neighbour lists, and the measures that need a level's edges
+read them from its induced CSR structure.
 """
 from __future__ import annotations
 
 from typing import Callable
 
-from .centrality import CentralityKind, ScoreTable, compute
-from .graph import UndirectedGraph, remove_vertices
+import numpy as np
+
+from .centrality import (
+    CentralityKind,
+    ScoreTable,
+    betweenness_scores,
+    degree_scores,
+    eigenvector_scores,
+)
+from .graph import UndirectedGraph
+
+# (alive mask, degrees within the alive subgraph) -> one score per alive
+# vertex, in position order
+LevelScores = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _level_scores(g: UndirectedGraph, kind: CentralityKind) -> dict[int, float]:
+def _induced_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the subgraph induced by `keep`, rows renumbered in position order.
+
+    `rows` is the row of every entry of `indices`.  Renumbering is monotone,
+    so each row's neighbours stay sorted: the result is the `csr_arrays`
+    layout of the subgraph.
+    """
+    entries = keep[rows] & keep[indices]
+    position = np.cumsum(keep) - 1
+    sub_indices = position[indices[entries]]
+    sub_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[entries], minlength=len(keep))[keep], out=sub_indptr[1:])
+    return sub_indptr, sub_indices
+
+
+def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray) -> LevelScores:
     """Base centrality of one peeling level, on a size-independent scale.
 
     Peeled levels shrink, so the summands |change| must be comparable
@@ -22,49 +55,53 @@ def _level_scores(g: UndirectedGraph, kind: CentralityKind) -> dict[int, float]:
     level size, so it is rescaled by the unordered pair count, which
     leaves every within-level ranking untouched.
     """
-    table = compute(g, kind)
-    if kind is CentralityKind.BETWEENNESS and g.vertex_count >= 3:
-        n = g.vertex_count
-        scale = 2.0 / ((n - 1) * (n - 2))
-        return {v: s * scale for v, s in table.scores.items()}
-    return dict(table.scores)
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+    def score(alive: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+        if kind is CentralityKind.DEGREE:
+            return degree_scores(degrees[alive])
+        level = _induced_csr(indptr, indices, rows, alive)
+        if kind is CentralityKind.EIGENVECTOR:
+            return eigenvector_scores(*level)[0]
+        scores = betweenness_scores(*level)
+        n = len(scores)
+        return scores * (2.0 / ((n - 1) * (n - 2))) if n >= 3 else scores
+
+    return score
 
 
-def differential_core_ranking(
-    g: UndirectedGraph,
-    kind: CentralityKind,
-    score_fn: Callable[[UndirectedGraph], ScoreTable] | None = None,
-) -> ScoreTable:
-    """DCM score per vertex of g, tagged "dcm".
+def _peel(indptr: np.ndarray, indices: np.ndarray, level_scores: LevelScores) -> np.ndarray:
+    """DCM per CSR row.  Each peeling level is scored exactly once: a
+    level's scores are reused as the previous-level scores of the next."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    degrees = np.diff(indptr)
+    alive = np.ones(n, dtype=bool)
+    dcm = np.zeros(n)
+    current = level_scores(alive, degrees)
+    while True:
+        live = np.flatnonzero(alive)
+        level_degrees = degrees[live]
+        peeled = level_degrees == level_degrees.min()
+        removed = np.zeros(n, dtype=bool)
+        removed[live[peeled]] = True
+        alive &= ~removed
+        dcm[removed] += np.abs(current[peeled])
+        if not alive.any():
+            return dcm
+        degrees = degrees - np.bincount(indices[removed[rows]], minlength=n)
+        nxt = level_scores(alive, degrees)
+        dcm[live[~peeled]] += np.abs(nxt - current[~peeled])
+        current = nxt
 
-    score_fn overrides the per-level base measure entirely (used by tests
-    to inject scaled centralities).  Each peeling level is scored exactly
-    once: a level's table is reused as the previous-level table of the
-    next iteration.
-    """
+
+def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
+    """DCM score per vertex of g, tagged "dcm"."""
     if g.vertex_count == 0:
         raise ValueError("differential core ranking requires a nonempty graph")
-    if score_fn is not None:
-        score = lambda h: dict(score_fn(h).scores)  # noqa: E731
-    else:
-        score = lambda h: _level_scores(h, kind)  # noqa: E731
-
-    dcm = {v: 0.0 for v in g.vertices}
-    current_graph = g
-    current = score(current_graph)
-    while current_graph.vertex_count > 0:
-        degrees = {v: current_graph.degree(v) for v in current_graph.vertices}
-        min_degree = min(degrees.values())
-        peeled = {v for v, d in degrees.items() if d == min_degree}
-        next_graph = remove_vertices(current_graph, peeled)
-        nxt = score(next_graph) if next_graph.vertex_count > 0 else {}
-        for v in current_graph.vertices:
-            if v in peeled:
-                dcm[v] += abs(current[v])
-            else:
-                dcm[v] += abs(nxt[v] - current[v])
-        current_graph, current = next_graph, nxt
-    return ScoreTable(dcm, "dcm")
+    labels, indptr, indices = g.csr_arrays()
+    dcm = _peel(indptr, indices, _level_scores(kind, indptr, indices))
+    return ScoreTable(dict(zip(labels.tolist(), dcm.tolist())), "dcm")
 
 
 def rank_descending(t: ScoreTable) -> list[int]:

@@ -51,6 +51,20 @@ class UndirectedGraph:
         g._csr = None
         return g
 
+    @classmethod
+    def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray) -> "UndirectedGraph":
+        # internal fast path: a symmetric CSR structure with no self-loops, in
+        # the layout `csr_arrays` returns, which it also becomes
+        nbrs = labels[indices].tolist()
+        bounds = indptr.tolist()
+        g = cls.__new__(cls)
+        g._adj = {v: frozenset(nbrs[lo:hi])
+                  for v, lo, hi in zip(labels.tolist(), bounds, bounds[1:])}
+        g._edge_count = len(indices) // 2
+        g._csr = (labels, indptr, indices)
+        return g
+
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self._adj)

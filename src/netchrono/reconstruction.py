@@ -105,17 +105,24 @@ def synthesize(n: int, cfg: PipelineConfig) -> SyntheticBatch:
     return SyntheticBatch(tuple(entries))
 
 
-def _mix64(x: int) -> int:
-    # splitmix64 finalizer: cheap, well-dispersed 64-bit hash
-    x &= 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays: cheap, well-dispersed 64-bit hash."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _salt(seed: int) -> int:
+    return int(_mix64(np.array([seed], dtype=np.uint64))[0])
 
 
 def _salted_rank(table: ScoreTable, salt: int) -> list[int]:
     """Score-descending vertex order with salted-hash tie-breaking."""
-    return sorted(table.scores, key=lambda v: (-table.scores[v], _mix64(v ^ salt)))
+    labels = np.fromiter(table.scores, dtype=np.uint64, count=len(table.scores))
+    scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
+    return labels[np.lexsort((_mix64(labels ^ np.uint64(salt)), -scores))].tolist()
 
 
 def map_and_predict(
@@ -269,7 +276,7 @@ def _synthetic_prediction(task: tuple) -> tuple[int, ...]:
     n, connections, seed, kind_value, ref_rank = task
     g, chron = generate_ba(BAConfig(n, connections, seed))
     table = differential_core_ranking(g, CentralityKind(kind_value))
-    rank = _salted_rank(table, _mix64(seed))
+    rank = _salted_rank(table, _salt(seed))
     return map_and_predict(list(ref_rank), rank, chron).order
 
 
@@ -305,7 +312,7 @@ def reconstruct_with_ranking(
     if n <= cfg.connections:
         raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
     ref_table = differential_core_ranking(g_m, cfg.kind)
-    ref_rank = _salted_rank(ref_table, _mix64(child_seed(cfg.master_seed, 0)))
+    ref_rank = _salted_rank(ref_table, _salt(child_seed(cfg.master_seed, 0)))
     tasks = [
         (n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value, tuple(ref_rank))
         for i in range(1, cfg.alpha + 1)

@@ -17,7 +17,7 @@ from netchrono import (
 from netchrono.ba import DegreeDistribution
 from netchrono.errors import InsufficientSupportError, InvalidConfigError
 
-from oracles import oracle_generate_ba
+from oracles import oracle_csr_arrays, oracle_generate_ba
 
 
 def expected_edges(n, c):
@@ -151,3 +151,10 @@ def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
     expected = oracle_generate_ba(n, c, seed)
     assert g.vertices == frozenset(expected)
     assert all(g.neighbors(v) == frozenset(nbrs) for v, nbrs in expected.items())
+
+
+@pytest.mark.parametrize("n,c,seed", [(2, 1, 0), (50, 1, 3), (300, 3, 2**63), (200, 6, 4)])
+def test_csr_handed_over_matches_per_row_build(n, c, seed):
+    g, _ = generate_ba(BAConfig(n, c, seed))
+    for got, want in zip(g.csr_arrays(), oracle_csr_arrays(g)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -9,6 +9,7 @@ from netchrono import (
     read_chronology,
     read_edge_list,
 )
+from netchrono import cli
 from netchrono.cli import main
 
 
@@ -177,3 +178,25 @@ def test_compare_bins_output(tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in metrics.values())
     assert result["delta"] >= 1
     assert "bqm_dcr=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "compare-bins"])
+@pytest.mark.parametrize("truth_lines", [range(39), range(41), [*range(39), 77]])
+def test_truth_must_cover_the_graph_vertex_set(tmp_path, capsys, monkeypatch, command,
+                                               truth_lines):
+    edges = tmp_path / "g.edges"
+    run("generate", "--nodes", 40, "--connections", 3, "--seed", 13,
+        "--out", edges, "--chronology", tmp_path / "g.chron")
+    truth = tmp_path / "bad.chron"
+    truth.write_text("".join(f"{v}\n" for v in truth_lines))
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the truth was checked")
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
+    out = tmp_path / "r.json"
+    code = run(command, "--graph", edges, "--truth", truth, "--connections", 3,
+               "--alpha", 2, "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -13,7 +13,9 @@ from netchrono import (
     generate_ba,
     rank_descending,
 )
-from netchrono.centrality import degree_centrality
+from netchrono.centrality import degree_scores
+from netchrono.dcr import _induced_csr, _peel
+from netchrono.graph import remove_vertices
 
 from oracles import oracle_differential_core_ranking, random_graph
 
@@ -55,6 +57,13 @@ def test_nonnegative_and_covers_all_vertices():
             assert all(s >= 0.0 for s in table.scores.values())
 
 
+def _peel_table(g, level_scores) -> ScoreTable:
+    """DCM of g through the array-level entry with an injected level measure."""
+    labels, indptr, indices = g.csr_arrays()
+    return ScoreTable(dict(zip(labels.tolist(), _peel(indptr, indices, level_scores).tolist())),
+                      "dcm")
+
+
 def test_removal_term_lower_bound():
     # DCM of a vertex is at least its centrality at the level it is peeled
     rng = random.Random(29)
@@ -62,14 +71,16 @@ def test_removal_term_lower_bound():
         g = random_graph(rng, 12, 0.3)
         if g.vertex_count == 0:
             continue
+        labels = g.csr_arrays()[0]
         seen_levels = []
 
-        def spy(h):
-            t = degree_centrality(h)
-            seen_levels.append((h.vertices, dict(t.scores)))
-            return t
+        def spy(alive, degrees):
+            scores = degree_scores(degrees[alive])
+            level = labels[alive].tolist()
+            seen_levels.append((frozenset(level), dict(zip(level, scores.tolist()))))
+            return scores
 
-        table = differential_core_ranking(g, CentralityKind.DEGREE, score_fn=spy)
+        table = _peel_table(g, spy)
         removal_value = {}
         for i, (verts, scores) in enumerate(seen_levels):
             nxt = seen_levels[i + 1][0] if i + 1 < len(seen_levels) else frozenset()
@@ -88,11 +99,10 @@ def test_positive_scaling_preserves_ranking():
                 continue
             base = differential_core_ranking(g, CentralityKind.DEGREE)
 
-            def scaled(h, _a=alpha):
-                t = degree_centrality(h)
-                return ScoreTable({v: _a * s for v, s in t.scores.items()}, t.measure_tag)
+            def scaled(alive, degrees, _a=alpha):
+                return _a * degree_scores(degrees[alive])
 
-            other = differential_core_ranking(g, CentralityKind.DEGREE, score_fn=scaled)
+            other = _peel_table(g, scaled)
             for v in g.vertices:
                 assert other.scores[v] == pytest.approx(alpha * base.scores[v], rel=1e-12)
             assert rank_descending(base) == rank_descending(other)
@@ -150,3 +160,19 @@ def test_tiny_graphs_match_copying_peel(kind):
     for g in (UndirectedGraph({7: []}), UndirectedGraph({3: [9], 9: [3]}),
               UndirectedGraph({2: [], 5: [], 11: []}), PATH3, TRIANGLE):
         _assert_bit_equal_dcm(g, kind)
+
+
+def test_induced_csr_equals_csr_of_copied_subgraph():
+    rng = random.Random(61)
+    graphs = [generate_ba(BAConfig(300, 3, 2))[0]]
+    graphs += [_scattered(rng, random_graph(rng, rng.randint(1, 30), 0.2)) for _ in range(20)]
+    for g in graphs:
+        labels, indptr, indices = g.csr_arrays()
+        rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
+        for _ in range(4):
+            keep = np.array([rng.random() < 0.6 for _ in labels], dtype=bool)
+            sub = remove_vertices(g, labels[~keep].tolist())
+            _, want_indptr, want_indices = sub.csr_arrays()
+            got_indptr, got_indices = _induced_csr(indptr, indices, rows, keep)
+            for got, want in ((got_indptr, want_indptr), (got_indices, want_indices)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
