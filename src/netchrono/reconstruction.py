@@ -114,15 +114,13 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _salt(seed: int) -> int:
-    return int(_mix64(np.array([seed], dtype=np.uint64))[0])
-
-
-def _salted_rank(table: ScoreTable, salt: int) -> list[int]:
-    """Score-descending vertex order with salted-hash tie-breaking."""
-    labels = np.fromiter(table.scores, dtype=np.uint64, count=len(table.scores))
+def _salted_rank(table: ScoreTable, seed: int) -> list[int]:
+    """Score-descending vertex order, ties by the hash of label ^ _mix64(seed)."""
+    salt = _mix64(np.array([seed], dtype=np.uint64))
+    labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
     scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
-    return labels[np.lexsort((_mix64(labels ^ np.uint64(salt)), -scores))].tolist()
+    # the hash reads a label's 64-bit two's complement, as Python's masking does
+    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))].tolist()
 
 
 def map_and_predict(
@@ -276,7 +274,7 @@ def _synthetic_prediction(task: tuple) -> tuple[int, ...]:
     n, connections, seed, kind_value, ref_rank = task
     g, chron = generate_ba(BAConfig(n, connections, seed))
     table = differential_core_ranking(g, CentralityKind(kind_value))
-    rank = _salted_rank(table, _salt(seed))
+    rank = _salted_rank(table, seed)
     return map_and_predict(list(ref_rank), rank, chron).order
 
 
@@ -312,7 +310,7 @@ def reconstruct_with_ranking(
     if n <= cfg.connections:
         raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
     ref_table = differential_core_ranking(g_m, cfg.kind)
-    ref_rank = _salted_rank(ref_table, _salt(child_seed(cfg.master_seed, 0)))
+    ref_rank = _salted_rank(ref_table, child_seed(cfg.master_seed, 0))
     tasks = [
         (n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value, tuple(ref_rank))
         for i in range(1, cfg.alpha + 1)
