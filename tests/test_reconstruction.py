@@ -32,7 +32,7 @@ from netchrono.errors import (
 from netchrono.centrality import ScoreTable
 from netchrono.reconstruction import _salted_rank
 
-from oracles import oracle_mix64, oracle_salted_rank
+from oracles import oracle_break_cycles, oracle_mix64, oracle_salted_rank
 
 
 def test_pipeline_config_validation():
@@ -165,6 +165,21 @@ def test_break_cycles_two_disjoint_cycles():
         [0, 1, 2, 3], {(0, 1): 0.6, (1, 0): 0.7, (2, 3): 0.55, (3, 2): 0.9})
     out = break_cycles(dg)
     assert sorted(out.edges()) == [((1, 0), 0.7), ((3, 2), 0.9)]
+
+
+def test_break_cycles_orders_split_weights_by_float_value():
+    # Count 33 of 50 on every edge of the 3-cycle 0 -> 1 -> 2 -> 0, but the
+    # pair (0, 2) has its min label second, so its weight is formed as
+    # 1 - 17/50, one ulp below 33/50: that edge, not (0, 1), is the lightest.
+    orders = [[0, 1, 2]] * 16 + [[1, 2, 0]] * 17 + [[2, 0, 1]] * 16 + [[0, 2, 1]]
+    dg = pairwise_digraph([Chronology(o) for o in orders], 50)
+    assert sorted(dg.edges()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.6599999999999999)]
+    out = break_cycles(dg)
+    assert sorted(out.edges()) == [((0, 1), 0.66), ((1, 2), 0.66)]
+    labels, src, dst, w = dg.arrays()
+    keep = oracle_break_cycles(len(labels), src, dst, w)
+    assert np.array_equal(out.arrays()[1], src[keep])
+    assert np.array_equal(out.arrays()[2], dst[keep])
 
 
 def brute_break_cycles(vertices, edges):
