@@ -30,7 +30,7 @@ from .baselines import centrality_bins, degree_bins, ranking_to_chronology
 from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
 from .errors import NetchronoError, SizeMismatchError
-from .evaluation import bqm, eta_pairs, probability_bucket_table
+from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph
 from .reconstruction import PipelineConfig, child_seed, default_jobs, reconstruct_with_ranking
 
@@ -166,6 +166,7 @@ def _bucket_rows_json(rows) -> list[dict]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    bucket_count(args.bucket_width)  # reject a bad width before any work
     g, truth = _load_reference(args.graph, args.truth)
     cfg = PipelineConfig(
         alpha=args.alpha,

@@ -86,6 +86,17 @@ def bqm(truth: Chronology, bins: BinOrdering) -> float:
     return total / comb(delta, 2)
 
 
+def bucket_count(bucket_width: float) -> int:
+    """Number of buckets of width bucket_width over (0.5, 1.0]; ValueError
+    unless the width is positive and divides 0.5 evenly."""
+    if not bucket_width > 0:
+        raise ValueError(f"bucket_width must be positive, got {bucket_width}")
+    n_buckets = round(0.5 / bucket_width)
+    if n_buckets < 1 or abs(n_buckets * bucket_width - 0.5) > 1e-9:
+        raise ValueError(f"bucket_width {bucket_width} does not divide 0.5 evenly")
+    return n_buckets
+
+
 def probability_bucket_table(
     dg: WeightedDigraph,
     truth: Chronology,
@@ -98,9 +109,7 @@ def probability_bucket_table(
     v.  Weight exactly 0.5 (an orientation tie) counts into the lowest
     bucket.  bucket_width must divide 0.5 evenly.
     """
-    n_buckets = round(0.5 / bucket_width)
-    if n_buckets < 1 or abs(n_buckets * bucket_width - 0.5) > 1e-9:
-        raise ValueError(f"bucket_width {bucket_width} does not divide 0.5 evenly")
+    n_buckets = bucket_count(bucket_width)
     pos = truth.positions()
     labels, src, dst, w = dg.arrays()
     missing = dg.vertices - set(truth.order)

@@ -182,56 +182,51 @@ class Chronology:
 class WeightedDigraph:
     """Directed graph with weighted edges, weights in [0.5, 1.0].
 
-    Digraphs produced by the pipeline additionally carry at most one of
-    (u, v) and (v, u) per pair (arrival-probability semantics); the type
-    itself admits opposite pairs so cycle detection can be exercised on
-    arbitrary digraphs.  Edges are stored as flat numpy arrays in
-    canonical (source, target) order so that the cycle-breaking and
-    binning passes stay vectorized even at ~|V|^2/2 edges; sorted sources
-    make the arrays a CSR structure, see `out_indptr`.
+    Digraphs produced by the pipeline additionally carry exactly one of
+    (u, v) and (v, u) per pair (arrival-probability semantics), so they are
+    stored dense: `codes` is an n x n matrix over the sorted labels in
+    which entry 0 means no edge and entry k >= 1 an edge of weight
+    levels[k - 1], `levels` ascending.  The type itself admits self-loops
+    and opposite pairs so cycle detection can be exercised on arbitrary
+    digraphs.  Edge arrays in canonical (source, target) order are derived
+    on demand, see `arrays`.
     """
 
-    __slots__ = ("_labels", "_src", "_dst", "_w")
+    __slots__ = ("_labels", "_codes", "_levels", "_comp")
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[tuple[int, int], float]):
         labels = np.fromiter(sorted({int(v) for v in vertices}), dtype=np.int64)
         index = {int(v): i for i, v in enumerate(labels)}
-        src = np.empty(len(edges), dtype=np.int64)
-        dst = np.empty(len(edges), dtype=np.int64)
-        w = np.empty(len(edges), dtype=np.float64)
-        for k, ((u, v), weight) in enumerate(edges.items()):
+        src, dst, w = [], [], []
+        for (u, v), weight in edges.items():
             if u not in index:
                 raise UnknownVertexError(u)
             if v not in index:
                 raise UnknownVertexError(v)
             if not (0.5 <= weight <= 1.0):
                 raise ValueError(f"edge ({u}, {v}) weight {weight} outside [0.5, 1.0]")
-            src[k] = index[u]
-            dst[k] = index[v]
-            w[k] = weight
-        self._finish(labels, src, dst, w)
+            src.append(index[u])
+            dst.append(index[v])
+            w.append(weight)
+        levels, level_of = np.unique(np.array(w, dtype=np.float64), return_inverse=True)
+        codes = np.zeros((len(labels), len(labels)), dtype=np.min_scalar_type(len(levels)))
+        codes[np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)] = level_of + 1
+        self._set(labels, codes, levels)
 
-    def _finish(self, labels, src, dst, w) -> None:
-        # one O(m) check; pipeline stages hand over arrays already in canonical order
-        key = src * len(labels)
-        key += dst
-        if np.any(key[1:] < key[:-1]):
-            order = np.lexsort((dst, src))
-            src, dst, w = src[order], dst[order], w[order]
+    def _set(self, labels, codes, levels) -> None:
         self._labels = labels
-        self._src = src
-        self._dst = dst
-        self._w = w
-        for a in (self._labels, self._src, self._dst, self._w):
+        self._codes = codes
+        self._levels = levels
+        self._comp = None  # strong-component ids, computed on first use
+        for a in (labels, codes, levels):
             a.setflags(write=False)
 
     @classmethod
-    def _from_arrays(cls, labels: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                     w: np.ndarray) -> "WeightedDigraph":
-        # internal fast path: src/dst are positions into labels (which is sorted)
+    def _from_codes(cls, labels: np.ndarray, codes: np.ndarray,
+                    levels: np.ndarray) -> "WeightedDigraph":
+        # internal fast path: labels sorted, levels ascending and covering codes
         dg = cls.__new__(cls)
-        dg._finish(np.asarray(labels, dtype=np.int64), np.asarray(src, dtype=np.int64),
-                   np.asarray(dst, dtype=np.int64), np.asarray(w, dtype=np.float64))
+        dg._set(labels, codes, levels)
         return dg
 
     @property
@@ -244,49 +239,49 @@ class WeightedDigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._src)
+        return int(np.count_nonzero(self._codes))
+
+    def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(labels, codes, levels), the stored form; all three read-only.
+
+        levels may hold weights that no edge carries (`break_cycles` keeps
+        the levels of its input).
+        """
+        return self._labels, self._codes, self._levels
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(labels, src, dst, weights); src/dst are positions into labels."""
-        return self._labels, self._src, self._dst, self._w
-
-    def out_indptr(self) -> np.ndarray:
-        """CSR row pointers: the out-edges of position i are [indptr[i], indptr[i+1])."""
-        return np.searchsorted(self._src, np.arange(len(self._labels) + 1))
+        """(labels, src, dst, weights) in canonical (src, dst) order; src/dst
+        are int64 positions into labels.  Derived anew on every call."""
+        flat = np.flatnonzero(self._codes != 0)
+        src, dst = np.divmod(flat, max(len(self._labels), 1))
+        return self._labels, src, dst, self._levels[self._codes.ravel()[flat] - 1]
 
     def edges(self) -> Iterator[tuple[tuple[int, int], float]]:
-        for s, d, weight in zip(self._src, self._dst, self._w):
-            yield (int(self._labels[s]), int(self._labels[d])), float(weight)
+        labels, src, dst, w = self.arrays()
+        for s, d, weight in zip(src, dst, w):
+            yield (int(labels[s]), int(labels[d])), float(weight)
 
     def _position(self, v: int) -> int | None:
         i = int(np.searchsorted(self._labels, v))
         return i if i < len(self._labels) and self._labels[i] == v else None
 
-    def _edge_index(self, u: int, v: int) -> int | None:
-        """Index of edge (u, v) in the arrays, by binary search on the canonical order."""
+    def _code(self, u: int, v: int) -> int:
         ui, vi = self._position(u), self._position(v)
-        if ui is None or vi is None:
-            return None
-        lo, hi = np.searchsorted(self._src, (ui, ui + 1))
-        k = int(lo + np.searchsorted(self._dst[lo:hi], vi))
-        return k if k < hi and self._dst[k] == vi else None
+        return 0 if ui is None or vi is None else int(self._codes[ui, vi])
 
     def weight(self, u: int, v: int) -> float:
-        k = self._edge_index(u, v)
-        if k is None:
+        code = self._code(u, v)
+        if code == 0:
             raise KeyError((u, v))
-        return float(self._w[k])
+        return float(self._levels[code - 1])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._edge_index(u, v) is not None
+        return self._code(u, v) != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
-        return (np.array_equal(self._labels, other._labels)
-                and np.array_equal(self._src, other._src)
-                and np.array_equal(self._dst, other._dst)
-                and np.array_equal(self._w, other._w))
+        return all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
 
     def __repr__(self) -> str:
         return f"WeightedDigraph(|V|={self.vertex_count}, |E|={self.edge_count})"
@@ -321,19 +316,28 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
 
 
 def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:
-    """Strong-component id per vertex position (scipy csgraph backend)."""
-    n = dg.vertex_count
-    _, _, dst, w = dg.arrays()
-    # the canonical arrays are already CSR; components read only the structure,
-    # so the weights stand in as data without a copy
-    mat = sp.csr_matrix((w, dst, dg.out_indptr()), shape=(n, n))
-    _, comp = csgraph.connected_components(mat, directed=True, connection="strong")
-    return comp
+    """Strong-component id per vertex position (scipy csgraph backend).
+
+    Cached on the digraph, so that a caller asking after `is_acyclic`
+    said no does not pay for the components twice.
+    """
+    if dg._comp is None:
+        edge = dg._codes != 0  # numpy finds nonzeros in a bool array far faster
+        n = len(edge)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
+        indices = np.flatnonzero(edge) % max(n, 1)
+        # components read only the structure; a constant stands in as data
+        mat = sp.csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr), shape=(n, n))
+        _, comp = csgraph.connected_components(mat, directed=True, connection="strong")
+        comp.setflags(write=False)
+        dg._comp = comp
+    return dg._comp
 
 
 def strongly_connected_components(dg: WeightedDigraph) -> list[frozenset[int]]:
     """SCC partition, blocks sorted by their smallest vertex label."""
-    labels, _, _, _ = dg.arrays()
+    labels = dg.matrix()[0]
     if dg.vertex_count == 0:
         return []
     comp = strong_component_ids(dg)
@@ -345,8 +349,7 @@ def strongly_connected_components(dg: WeightedDigraph) -> list[frozenset[int]]:
 
 def is_acyclic(dg: WeightedDigraph) -> bool:
     """True iff the digraph has no directed cycle (self-loops included)."""
-    _, src, dst, _ = dg.arrays()
-    if np.any(src == dst):
+    if np.any(np.diagonal(dg._codes)):
         return False
     if dg.vertex_count == 0:
         return True

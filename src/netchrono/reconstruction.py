@@ -145,6 +145,10 @@ def map_and_predict(
     return Chronology(ref_rank[position[w]] for w in syn_chronology)
 
 
+# rows of pair counts held at once in `pairwise_digraph`; the block stays in cache
+_ROW_BLOCK = 128
+
+
 def pairwise_digraph(pred_lists: list[Chronology], alpha: int) -> WeightedDigraph:
     """Arrival-probability digraph over all vertex pairs.
 
@@ -161,31 +165,44 @@ def pairwise_digraph(pred_lists: list[Chronology], alpha: int) -> WeightedDigrap
     vertex_set = set(pred_lists[0].order)
     labels = np.fromiter(sorted(vertex_set), dtype=np.int64)
     n = len(labels)
-
-    # counts[i, j]: lists placing labels[i] before labels[j]; counts[j, i] = alpha - counts[i, j]
-    counts = np.zeros((n, n), dtype=np.min_scalar_type(alpha))
-    pos = np.empty(n, dtype=np.int64)
-    for chron in pred_lists:
+    # pos[a, i]: position of labels[i] in list a
+    pos = np.empty((alpha, n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    for a, chron in enumerate(pred_lists):
         if set(chron.order) != vertex_set:
             raise SizeMismatchError("prediction lists cover different vertex sets")
-        pos[np.searchsorted(labels, chron.order)] = np.arange(n)
-        counts += pos[:, None] < pos[None, :]
+        pos[a, np.searchsorted(labels, chron.order)] = np.arange(n)
 
-    # i -> j when more than half the lists put i first (2k > alpha, written
-    # without doubling k so the narrow dtype cannot wrap)
-    half = alpha // 2
-    oriented = counts > half
-    if alpha % 2 == 0:
-        oriented |= np.triu(counts == half, k=1)
-    src, dst = np.nonzero(oriented)  # row-major, so already in canonical order
-    # A pair's weight depends on k, the lists placing its min label first:
-    # k/alpha when 2k > alpha, else 1 - k/alpha, formed exactly so, since
-    # (alpha - k)/alpha can differ in the last bit.
+    # A pair i < j whose lists place labels[i] first k times is the edge
+    # i -> j when 2k >= alpha, else j -> i.  Its weight is k/alpha when
+    # 2k > alpha, else 1 - k/alpha, formed exactly so, since (alpha - k)/alpha
+    # can differ in the last bit: two counts can give weights one ulp apart,
+    # so the codes follow the order of the floats, not of k.
     k = np.arange(alpha + 1)
     weight_of = np.where(2 * k > alpha, k / alpha, 1.0 - k / alpha)
-    min_first = counts[oriented]
-    min_first = np.where(src < dst, min_first, alpha - min_first)
-    return WeightedDigraph._from_arrays(labels, src, dst, weight_of[min_first])
+    levels, code_of = np.unique(weight_of, return_inverse=True)
+    code_of = (code_of + 1).astype(np.min_scalar_type(len(levels)))
+    upper = np.where(2 * k >= alpha, code_of, 0)  # code at [i, j]
+    lower = np.where(2 * k >= alpha, 0, code_of)  # code at [j, i]
+
+    codes = np.zeros((n, n), dtype=code_of.dtype)
+    counts = np.empty((_ROW_BLOCK, n), dtype=np.min_scalar_type(alpha))
+    before = np.empty((_ROW_BLOCK, n), dtype=bool)
+    on_or_below = np.tri(_ROW_BLOCK, dtype=bool)
+    for lo in range(0, n, _ROW_BLOCK):
+        # rows lo..hi against columns lo..n: the pairs i < j with i in the block
+        hi = min(lo + _ROW_BLOCK, n)
+        block, less = counts[:hi - lo, :n - lo], before[:hi - lo, :n - lo]
+        block.fill(0)
+        for p in pos:
+            np.less(p[lo:hi, None], p[lo:], out=less)
+            block += less
+        up, down = upper[block], lower[block]
+        diagonal = on_or_below[:hi - lo, :hi - lo]
+        up[:, :hi - lo][diagonal] = 0
+        down[:, :hi - lo][diagonal] = 0
+        codes[lo:hi, lo:] = up
+        codes[lo:, lo:hi] += down.T
+    return WeightedDigraph._from_codes(labels, codes, levels)
 
 
 def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
@@ -197,41 +214,71 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     shortest prefix of the ascending (weight, source, target) edge order
     whose removal leaves the graph acyclic.  That prefix is found in two
     binary searches with an SCC-based acyclicity probe per step: first
-    over the distinct weights (at most alpha + 1 in a pairwise digraph),
-    then over the canonical-order edges of the one threshold weight.
+    over the weight levels present (at most alpha + 1 in a pairwise
+    digraph), then over the row-major order of the edges at the one
+    threshold level.
     """
-    labels, src, dst, w = dg.arrays()
-    if len(src) == 0 or is_acyclic(dg):
+    if is_acyclic(dg):
         return dg
+    labels, codes, levels = dg.matrix()
+    n = len(labels)
 
-    def subgraph(edges: np.ndarray) -> WeightedDigraph:
-        # edges: ascending edge indices, so the subgraph stays in canonical order
-        return WeightedDigraph._from_arrays(labels, src.take(edges), dst.take(edges),
-                                            w.take(edges))
+    # Every probe is a subgraph of the last probe found cyclic (a binary
+    # search only narrows), and each of its cycles lies within one strong
+    # component of that probe: so a probe takes only the principal
+    # submatrix over the vertices on its cycles, often a small fraction.
+    # Sorted, they keep the row-major order.
+    cyclic = _on_cycles(dg, np.arange(n))
 
-    # smallest weight whose removal, with every lighter edge, leaves a DAG;
+    def acyclic(sub: np.ndarray) -> bool:
+        nonlocal cyclic
+        probe = WeightedDigraph._from_codes(labels[cyclic], sub, levels)
+        if is_acyclic(probe):
+            return True
+        cyclic = _on_cycles(probe, cyclic)
+        return False
+
+    def submatrix(floor: int) -> np.ndarray:
+        """Principal submatrix over `cyclic`, without the edges of code <= floor."""
+        sub = codes.take(cyclic, axis=0).take(cyclic, axis=1)
+        np.multiply(sub, sub > floor, out=sub)
+        return sub
+
+    def above(j: int) -> bool:
+        """Acyclic once every edge at or below the level code present[j] goes."""
+        return acyclic(submatrix(present[j]))
+
+    # smallest level whose removal, with every lighter one, leaves a DAG;
     # removing nothing leaves a cycle, removing every edge (the last level) does not
-    levels = np.unique(w)
-    threshold = levels[_first_true(
-        -1, len(levels) - 1, lambda j: is_acyclic(subgraph(np.flatnonzero(w > levels[j]))))]
-    tied = np.flatnonzero(w == threshold)
+    present = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]) + 1
+    top = present[_first_true(-1, len(present) - 1, above)]
+    tied = np.flatnonzero(codes == top)
 
-    def without_first(count: int, edges: np.ndarray) -> np.ndarray:
-        """`edges`, none lighter than threshold, minus the first `count` tied edges."""
-        cut = tied[count] if count < len(tied) else len(w)
-        return edges[(w[edges] > threshold) | (edges >= cut)]
-
-    # Every digraph probed below is a subgraph of the one keeping the edges
-    # not lighter than threshold, which has a cycle, and each of its cycles
-    # lies within one strong component of that digraph: so probes take only
-    # the edges inside those, often a small fraction.
-    at_least = w >= threshold
-    comp = strong_component_ids(subgraph(np.flatnonzero(at_least)))
-    inside = np.flatnonzero(at_least & (comp[src] == comp[dst]))
+    def without_first(count: int) -> bool:
+        """Acyclic once every lighter edge and the first `count` tied edges go."""
+        sub = submatrix(top - 1)
+        # the first `count` tied edges: rows above `row`, then `row` left of `col`
+        row, col = divmod(int(tied[count]) if count < len(tied) else n * n, n)
+        r = int(np.searchsorted(cyclic, row))
+        head = sub[:r]
+        np.multiply(head, head != top, out=head)
+        if r < len(cyclic) and cyclic[r] == row:
+            part = sub[r, :np.searchsorted(cyclic, col)]
+            np.multiply(part, part != top, out=part)
+        return acyclic(sub)
 
     # removing none of the tied edges leaves a cycle, removing all of them does not
-    count = _first_true(0, len(tied), lambda k: is_acyclic(subgraph(without_first(k, inside))))
-    return subgraph(without_first(count, np.flatnonzero(at_least)))
+    count = _first_true(0, len(tied), without_first)
+    kept = codes * (codes >= top)
+    kept.ravel()[tied[:count]] = 0
+    return WeightedDigraph._from_codes(labels, kept, levels)
+
+
+def _on_cycles(probe: WeightedDigraph, positions: np.ndarray) -> np.ndarray:
+    """The entries of `positions` (one per probe vertex) whose vertex lies on
+    a cycle: in a strong component of two or more, or on a self-loop."""
+    comp = strong_component_ids(probe)
+    return positions[(np.bincount(comp)[comp] > 1) | (np.diagonal(probe.matrix()[1]) != 0)]
 
 
 def _first_true(lo: int, hi: int, pred) -> int:
@@ -250,23 +297,23 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
 
     Each round bins every surviving vertex of minimum in-degree within the
     surviving induced subgraph and removes them; bins are ordered by
-    creation.  In-degrees are counted once and then lowered by the
-    out-edges of each removed bin.
+    creation.  In-degrees are the column counts of the edge matrix, lowered
+    by the rows of each removed bin.  Every induced subgraph of a DAG has a
+    source, so the minimum is 0 in every round exactly when the digraph is
+    acyclic: a positive minimum is the cycle check.
     """
-    if not is_acyclic(dag):
-        raise CyclicInputError("binning requires an acyclic digraph")
-    labels, _, dst, _ = dag.arrays()
-    n = len(labels)
-    indptr = dag.out_indptr()
-    indeg = np.bincount(dst, minlength=n)
-    alive = np.ones(n, dtype=bool)
+    labels, codes, _ = dag.matrix()
+    edge = codes != 0
+    indeg = np.count_nonzero(edge, axis=0)
+    alive = np.ones(len(labels), dtype=bool)
     bins: list[frozenset[int]] = []
     while alive.any():
-        members = np.flatnonzero(alive & (indeg == indeg[alive].min()))
+        if indeg[alive].min() > 0:
+            raise CyclicInputError("binning requires an acyclic digraph")
+        members = np.flatnonzero(alive & (indeg == 0))
         bins.append(frozenset(labels[members].tolist()))
         alive[members] = False
-        targets = [dst[indptr[v]:indptr[v + 1]] for v in members]
-        indeg -= np.bincount(np.concatenate(targets), minlength=n)
+        indeg -= np.count_nonzero(edge[members], axis=0)
     return BinOrdering(tuple(bins))
 
 

@@ -200,3 +200,24 @@ def test_truth_must_cover_the_graph_vertex_set(tmp_path, capsys, monkeypatch, co
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [0, -0.1, 0.15])
+def test_reconstruct_rejects_bucket_width_before_the_pipeline(tmp_path, capsys, monkeypatch,
+                                                               width):
+    edges = tmp_path / "g.edges"
+    chron = tmp_path / "g.chron"
+    run("generate", "--nodes", 40, "--connections", 3, "--seed", 13,
+        "--out", edges, "--chronology", chron)
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the bucket width was checked")
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
+    out = tmp_path / "r.json"
+    code = run("reconstruct", "--graph", edges, "--truth", chron, "--connections", 3,
+               "--alpha", 2, "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1,
+               "--bucket-width", width)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -141,6 +141,13 @@ def test_bucket_table_boundaries_and_width():
         probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.15)
 
 
+@pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf")])
+def test_bucket_table_rejects_non_positive_width(width):
+    dg = WeightedDigraph([0, 1], {(0, 1): 0.8})
+    with pytest.raises(ValueError):
+        probability_bucket_table(dg, Chronology([0, 1]), bucket_width=width)
+
+
 def test_bucket_table_truth_mismatch():
     dg = WeightedDigraph([0, 1], {(0, 1): 0.8})
     with pytest.raises(SizeMismatchError):

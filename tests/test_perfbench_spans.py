@@ -64,7 +64,7 @@ def test_traced_reconstruction_yields_declared_layers(spans, tmp_path):
         read_s = spans.read_seconds(recorder.spans)
         recorder.spans.clear()
         with recorder.span("reconstruct"):
-            bins, _, ref_rank = netchrono.reconstruction.reconstruct_with_ranking(g, cfg, jobs=1)
+            bins, dg, ref_rank = netchrono.reconstruction.reconstruct_with_ranking(g, cfg, jobs=1)
         netchrono.evaluation.bqm(truth, bins)
         netchrono.evaluation.eta_pairs(truth, Chronology(ref_rank))
     metrics = spans.call_metrics(recorder.spans)
@@ -76,3 +76,8 @@ def test_traced_reconstruction_yields_declared_layers(spans, tmp_path):
     assert read_s > 0.0
     assert metrics["ba.generate_calls"] == cfg.alpha
     assert metrics["reconstruction.bins"] == bins.delta
+    # the digraph fields must keep reading the digraph, whatever its storage
+    assert metrics["reconstruction.digraph_edges"] == 40 * 39 // 2
+    assert metrics["reconstruction.break_probes"] >= 1
+    dag = netchrono.reconstruction.break_cycles(dg)
+    assert metrics["reconstruction.edges_removed"] == dg.edge_count - dag.edge_count

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,32 @@ def test_pairwise_digraph_errors():
         pairwise_digraph([Chronology([0, 1])], 2)
     with pytest.raises(SizeMismatchError):
         pairwise_digraph([Chronology([0, 1]), Chronology([0, 2])], 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=12),
+       alpha=st.one_of(st.integers(1, 60), st.integers(250, 300)),
+       same=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_digraph_stages_keep_their_invariants(n, alpha, same, seed):
+    # `same` skews the lists toward one order, so unanimous pairs and long cycles both occur
+    rng = random.Random(seed)
+    labels = rng.sample(range(-500, 500), n)
+    orders = [labels[:] if rng.random() < same else rng.sample(labels, n) for _ in range(alpha)]
+    dg = pairwise_digraph([Chronology(o) for o in orders], alpha)
+    edges = dict(dg.edges())
+    assert dg.edge_count == len(edges) == n * (n - 1) // 2
+    assert {frozenset(e) for e in edges} == {frozenset(p) for p in itertools.combinations(labels, 2)}
+
+    dag = break_cycles(dg)
+    kept = dict(dag.edges())
+    assert all(e in edges and kept[e] == edges[e] for e in kept)
+    g = nx.DiGraph(list(kept))
+    g.add_nodes_from(labels)
+    assert nx.is_directed_acyclic_graph(g)
+
+    bins = bin_by_indegree(dag).bins
+    assert all(bins)
+    assert sum(len(b) for b in bins) == n and set().union(*bins) == set(labels)
 
 
 def test_break_cycles_triangle():
