@@ -326,7 +326,8 @@ def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:
         n = len(edge)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
-        indices = np.flatnonzero(edge) % max(n, 1)
+        indices = np.flatnonzero(edge)
+        np.remainder(indices, max(n, 1), out=indices)
         # components read only the structure; a constant stands in as data
         mat = sp.csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr), shape=(n, n))
         _, comp = csgraph.connected_components(mat, directed=True, connection="strong")

@@ -197,9 +197,10 @@ def pairwise_digraph(pred_lists: list[Chronology], alpha: int) -> WeightedDigrap
             np.less(p[lo:hi, None], p[lo:], out=less)
             block += less
         up, down = upper[block], lower[block]
-        diagonal = on_or_below[:hi - lo, :hi - lo]
-        up[:, :hi - lo][diagonal] = 0
-        down[:, :hi - lo][diagonal] = 0
+        # in the block's own square, only the counts right of the diagonal are pairs i < j
+        not_pairs = on_or_below[:hi - lo, :hi - lo]
+        up[:, :hi - lo][not_pairs] = 0
+        down[:, :hi - lo][not_pairs] = 0
         codes[lo:hi, lo:] = up
         codes[lo:, lo:hi] += down.T
     return WeightedDigraph._from_codes(labels, codes, levels)

@@ -137,15 +137,9 @@ def test_bucket_table_boundaries_and_width():
     dg = WeightedDigraph([0, 1, 2], {(0, 1): 0.6, (1, 2): 0.7})
     rows = probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.1)
     assert [r.edge_count for r in rows] == [1, 1, 0, 0, 0]
-    with pytest.raises(ValueError):
-        probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.15)
-
-
-@pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf")])
-def test_bucket_table_rejects_non_positive_width(width):
-    dg = WeightedDigraph([0, 1], {(0, 1): 0.8})
-    with pytest.raises(ValueError):
-        probability_bucket_table(dg, Chronology([0, 1]), bucket_width=width)
+    for width in (0.15, 0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=width)
 
 
 def test_bucket_table_truth_mismatch():
