@@ -29,9 +29,7 @@ from .graph import (
 )
 from .io import read_chronology, read_edge_list, write_chronology, write_edge_list
 from .reconstruction import (
-    PairProbability,
     PipelineConfig,
-    SyntheticBatch,
     bin_by_indegree,
     break_cycles,
     child_seed,
@@ -39,7 +37,6 @@ from .reconstruction import (
     pairwise_digraph,
     reconstruct,
     reconstruct_with_ranking,
-    synthesize,
 )
 
 __version__ = "0.1.0"
@@ -51,10 +48,8 @@ __all__ = [
     "CentralityKind",
     "Chronology",
     "DegreeDistribution",
-    "PairProbability",
     "PipelineConfig",
     "ScoreTable",
-    "SyntheticBatch",
     "UndirectedGraph",
     "WeightedDigraph",
     "betweenness_centrality",
@@ -86,7 +81,6 @@ __all__ = [
     "remove_vertices",
     "shuffle_vertex_labels",
     "strongly_connected_components",
-    "synthesize",
     "write_chronology",
     "write_edge_list",
 ]

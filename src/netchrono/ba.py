@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientSupportError, InvalidConfigError
-from .graph import Chronology, UndirectedGraph
+from .graph import Chronology, UndirectedGraph, _csr_layout
 
 _SEED_MAX = 2**64
 
@@ -60,11 +60,7 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
     clique_u, clique_v = np.triu_indices(c, k=1)
     src = np.concatenate([clique_u, np.repeat(np.arange(c, n), c)])
     dst = np.concatenate([clique_v, targets.reshape(-1)])
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    indices = cols[np.argsort(rows * n + cols)]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr, indices = _csr_layout(n, np.concatenate([src, dst]), np.concatenate([dst, src]))
     g = UndirectedGraph._from_csr(np.arange(n, dtype=np.int64), indptr, indices)
     return g, Chronology(range(n))
 

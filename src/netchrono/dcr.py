@@ -23,27 +23,11 @@ from .centrality import (
     degree_scores,
     eigenvector_scores,
 )
-from .graph import UndirectedGraph
+from .graph import UndirectedGraph, _induced_csr
 
 # (alive mask, degrees within the alive subgraph) -> one score per alive
 # vertex, in position order
 LevelScores = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _induced_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
-                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the subgraph induced by `keep`, rows renumbered in position order.
-
-    `rows` is the row of every entry of `indices`.  Renumbering is monotone,
-    so each row's neighbours stay sorted: the result is the `csr_arrays`
-    layout of the subgraph.
-    """
-    entries = keep[rows] & keep[indices]
-    position = np.cumsum(keep) - 1
-    sub_indices = position[indices[entries]]
-    sub_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[entries], minlength=len(keep))[keep], out=sub_indptr[1:])
-    return sub_indptr, sub_indices
 
 
 def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray) -> LevelScores:

@@ -111,27 +111,31 @@ def probability_bucket_table(
     """
     n_buckets = bucket_count(bucket_width)
     pos = truth.positions()
-    labels, src, dst, w = dg.arrays()
+    labels, codes, levels = dg.matrix()
     missing = dg.vertices - set(truth.order)
     if missing:
         raise SizeMismatchError(f"truth is missing {len(missing)} digraph vertices")
 
-    m = len(w)
-    idx = np.ceil((w - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
+    # edges per weight level; the correct ones, from an earlier to a later
+    # arrival, lie above the diagonal once rows and columns follow the truth
+    arrival = np.argsort(np.array([pos[int(v)] for v in labels], dtype=np.int64))
+    total = np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]
+    correct = np.bincount(np.triu(codes[np.ix_(arrival, arrival)], 1).ravel(),
+                          minlength=len(levels) + 1)[1:]
+    m = int(total.sum())
+    idx = np.ceil((levels - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
     idx = np.clip(idx, 0, n_buckets - 1)
-    truth_pos = np.array([pos[int(v)] for v in labels], dtype=np.int64)
-    correct = truth_pos[src] < truth_pos[dst]
 
     rows: list[BucketRow] = []
     for b in range(n_buckets):
         in_bucket = idx == b
-        count = int(in_bucket.sum())
+        count = int(total[in_bucket].sum())
         rows.append(
             BucketRow(
                 range_low=0.5 + b * bucket_width,
                 range_high=0.5 + (b + 1) * bucket_width,
                 edge_fraction=count / m if m else 0.0,
-                correct_fraction=float(correct[in_bucket].mean()) if count else 0.0,
+                correct_fraction=int(correct[in_bucket].sum()) / count if count else 0.0,
                 edge_count=count,
             )
         )

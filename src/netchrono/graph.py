@@ -21,14 +21,15 @@ from .errors import SelfLoopError, UnknownVertexError
 
 
 class UndirectedGraph:
-    """Label-preserving simple undirected graph.
+    """Label-preserving simple undirected graph, stored as CSR arrays.
 
-    Vertex labels are arbitrary non-negative integers and are never
+    Vertex labels are arbitrary integers in the int64 range and are never
     re-indexed by structural operations; per-vertex scores accumulated
-    across peeled subgraphs rely on that.
+    across peeled subgraphs rely on that.  The stored form is the one
+    `csr_arrays` returns, so equal graphs have equal arrays.
     """
 
-    __slots__ = ("_adj", "_edge_count", "_csr")
+    __slots__ = ("_labels", "_indptr", "_indices")
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]]):
         adj = {int(v): frozenset(int(w) for w in nbrs) for v, nbrs in adjacency.items()}
@@ -38,99 +39,126 @@ class UndirectedGraph:
             for w in nbrs:
                 if w not in adj or v not in adj[w]:
                     raise ValueError(f"adjacency is not symmetric at edge ({v}, {w})")
-        self._adj = adj
-        self._edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
-        self._csr = None
+        order = sorted(adj)
+        labels = np.fromiter(order, dtype=np.int64, count=len(order))
+        degrees = np.fromiter((len(adj[v]) for v in order), dtype=np.int64, count=len(order))
+        nbrs = np.fromiter(chain.from_iterable(adj[v] for v in order), dtype=np.int64,
+                           count=int(degrees.sum()))
+        rows = np.repeat(np.arange(len(order), dtype=np.int64), degrees)
+        self._set(labels, *_csr_layout(len(order), rows, np.searchsorted(labels, nbrs)))
 
-    @classmethod
-    def _trusted(cls, adj: dict[int, frozenset[int]]) -> "UndirectedGraph":
-        # internal fast path: caller guarantees the invariants
-        g = cls.__new__(cls)
-        g._adj = adj
-        g._edge_count = sum(len(nbrs) for nbrs in adj.values()) // 2
-        g._csr = None
-        return g
+    def _set(self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._labels = labels
+        self._indptr = indptr
+        self._indices = indices
+        for a in (labels, indptr, indices):
+            a.setflags(write=False)
 
     @classmethod
     def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray,
                   indices: np.ndarray) -> "UndirectedGraph":
-        # internal fast path: a symmetric CSR structure with no self-loops, in
-        # the layout `csr_arrays` returns, which it also becomes
-        nbrs = labels[indices].tolist()
-        bounds = indptr.tolist()
+        # internal fast path: int64 arrays of a symmetric CSR structure with no
+        # self-loops, in the layout `csr_arrays` returns; they become read-only
         g = cls.__new__(cls)
-        g._adj = {v: frozenset(nbrs[lo:hi])
-                  for v, lo, hi in zip(labels.tolist(), bounds, bounds[1:])}
-        g._edge_count = len(indices) // 2
-        g._csr = (labels, indptr, indices)
+        g._set(labels, indptr, indices)
         return g
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._adj)
+        return frozenset(self._labels.tolist())
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._labels)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        return len(self._indices) // 2
+
+    def _row(self, v: int) -> slice:
+        """The span of v's neighbour positions in `indices`."""
+        i = _position(self._labels, v)
+        if i is None:
+            raise UnknownVertexError(v)
+        return slice(int(self._indptr[i]), int(self._indptr[i + 1]))
 
     def neighbors(self, v: int) -> frozenset[int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertexError(v) from None
+        return frozenset(self._labels[self._indices[self._row(v)]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        row = self._row(v)
+        return row.stop - row.start
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._adj
+        return _position(self._labels, v) is not None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u in self._adj and v in self._adj[u]
+        if not (self.has_vertex(u) and self.has_vertex(v)):
+            return False
+        # a row's neighbour labels ascend, as its positions do
+        return _position(self._labels[self._indices[self._row(u)]], v) is not None
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (min(u,v), max(u,v)), sorted."""
-        for v in sorted(self._adj):
-            for w in sorted(self._adj[v]):
-                if v < w:
-                    yield (v, w)
+        rows = np.repeat(np.arange(len(self._labels)), np.diff(self._indptr))
+        upper = rows < self._indices
+        return zip(self._labels[rows[upper]].tolist(),
+                   self._labels[self._indices[upper]].tolist())
 
     def csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(labels, indptr, indices) CSR view with rows in ascending label order.
+        """(labels, indptr, indices), the stored form; all three read-only int64.
 
-        Row i of the CSR structure is the vertex labels[i]; `indices` holds
-        row positions, not labels.  Cached, since centrality kernels call
-        this repeatedly on shared graphs.
+        Row i of the CSR structure is the vertex labels[i], labels ascending;
+        `indices` holds row positions, not labels, ascending within a row.
         """
-        if self._csr is None:
-            order = sorted(self._adj)
-            labels = np.fromiter(order, dtype=np.int64, count=len(order))
-            degrees = np.fromiter((len(self._adj[v]) for v in order), dtype=np.int64,
-                                  count=len(order))
-            nbrs = np.fromiter(chain.from_iterable(self._adj[v] for v in order), dtype=np.int64,
-                               count=2 * self._edge_count)
-            rows = np.repeat(np.arange(len(order), dtype=np.int64), degrees)
-            cols = np.searchsorted(labels, nbrs)
-            indices = cols[np.lexsort((cols, rows))]
-            indptr = np.zeros(len(order) + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            self._csr = (labels, indptr, indices)
-        return self._csr
+        return self._labels, self._indptr, self._indices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self._adj == other._adj
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
 
     def __hash__(self) -> int:
-        return hash(frozenset((v, nbrs) for v, nbrs in self._adj.items()))
+        return hash(tuple(getattr(self, a).tobytes() for a in self.__slots__))
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
+
+
+def _position(labels: np.ndarray, v: int) -> int | None:
+    """Index of v in the ascending `labels`, or None when absent."""
+    i = int(np.searchsorted(labels, v))
+    return i if i < len(labels) and labels[i] == v else None
+
+
+def _csr_layout(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the n-row structure holding the position pairs
+    (rows[k], cols[k]), each once however often it is listed."""
+    key = rows * n + cols  # positions are below n, so the key cannot overflow
+    key.sort()
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    key = key[first]
+    rows, indices = np.divmod(key, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, indices
+
+
+def _induced_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
+                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the subgraph induced by `keep`, rows renumbered in position order.
+
+    `rows` is the row of every entry of `indices`.  Renumbering is monotone,
+    so each row's neighbours stay sorted: the result is the `csr_arrays`
+    layout of the subgraph.
+    """
+    entries = keep[rows] & keep[indices]
+    position = np.cumsum(keep) - 1
+    sub_indices = position[indices[entries]]
+    sub_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[entries], minlength=len(keep))[keep], out=sub_indptr[1:])
+    return sub_indptr, sub_indices
 
 
 class Chronology:
@@ -139,9 +167,12 @@ class Chronology:
     __slots__ = ("_order",)
 
     def __init__(self, order: Iterable[int]):
-        order = tuple(int(v) for v in order)
-        if len(set(order)) != len(order):
-            raise ValueError("chronology contains duplicate labels")
+        if isinstance(order, range):  # distinct integers by construction
+            order = tuple(order)
+        else:
+            order = tuple(int(v) for v in order)
+            if len(set(order)) != len(order):
+                raise ValueError("chronology contains duplicate labels")
         self._order = order
 
     @property
@@ -261,12 +292,8 @@ class WeightedDigraph:
         for s, d, weight in zip(src, dst, w):
             yield (int(labels[s]), int(labels[d])), float(weight)
 
-    def _position(self, v: int) -> int | None:
-        i = int(np.searchsorted(self._labels, v))
-        return i if i < len(self._labels) and self._labels[i] == v else None
-
     def _code(self, u: int, v: int) -> int:
-        ui, vi = self._position(u), self._position(v)
+        ui, vi = _position(self._labels, u), _position(self._labels, v)
         return 0 if ui is None or vi is None else int(self._codes[ui, vi])
 
     def weight(self, u: int, v: int) -> float:
@@ -295,24 +322,27 @@ def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
     an endpoint), but vertices of degree zero are representable and survive
     `remove_vertices`.
     """
-    adj: dict[int, set[int]] = {}
-    for u, v in pairs:
-        u, v = int(u), int(v)
-        if u == v:
-            raise SelfLoopError(u)
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return UndirectedGraph._trusted({v: frozenset(nbrs) for v, nbrs in adj.items()})
+    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
+    loops = ends[:, 0] == ends[:, 1]
+    if loops.any():
+        raise SelfLoopError(int(ends[np.argmax(loops), 0]))
+    labels, at = np.unique(ends.ravel(), return_inverse=True)
+    u, v = at[0::2], at[1::2]
+    return UndirectedGraph._from_csr(
+        labels, *_csr_layout(len(labels), np.concatenate([u, v]), np.concatenate([v, u])))
 
 
 def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     """Induced subgraph on g.vertices minus s; g itself is unmodified."""
-    drop = {int(v) for v in s}
-    for v in drop:
-        if not g.has_vertex(v):
+    labels, indptr, indices = g.csr_arrays()
+    keep = np.ones(len(labels), dtype=bool)
+    for v in {int(v) for v in s}:
+        i = _position(labels, v)
+        if i is None:
             raise UnknownVertexError(v)
-    adj = {v: nbrs - drop for v, nbrs in g._adj.items() if v not in drop}
-    return UndirectedGraph._trusted(adj)
+        keep[i] = False
+    rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
+    return UndirectedGraph._from_csr(labels[keep], *_induced_csr(indptr, indices, rows, keep))
 
 
 def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:

@@ -8,8 +8,10 @@ survive a round trip.
 Chronology: one vertex label per line, in arrival order.
 
 Readers reject a malformed line with an `InputFormatError` naming
-path:line: a wrong number of fields, or a token that is not a
-non-negative decimal integer.
+path:line: a wrong number of fields, a token that is not a non-negative
+decimal integer, a label above the int64 maximum (graphs store labels as
+int64), or, in an edge list with a "# vertices: N" header, a label of N
+or more.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .errors import InputFormatError
 from .graph import Chronology, UndirectedGraph, from_edge_list
 
 _VERTICES_HEADER = re.compile(r"#\s*vertices:\s*(\d+)\s*$")
+_LABEL_MAX = 2**63 - 1
 
 
 def _labels(line: str, count: int, path, lineno: int) -> list[int]:
@@ -32,7 +35,12 @@ def _labels(line: str, count: int, path, lineno: int) -> list[int]:
         if not (token.isascii() and token.isdecimal()):
             raise InputFormatError(
                 f"{path}:{lineno}: {token!r} is not a non-negative integer label")
-    return [int(token) for token in parts]
+    labels = [int(token) for token in parts]
+    for label in labels:
+        if label > _LABEL_MAX:
+            raise InputFormatError(
+                f"{path}:{lineno}: label {label} is above the int64 maximum {_LABEL_MAX}")
+    return labels
 
 
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
@@ -54,6 +62,7 @@ def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
 def read_edge_list(path: str | Path) -> UndirectedGraph:
     pairs: list[tuple[int, int]] = []
     declared = None
+    top = -1  # the largest label read so far
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -63,8 +72,17 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
                 m = _VERTICES_HEADER.match(line)
                 if m:
                     declared = int(m.group(1))
+                    if top >= declared:
+                        raise InputFormatError(
+                            f"{path}:{lineno}: header declares {declared} vertices, "
+                            f"but label {top} appears above it")
                 continue
             u, v = _labels(line, 2, path, lineno)
+            top = max(top, u, v)
+            if declared is not None and top >= declared:
+                raise InputFormatError(
+                    f"{path}:{lineno}: label {top} is not below the declared "
+                    f"vertex count {declared}")
             pairs.append((u, v))
     g = from_edge_list(pairs)
     if declared is not None and g.vertex_count < declared:

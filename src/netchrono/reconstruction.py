@@ -2,10 +2,11 @@
 
 Pipeline: rank the reference network by DCM, generate alpha synthetic BA
 networks with the same (|V|, C), rank each the same way, biject ranks to
-turn each synthetic chronology into a prediction list for the reference
-network, aggregate the lists into a pairwise arrival-probability digraph,
-delete minimum-weight edges until it is acyclic, then peel the resulting
-DAG by minimum in-degree into chronological bins.
+turn each synthetic chronology into a predicted arrival position per
+reference vertex, aggregate the alpha position rows into a pairwise
+arrival-probability digraph, delete minimum-weight edges until it is
+acyclic, then peel the resulting DAG by minimum in-degree into
+chronological bins.
 
 Equal-DCM vertices need care: a fixed tie order would make every
 synthetic assert the same arbitrary within-tie arrival order, turning
@@ -63,26 +64,6 @@ class PipelineConfig:
             raise InvalidConfigError(f"connections must be >= 1, got {self.connections}")
 
 
-@dataclass(frozen=True)
-class SyntheticBatch:
-    """Generated networks with their recorded chronologies, indexed 1..alpha."""
-
-    entries: tuple[tuple[UndirectedGraph, Chronology], ...]
-
-
-@dataclass(frozen=True)
-class PairProbability:
-    """Probability p that u arrived before v, estimated over prediction lists."""
-
-    u: int
-    v: int
-    p: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"probability {self.p} outside [0, 1]")
-
-
 def child_seed(master_seed: int, index: int) -> int:
     """Derived 64-bit seed for synthetic network `index` (1-based; 0 is
     reserved for the reference ranking's tie salt).
@@ -95,16 +76,6 @@ def child_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def synthesize(n: int, cfg: PipelineConfig) -> SyntheticBatch:
-    """alpha independent BA networks with n vertices and cfg.connections."""
-    if n <= cfg.connections:
-        raise InvalidConfigError(f"need n > connections, got n={n} C={cfg.connections}")
-    entries = []
-    for i in range(1, cfg.alpha + 1):
-        entries.append(generate_ba(BAConfig(n, cfg.connections, child_seed(cfg.master_seed, i))))
-    return SyntheticBatch(tuple(entries))
-
-
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 arrays: cheap, well-dispersed 64-bit hash."""
     x = x ^ (x >> np.uint64(30))
@@ -114,13 +85,13 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _salted_rank(table: ScoreTable, seed: int) -> list[int]:
-    """Score-descending vertex order, ties by the hash of label ^ _mix64(seed)."""
+def _salted_rank(table: ScoreTable, seed: int) -> np.ndarray:
+    """Score-descending int64 labels, ties by the hash of label ^ _mix64(seed)."""
     salt = _mix64(np.array([seed], dtype=np.uint64))
     labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
     scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
     # the hash reads a label's 64-bit two's complement, as Python's masking does
-    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))].tolist()
+    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]
 
 
 def map_and_predict(
@@ -132,7 +103,9 @@ def map_and_predict(
 
     Position k of syn_rank maps to position k of ref_rank (equal-importance
     bijection); the synthetic chronology re-read through that map is the
-    predicted arrival order of the reference network.
+    predicted arrival order of the reference network.  The pipeline does
+    not call this: a synthetic chronology is 0..n-1, so it places each
+    synthetic rank straight into a position array (`reconstruct_with_ranking`).
     """
     if not (len(ref_rank) == len(syn_rank) == len(syn_chronology)):
         raise SizeMismatchError(
@@ -149,28 +122,37 @@ def map_and_predict(
 _ROW_BLOCK = 128
 
 
-def pairwise_digraph(pred_lists: list[Chronology], alpha: int) -> WeightedDigraph:
+def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigraph:
     """Arrival-probability digraph over all vertex pairs.
 
-    P(u, v) is the fraction of prediction lists placing u before v.  Each
-    unordered pair contributes exactly one edge, oriented toward the more
-    probable order and weighted by its probability; exact 0.5 ties orient
-    min-label to max-label so the result is independent of pair iteration
-    order.
+    `labels` are the vertices, ascending; `positions` is an (alpha x n)
+    integer array whose row a is one prediction list, read as positions:
+    positions[a, i] is the place of labels[i] in list a, so each row is a
+    permutation of 0..n-1.  P(u, v) is the fraction of lists placing u
+    before v.  Each unordered pair contributes exactly one edge, oriented
+    toward the more probable order and weighted by its probability; exact
+    0.5 ties orient min-label to max-label so the result is independent of
+    pair iteration order.
     """
-    if alpha == 0 or not pred_lists:
+    labels = np.array(labels, dtype=np.int64)  # a copy: the digraph makes it read-only
+    positions = np.asarray(positions)
+    if positions.ndim != 2 or positions.shape[1] != len(labels) \
+            or not np.issubdtype(positions.dtype, np.integer):
+        raise SizeMismatchError(
+            f"positions must be an integer (alpha x {len(labels)}) array, "
+            f"got {positions.dtype} {positions.shape}")
+    alpha, n = positions.shape
+    if alpha == 0:
         raise EmptyBatchError("need at least one prediction list")
-    if len(pred_lists) != alpha:
-        raise SizeMismatchError(f"got {len(pred_lists)} lists for alpha={alpha}")
-    vertex_set = set(pred_lists[0].order)
-    labels = np.fromiter(sorted(vertex_set), dtype=np.int64)
-    n = len(labels)
-    # pos[a, i]: position of labels[i] in list a
-    pos = np.empty((alpha, n), dtype=np.min_scalar_type(max(n - 1, 0)))
-    for a, chron in enumerate(pred_lists):
-        if set(chron.order) != vertex_set:
-            raise SizeMismatchError("prediction lists cover different vertex sets")
-        pos[a, np.searchsorted(labels, chron.order)] = np.arange(n)
+    if labels.ndim != 1 or np.any(labels[1:] <= labels[:-1]):
+        raise ValueError("labels must be distinct and ascending")
+    if positions.size and (positions.min() < 0 or positions.max() >= n):
+        raise SizeMismatchError(f"positions must lie in 0..{n - 1}")
+    pos = positions.astype(np.min_scalar_type(max(n - 1, 0)))
+    # in range, so each row is a permutation when every (row, value) occurs once
+    if np.any(np.bincount((pos + n * np.arange(alpha)[:, None]).ravel(),
+                          minlength=alpha * n) != 1):
+        raise SizeMismatchError("a row of positions is not a permutation of 0..n-1")
 
     # A pair i < j whose lists place labels[i] first k times is the edge
     # i -> j when 2k >= alpha, else j -> i.  Its weight is k/alpha when
@@ -318,12 +300,12 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
     return BinOrdering(tuple(bins))
 
 
-def _synthetic_prediction(task: tuple) -> tuple[int, ...]:
-    n, connections, seed, kind_value, ref_rank = task
-    g, chron = generate_ba(BAConfig(n, connections, seed))
+def _synthetic_prediction(task: tuple) -> np.ndarray:
+    """Salted DCM rank of one synthetic network, as int32 labels."""
+    n, connections, seed, kind_value = task
+    g, _ = generate_ba(BAConfig(n, connections, seed))
     table = differential_core_ranking(g, CentralityKind(kind_value))
-    rank = _salted_rank(table, seed)
-    return map_and_predict(list(ref_rank), rank, chron).order
+    return _salted_rank(table, seed).astype(np.int32)
 
 
 def reconstruct(
@@ -333,9 +315,10 @@ def reconstruct(
 ) -> tuple[BinOrdering, WeightedDigraph]:
     """Full pipeline; returns the bin ordering and the pre-cycle-break digraph.
 
-    The synthetic batch is exactly synthesize(|V_m|, cfg): worker processes
-    regenerate network i from child_seed(cfg.master_seed, i), and results
-    merge by index, so output is identical for any `jobs` value.
+    Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
+    child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
+    regenerate it from its seed, and results merge by index, so output is
+    identical for any `jobs` value.
     """
     bins, dg, _ = reconstruct_with_ranking(g_m, cfg, jobs)
     return bins, dg
@@ -359,19 +342,22 @@ def reconstruct_with_ranking(
         raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
     ref_table = differential_core_ranking(g_m, cfg.kind)
     ref_rank = _salted_rank(ref_table, child_seed(cfg.master_seed, 0))
-    tasks = [
-        (n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value, tuple(ref_rank))
-        for i in range(1, cfg.alpha + 1)
-    ]
+    tasks = [(n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value)
+             for i in range(1, cfg.alpha + 1)]
     if jobs is not None and jobs > 1 and cfg.alpha > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.alpha)) as pool:
-            orders = list(pool.map(_synthetic_prediction, tasks))
+            syn_ranks = list(pool.map(_synthetic_prediction, tasks))
     else:
-        orders = [_synthetic_prediction(t) for t in tasks]
-    pred_lists = [Chronology(o) for o in orders]
-    dg = pairwise_digraph(pred_lists, cfg.alpha)
+        syn_ranks = [_synthetic_prediction(t) for t in tasks]
+    # generate_ba labels vertices by arrival, so a synthetic chronology is
+    # 0..n-1: the vertex of synthetic rank k, a label, is the predicted
+    # position of the reference vertex of rank k
+    labels = g_m.csr_arrays()[0]
+    positions = np.empty((cfg.alpha, n), dtype=np.int32)
+    positions[:, np.searchsorted(labels, ref_rank)] = syn_ranks
+    dg = pairwise_digraph(labels, positions)
     bins = bin_by_indegree(break_cycles(dg))
-    return bins, dg, ref_rank
+    return bins, dg, ref_rank.tolist()
 
 
 def default_jobs() -> int:

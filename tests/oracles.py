@@ -205,6 +205,15 @@ def oracle_pairwise_digraph(orders: list[list[int]], alpha: int):
     return np.array(labels, dtype=np.int64), src, dst, w
 
 
+def list_positions(orders: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction lists in `pairwise_digraph`'s input form: the sorted labels,
+    and positions[a, i], the index of labels[i] in orders[a]."""
+    labels = sorted(orders[0])
+    places = [{v: k for k, v in enumerate(order)} for order in orders]
+    return (np.array(labels, dtype=np.int64),
+            np.array([[place[v] for v in labels] for place in places], dtype=np.int64))
+
+
 def oracle_break_cycles(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Keep-mask over the input edges: the shortest prefix of the ascending
     (w, src, dst) order whose removal leaves the digraph acyclic, removed."""

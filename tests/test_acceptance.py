@@ -38,7 +38,13 @@ from netchrono import (
 from netchrono.cli import main as cli_main
 from netchrono.reconstruction import default_jobs, reconstruct_with_ranking
 
-from oracles import brute_betweenness, dense_dominant_eigenvector, random_connected_graph, random_graph
+from oracles import (
+    brute_betweenness,
+    dense_dominant_eigenvector,
+    list_positions,
+    random_connected_graph,
+    random_graph,
+)
 
 MASTER_SEEDS = (1, 2, 3)
 N, C, ALPHA = 1000, 3, 50
@@ -221,8 +227,8 @@ def test_criterion_7_structural_invariants():
         for _ in range(alpha):
             order = labels[:]
             rng.shuffle(order)
-            lists.append(Chronology(order))
-        dg = pairwise_digraph(lists, alpha)
+            lists.append(order)
+        dg = pairwise_digraph(*list_positions(lists))
         _, _, _, w = dg.arrays()
         pw &= dg.edge_count == n * (n - 1) // 2
         pw &= bool(np.all(w >= 0.5) and np.all(w <= 1.0))

@@ -221,3 +221,15 @@ def test_reconstruct_rejects_bucket_width_before_the_pipeline(tmp_path, capsys, 
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["# vertices: 3\n0 1\n0 5\n", "0 1\n1 9223372036854775808\n"])
+def test_reconstruct_rejects_labels_the_graph_cannot_hold(tmp_path, capsys, text):
+    edges = tmp_path / "g.edges"
+    edges.write_text(text)
+    out = tmp_path / "r.json"
+    code = run("reconstruct", "--graph", edges, "--connections", 1, "--alpha", 2,
+               "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1)
+    assert code == 1
+    assert f"error: {edges}:" in capsys.readouterr().err
+    assert not out.exists()

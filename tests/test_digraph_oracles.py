@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from netchrono import (
     BAConfig,
     CentralityKind,
-    Chronology,
     PipelineConfig,
     WeightedDigraph,
     bin_by_indegree,
@@ -29,6 +28,7 @@ from netchrono import (
 from netchrono.reconstruction import reconstruct_with_ranking
 
 from oracles import (
+    list_positions,
     oracle_bin_by_indegree,
     oracle_break_cycles,
     oracle_pairwise_digraph,
@@ -85,7 +85,7 @@ def test_pairwise_digraph_matches_oracle(n, alpha, same, seed):
     for _ in range(alpha):
         order = base[:] if rng.random() < same else rng.sample(labels, n)
         orders.append(order)
-    dg = pairwise_digraph([Chronology(o) for o in orders], alpha)
+    dg = pairwise_digraph(*list_positions(orders))
     for got, want in zip(dg.arrays(), oracle_pairwise_digraph(orders, alpha)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

@@ -2,7 +2,8 @@
 
 For each base centrality, BA(200, 3) seed 11 relabeled with shuffle seed
 child_seed(11, 0) (as `generate --shuffle-labels` does) is reconstructed
-with alpha = 50, master seed 11, jobs 1.  Three sha256 digests pin the
+with alpha = 50, master seed 11, at jobs 1 and again at jobs 2, where the
+synthetic ranks come from pool workers.  Three sha256 digests pin the
 result: the bins, the raw bytes of the pre-cycle-break digraph arrays
 (labels, src, dst, weights) and the probability bucket table rows.  Any
 change to them must be a deliberate change of method, with new digests.
@@ -50,11 +51,11 @@ def _sha(chunks) -> str:
     return h.hexdigest()
 
 
-def digests(kind: CentralityKind) -> tuple[str, str, str]:
+def digests(kind: CentralityKind, jobs: int) -> tuple[str, str, str]:
     g0, truth0 = generate_ba(BAConfig(N, C, SEED))
     g, truth = shuffle_vertex_labels(g0, truth0, child_seed(SEED, 0))
     cfg = PipelineConfig(alpha=ALPHA, connections=C, kind=kind, master_seed=SEED)
-    bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=1)
+    bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=jobs)
     bins_text = "\n".join(",".join(map(str, sorted(b))) for b in bins.bins)
     labels, src, dst, w = dg.arrays()
     arrays = (np.ascontiguousarray(labels, dtype=np.int64), np.ascontiguousarray(src, dtype=np.int64),
@@ -67,4 +68,10 @@ def digests(kind: CentralityKind) -> tuple[str, str, str]:
 
 @pytest.mark.parametrize("kind", list(GOLDEN), ids=lambda k: k.value)
 def test_pipeline_output_is_pinned(kind):
-    assert digests(kind) == GOLDEN[kind]
+    assert digests(kind, jobs=1) == GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", list(GOLDEN), ids=lambda k: k.value)
+def test_pipeline_output_is_pinned_across_worker_processes(kind):
+    # the synthetic ranks come back from pool workers instead
+    assert digests(kind, jobs=2) == GOLDEN[kind]

@@ -1,7 +1,10 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchrono import (
     Chronology,
@@ -194,3 +197,58 @@ def test_chronology_positions():
     assert c.index_of(2) == 1
     assert list(c) == [4, 2, 7]
     assert len(c) == 3
+
+
+def _canonical_edges(nxg: nx.Graph) -> list[tuple[int, int]]:
+    return sorted((min(u, v), max(u, v)) for u, v in nxg.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=12, unique=True),
+       data=st.data())
+def test_csr_graph_matches_networkx(labels, data):
+    """Every accessor of the CSR graph, equality and hash across edge orders,
+    and `remove_vertices`, against networkx on scattered int64 labels with
+    repeated and reversed pairs and isolated vertices."""
+    ends = st.sampled_from(labels)
+    pairs = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]), max_size=30))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(labels)
+    nxg.add_edges_from(pairs)
+    g = UndirectedGraph({v: list(nxg[v]) for v in labels})
+
+    assert g.vertices == frozenset(nxg) and g.vertex_count == nxg.number_of_nodes()
+    assert g.edge_count == nxg.number_of_edges()
+    assert list(g.edges()) == _canonical_edges(nxg)
+    for v in labels:
+        assert g.neighbors(v) == frozenset(nxg[v]) and g.degree(v) == nxg.degree[v]
+    strangers = [min(labels) - 1, max(labels) + 1, 2**70]
+    for u in labels + strangers:
+        assert g.has_vertex(u) == (u in nxg)
+        for v in labels + strangers:
+            assert g.has_edge(u, v) == nxg.has_edge(u, v)
+    with pytest.raises(UnknownVertexError):
+        g.neighbors(strangers[0])
+
+    want = nx.to_scipy_sparse_array(nxg, nodelist=sorted(labels), format="csr")
+    want.sort_indices()
+    got_labels, got_indptr, got_indices = g.csr_arrays()
+    assert got_labels.tolist() == sorted(labels)
+    assert np.array_equal(got_indptr, want.indptr) and np.array_equal(got_indices, want.indices)
+
+    # the same edges in another order and orientation, repeated: an equal graph
+    if pairs:
+        shuffled = data.draw(st.permutations(pairs + [(v, u) for u, v in pairs]))
+        h = from_edge_list(shuffled)
+        touched = nxg.subgraph({v for pair in pairs for v in pair})
+        expected = UndirectedGraph({v: list(touched[v]) for v in touched})
+        assert h == expected and hash(h) == hash(expected)
+        assert (h == g) == (touched.number_of_nodes() == len(labels))
+
+    drop = data.draw(st.sets(ends))
+    sub = remove_vertices(g, drop)
+    kept = nxg.subgraph(set(labels) - drop)
+    assert sub.vertices == frozenset(kept) and sub.edge_count == kept.number_of_edges()
+    assert list(sub.edges()) == _canonical_edges(kept)
+    rebuilt = UndirectedGraph({v: list(kept[v]) for v in kept})
+    assert sub == rebuilt and hash(sub) == hash(rebuilt)

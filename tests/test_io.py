@@ -76,6 +76,33 @@ def test_chronology_rejects_malformed_line(tmp_path, text, lineno):
         read_chronology(path)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("0 1\n1 9223372036854775808\n", 2),          # 2^63, one above the int64 maximum
+    ("99999999999999999999 1\n", 1),
+    ("# vertices: 3\n0 1\n0 5\n", 3),           # label above the declared count
+    ("# vertices: 3\n0 3\n", 2),                 # the declared count itself
+    ("0 5\n1 2\n# vertices: 3\n", 3),           # the header follows a larger label
+])
+def test_edge_list_rejects_labels_the_graph_cannot_hold(tmp_path, text, lineno):
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
+        read_edge_list(path)
+
+
+def test_edge_list_accepts_the_int64_maximum(tmp_path):
+    path = tmp_path / "big.edges"
+    path.write_text(f"0 {2**63 - 1}\n")
+    assert read_edge_list(path).vertices == {0, 2**63 - 1}
+
+
+def test_chronology_rejects_labels_above_int64(tmp_path):
+    path = tmp_path / "bad.chron"
+    path.write_text(f"0\n{2**63 - 1}\n{2**63}\n")
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:3: ")):
+        read_chronology(path)
+
+
 def test_chronology_roundtrip(tmp_path):
     c = Chronology([5, 3, 0, 2])
     path = tmp_path / "c.chron"

@@ -11,7 +11,6 @@ from netchrono import (
     BAConfig,
     CentralityKind,
     Chronology,
-    PairProbability,
     PipelineConfig,
     WeightedDigraph,
     bin_by_indegree,
@@ -22,7 +21,6 @@ from netchrono import (
     map_and_predict,
     pairwise_digraph,
     reconstruct,
-    synthesize,
 )
 from netchrono.errors import (
     CyclicInputError,
@@ -33,7 +31,7 @@ from netchrono.errors import (
 from netchrono.centrality import ScoreTable
 from netchrono.reconstruction import _salted_rank
 
-from oracles import oracle_break_cycles, oracle_mix64, oracle_salted_rank
+from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
 
 
 def test_pipeline_config_validation():
@@ -48,30 +46,6 @@ def test_child_seed_deterministic_and_distinct():
     assert seeds == [child_seed(42, i) for i in range(20)]
     assert len(set(seeds)) == 20
     assert all(0 <= s < 2**64 for s in seeds)
-
-
-def test_synthesize_shapes_and_determinism():
-    cfg = PipelineConfig(alpha=5, connections=3, kind=CentralityKind.DEGREE, master_seed=9)
-    batch = synthesize(50, cfg)
-    assert len(batch.entries) == 5
-    for g, chron in batch.entries:
-        assert g.vertex_count == 50
-        assert g.edge_count == 3 + 47 * 3
-        assert sorted(chron.order) == list(range(50))
-    again = synthesize(50, cfg)
-    assert all(a == b for (a, _), (b, _) in zip(batch.entries, again.entries))
-    graphs = [g for g, _ in batch.entries]
-    assert any(graphs[0] != g for g in graphs[1:])
-    with pytest.raises(InvalidConfigError):
-        synthesize(3, cfg)
-
-
-def test_synthesize_matches_generate_ba_seeds():
-    cfg = PipelineConfig(alpha=3, connections=2, kind=CentralityKind.DEGREE, master_seed=4)
-    batch = synthesize(20, cfg)
-    for i, (g, chron) in enumerate(batch.entries, start=1):
-        expect_g, expect_c = generate_ba(BAConfig(20, 2, child_seed(4, i)))
-        assert g == expect_g and chron == expect_c
 
 
 def test_map_and_predict_example():
@@ -101,19 +75,17 @@ def test_map_size_mismatch():
 
 
 def test_pairwise_digraph_majority():
-    lists = [Chronology([0, 1]), Chronology([0, 1]), Chronology([1, 0])]
-    dg = pairwise_digraph(lists, 3)
+    dg = pairwise_digraph(*list_positions([[0, 1], [0, 1], [1, 0]]))
     assert list(dg.edges()) == [((0, 1), pytest.approx(2 / 3))]
 
 
 def test_pairwise_digraph_tie():
-    dg = pairwise_digraph([Chronology([0, 1]), Chronology([1, 0])], 2)
+    dg = pairwise_digraph(*list_positions([[0, 1], [1, 0]]))
     assert list(dg.edges()) == [((0, 1), 0.5)]
 
 
 def test_pairwise_digraph_unanimous_is_acyclic():
-    lists = [Chronology([2, 0, 1])] * 4
-    dg = pairwise_digraph(lists, 4)
+    dg = pairwise_digraph(*list_positions([[2, 0, 1]] * 4))
     assert is_acyclic(dg)
     assert all(w == 1.0 for _, w in dg.edges())
     assert dg.edge_count == 3
@@ -127,8 +99,8 @@ def test_pairwise_digraph_complete_and_bounded():
     for _ in range(alpha):
         order = labels[:]
         rng.shuffle(order)
-        lists.append(Chronology(order))
-    dg = pairwise_digraph(lists, alpha)
+        lists.append(order)
+    dg = pairwise_digraph(*list_positions(lists))
     assert dg.edge_count == n * (n - 1) // 2
     _, _, _, w = dg.arrays()
     assert np.all(w >= 0.5) and np.all(w <= 1.0)
@@ -143,11 +115,27 @@ def test_pairwise_digraph_complete_and_bounded():
 
 def test_pairwise_digraph_errors():
     with pytest.raises(EmptyBatchError):
-        pairwise_digraph([], 0)
-    with pytest.raises(SizeMismatchError):
-        pairwise_digraph([Chronology([0, 1])], 2)
-    with pytest.raises(SizeMismatchError):
-        pairwise_digraph([Chronology([0, 1]), Chronology([0, 2])], 2)
+        pairwise_digraph([0, 1], np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(SizeMismatchError):  # three positions for two labels
+        pairwise_digraph([0, 1], [[0, 1, 2]])
+    with pytest.raises(SizeMismatchError):  # position 1 twice, 0 never
+        pairwise_digraph([0, 1], [[0, 1], [1, 1]])
+
+
+@pytest.mark.parametrize("labels, positions, error", [
+    ([0, 1, 2], [0, 1, 2], SizeMismatchError),                 # one row, not an array of rows
+    ([0, 1, 2], [[0.0, 1.0, 2.0]], SizeMismatchError),         # not integers
+    ([0, 1, 2], [[0, 1], [1, 0]], SizeMismatchError),          # two positions for three labels
+    ([0, 1, 2], [[0, 1, 3]], SizeMismatchError),               # out of range above
+    ([0, 1, 2], [[0, -1, 2]], SizeMismatchError),              # out of range below
+    ([0, 1, 2], [[0, 1, 2], [2, 2, 0]], SizeMismatchError),    # a repeat in the second row
+    ([0, 1, 2], [[0, 2, 2], [1, 0, 1]], SizeMismatchError),    # repeats whose counts over both rows balance
+    ([0, 2, 1], [[0, 1, 2]], ValueError),                      # labels not ascending
+    ([0, 1, 1], [[0, 1, 2]], ValueError),                      # labels repeated
+])
+def test_pairwise_digraph_rejects_bad_position_arrays(labels, positions, error):
+    with pytest.raises(error):
+        pairwise_digraph(labels, np.array(positions))
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,7 +147,7 @@ def test_digraph_stages_keep_their_invariants(n, alpha, same, seed):
     rng = random.Random(seed)
     labels = rng.sample(range(-500, 500), n)
     orders = [labels[:] if rng.random() < same else rng.sample(labels, n) for _ in range(alpha)]
-    dg = pairwise_digraph([Chronology(o) for o in orders], alpha)
+    dg = pairwise_digraph(*list_positions(orders))
     edges = dict(dg.edges())
     assert dg.edge_count == len(edges) == n * (n - 1) // 2
     assert {frozenset(e) for e in edges} == {frozenset(p) for p in itertools.combinations(labels, 2)}
@@ -199,7 +187,7 @@ def test_break_cycles_orders_split_weights_by_float_value():
     # pair (0, 2) has its min label second, so its weight is formed as
     # 1 - 17/50, one ulp below 33/50: that edge, not (0, 1), is the lightest.
     orders = [[0, 1, 2]] * 16 + [[1, 2, 0]] * 17 + [[2, 0, 1]] * 16 + [[0, 2, 1]]
-    dg = pairwise_digraph([Chronology(o) for o in orders], 50)
+    dg = pairwise_digraph(*list_positions(orders))
     assert sorted(dg.edges()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.6599999999999999)]
     out = break_cycles(dg)
     assert sorted(out.edges()) == [((0, 1), 0.66), ((1, 2), 0.66)]
@@ -367,12 +355,6 @@ def test_reconstruct_validates_input():
         reconstruct(g, cfg)
 
 
-def test_pair_probability_validation():
-    PairProbability(0, 1, 0.75)
-    with pytest.raises(ValueError):
-        PairProbability(0, 1, 1.5)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     labels=st.lists(st.integers(-2**63, 2**63 - 1), min_size=0, max_size=60, unique=True),
@@ -386,11 +368,11 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
     scores = data.draw(st.lists(st.sampled_from(pool), min_size=len(labels),
                                 max_size=len(labels)))
     table = ScoreTable(dict(zip(labels, scores)), "dcm")
-    assert _salted_rank(table, seed) == oracle_salted_rank(table, oracle_mix64(seed))
+    assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
 
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
     labels = [0, 1, 2**63 - 1, 2**62 + 5, 12, 2**40, -3]
     table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])), "dcm")
     for seed in (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
-        assert _salted_rank(table, seed) == oracle_salted_rank(table, oracle_mix64(seed))
+        assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
