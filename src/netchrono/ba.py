@@ -162,20 +162,19 @@ def shuffle_vertex_labels(
     rewritten to stay consistent.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    labels = sorted(g.vertices)
+    labels, indptr, indices = g.csr_arrays()
     perm = rng.permutation(len(labels))
-    mapping = {old: labels[perm[i]] for i, old in enumerate(labels)}
-    adj = {mapping[v]: frozenset(mapping[w] for w in g.neighbors(v)) for v in g.vertices}
-    return UndirectedGraph(adj), Chronology(mapping[v] for v in chronology)
+    # labels[i] becomes labels[perm[i]], so row i moves to row perm[i]
+    relabeled = UndirectedGraph._from_csr(labels, *_csr_layout(
+        len(labels), np.repeat(perm, np.diff(indptr)), perm[indices]))
+    mapping = dict(zip(labels.tolist(), labels[perm].tolist()))
+    return relabeled, Chronology(mapping[v] for v in chronology)
 
 
 def degree_histogram(g: UndirectedGraph) -> DegreeDistribution:
     """Exact degree -> count histogram; no exponent fitted."""
-    hist: dict[int, int] = {}
-    for v in g.vertices:
-        d = g.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return DegreeDistribution(histogram=dict(sorted(hist.items())))
+    degrees, counts = np.unique(np.diff(g.csr_arrays()[1]), return_counts=True)
+    return DegreeDistribution(histogram=dict(zip(degrees.tolist(), counts.tolist())))
 
 
 def estimate_power_law_exponent(d: DegreeDistribution, k_min: int) -> DegreeDistribution:

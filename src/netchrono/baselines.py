@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .centrality import CentralityKind, compute
 from .errors import InvalidDeltaError
 from .graph import Chronology, UndirectedGraph
@@ -42,11 +44,10 @@ def degree_bins(g: UndirectedGraph) -> BinOrdering:
     """One bin per distinct degree value, highest degree first."""
     if g.vertex_count == 0:
         raise ValueError("degree binning requires a nonempty graph")
-    by_degree: dict[int, set[int]] = {}
-    for v in g.vertices:
-        by_degree.setdefault(g.degree(v), set()).add(v)
-    ordered = sorted(by_degree.items(), key=lambda kv: -kv[0])
-    return BinOrdering(tuple(frozenset(members) for _, members in ordered))
+    labels, indptr, _ = g.csr_arrays()
+    degrees = np.diff(indptr)
+    return BinOrdering(tuple(frozenset(labels[degrees == d].tolist())
+                             for d in np.unique(degrees)[::-1]))
 
 
 def _descending_order(g: UndirectedGraph, kind: CentralityKind) -> list[int]:

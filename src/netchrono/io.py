@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputFormatError
 from .graph import Chronology, UndirectedGraph, from_edge_list
 
@@ -44,10 +46,9 @@ def _labels(line: str, count: int, path, lineno: int) -> list[int]:
 
 
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
-    labels = sorted(g.vertices)
-    contiguous = labels == list(range(len(labels)))
-    isolated = [v for v in labels if g.degree(v) == 0]
-    if isolated and not contiguous:
+    labels, indptr, _ = g.csr_arrays()
+    contiguous = np.array_equal(labels, np.arange(len(labels)))
+    if np.any(np.diff(indptr) == 0) and not contiguous:
         raise ValueError(
             "edge-list format cannot represent isolated vertices "
             "with non-contiguous labels"

@@ -8,7 +8,8 @@ full-mask probing, the CSR build and block Brandes kernel as first
 written, and the BA draw loop, dict-based core peeling and sort-key tie
 salting as first written.  None of it shares code with the package
 internals, except that the peeling oracle scores each level through the
-public `netchrono.centrality.compute`.
+public `netchrono.centrality.compute`.  `list_positions` is plumbing, not
+an oracle: it turns prediction lists into `pairwise_digraph`'s input.
 """
 from __future__ import annotations
 
