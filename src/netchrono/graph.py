@@ -93,7 +93,7 @@ class UndirectedGraph:
         return _position(self._labels, v) is not None
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (self.has_vertex(u) and self.has_vertex(v)):
+        if not self.has_vertex(u):
             return False
         # a row's neighbour labels ascend, as its positions do
         return _position(self._labels[self._indices[self._row(u)]], v) is not None
@@ -116,10 +116,10 @@ class UndirectedGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
+        return all(np.array_equal(a, b) for a, b in zip(self.csr_arrays(), other.csr_arrays()))
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, a).tobytes() for a in self.__slots__))
+        return hash(tuple(a.tobytes() for a in self.csr_arrays()))
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
