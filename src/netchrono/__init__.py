@@ -8,14 +8,7 @@ from .ba import (
     shuffle_vertex_labels,
 )
 from .baselines import BinOrdering, centrality_bins, degree_bins, ranking_to_chronology
-from .centrality import (
-    CentralityKind,
-    ScoreTable,
-    betweenness_centrality,
-    compute,
-    degree_centrality,
-    eigenvector_centrality,
-)
+from .centrality import CentralityKind, ScoreTable, compute
 from .dcr import differential_core_ranking, rank_descending
 from .evaluation import BucketRow, bqm, eta_pairs, probability_bucket_table
 from .graph import (
@@ -25,7 +18,6 @@ from .graph import (
     from_edge_list,
     is_acyclic,
     remove_vertices,
-    strongly_connected_components,
 )
 from .io import read_chronology, read_edge_list, write_chronology, write_edge_list
 from .reconstruction import (
@@ -35,7 +27,6 @@ from .reconstruction import (
     child_seed,
     map_and_predict,
     pairwise_digraph,
-    reconstruct,
     reconstruct_with_ranking,
 )
 
@@ -52,7 +43,6 @@ __all__ = [
     "ScoreTable",
     "UndirectedGraph",
     "WeightedDigraph",
-    "betweenness_centrality",
     "bin_by_indegree",
     "bqm",
     "break_cycles",
@@ -60,10 +50,8 @@ __all__ = [
     "child_seed",
     "compute",
     "degree_bins",
-    "degree_centrality",
     "degree_histogram",
     "differential_core_ranking",
-    "eigenvector_centrality",
     "estimate_power_law_exponent",
     "eta_pairs",
     "from_edge_list",
@@ -76,11 +64,9 @@ __all__ = [
     "ranking_to_chronology",
     "read_chronology",
     "read_edge_list",
-    "reconstruct",
     "reconstruct_with_ranking",
     "remove_vertices",
     "shuffle_vertex_labels",
-    "strongly_connected_components",
     "write_chronology",
     "write_edge_list",
 ]

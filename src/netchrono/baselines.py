@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityKind, compute
+from .dcr import rank_descending
 from .errors import InvalidDeltaError
 from .graph import Chronology, UndirectedGraph
 
@@ -50,11 +51,6 @@ def degree_bins(g: UndirectedGraph) -> BinOrdering:
                              for d in np.unique(degrees)[::-1]))
 
 
-def _descending_order(g: UndirectedGraph, kind: CentralityKind) -> list[int]:
-    scores = compute(g, kind).scores
-    return sorted(scores, key=lambda v: (-scores[v], v))
-
-
 def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> BinOrdering:
     """delta near-equal bins of the centrality-descending vertex order.
 
@@ -64,7 +60,7 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
     n = g.vertex_count
     if not (1 <= delta <= n):
         raise InvalidDeltaError(f"delta must satisfy 1 <= delta <= |V|={n}, got {delta}")
-    order = _descending_order(g, kind)
+    order = rank_descending(compute(g, kind))
     q, r = divmod(n, delta)
     bins: list[frozenset[int]] = []
     at = 0
@@ -79,4 +75,4 @@ def ranking_to_chronology(g: UndirectedGraph, kind: CentralityKind) -> Chronolog
     """Full vertex list in centrality-descending order (ties by label)."""
     if g.vertex_count == 0:
         raise ValueError("ranking requires a nonempty graph")
-    return Chronology(_descending_order(g, kind))
+    return Chronology(rank_descending(compute(g, kind)))

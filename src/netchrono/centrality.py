@@ -1,10 +1,10 @@
 """Degree, betweenness and eigenvector centrality.
 
 Each measure is an array kernel on a CSR structure (`degree_scores`,
-`betweenness_scores`, `eigenvector_scores`), scores in row order; the
-`ScoreTable` functions run the kernel on a graph's `csr_arrays` and key
-the scores by label.  Differential core ranking calls the kernels on
-each peeling level directly.
+`betweenness_scores`, `eigenvector_scores`), scores in row order.
+`compute` runs one of them on a graph's `csr_arrays` and keys the scores
+by label; differential core ranking calls the kernels on each peeling
+level directly.
 
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
@@ -23,8 +23,9 @@ import scipy.sparse as sp
 from .errors import NoConvergenceError
 from .graph import UndirectedGraph
 
-DEFAULT_TOLERANCE = 1e-10
-DEFAULT_MAX_ITERATIONS = 10000
+# power-iteration stopping rule of `eigenvector_scores`, read at each call
+TOLERANCE = 1e-10
+MAX_ITERATIONS = 10000
 _SOURCE_BLOCK = 256
 
 
@@ -36,19 +37,14 @@ class CentralityKind(Enum):
 
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-vertex real scores produced by one centrality measure.
-
-    measure_tag is one of "degree" | "betweenness" | "eigenvector" | "dcm";
-    dominant_eigenvalue is populated only by the eigenvector measure.
-    """
+    """Per-vertex real scores, keyed by vertex label."""
 
     scores: dict[int, float]
-    measure_tag: str
-    dominant_eigenvalue: float | None = None
 
-
-def _table(labels: np.ndarray, scores: np.ndarray, tag: str, **extra) -> ScoreTable:
-    return ScoreTable(dict(zip(labels.tolist(), scores.tolist())), tag, **extra)
+    @classmethod
+    def from_rows(cls, labels: np.ndarray, scores: np.ndarray) -> ScoreTable:
+        """The table of scores[i] for labels[i]."""
+        return cls(dict(zip(labels.tolist(), scores.tolist())))
 
 
 def degree_scores(degrees: np.ndarray) -> np.ndarray:
@@ -59,29 +55,17 @@ def degree_scores(degrees: np.ndarray) -> np.ndarray:
     return degrees / float(n - 1)
 
 
-def degree_centrality(g: UndirectedGraph) -> ScoreTable:
-    """deg(v) / (|V| - 1); defined as 0 on a single-vertex graph."""
-    labels, indptr, _ = g.csr_arrays()
-    return _table(labels, degree_scores(np.diff(indptr)), "degree")
-
-
 def betweenness_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Unnormalized betweenness per CSR row (see `betweenness_centrality`)."""
+    """Unnormalized betweenness per CSR row, over unordered vertex pairs.
+
+    score(v) = sum over pairs {s, t} (s != v != t) of the fraction of
+    shortest s-t paths through v; disconnected pairs contribute 0.
+    """
     n = len(indptr) - 1
     if len(indices) == 0:
         return np.zeros(n)
     # ordered-pair Brandes counts each unordered pair twice
     return _brandes_ordered_sums(indptr, indices, n) / 2.0
-
-
-def betweenness_centrality(g: UndirectedGraph) -> ScoreTable:
-    """Unnormalized betweenness over unordered vertex pairs.
-
-    score(v) = sum over pairs {s, t} (s != v != t) of the fraction of
-    shortest s-t paths through v; disconnected pairs contribute 0.
-    """
-    labels, indptr, indices = g.csr_arrays()
-    return _table(labels, betweenness_scores(indptr, indices), "betweenness")
 
 
 def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
@@ -134,16 +118,20 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     return total
 
 
-def eigenvector_scores(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> tuple[np.ndarray, float]:
-    """(scores per CSR row, dominant eigenvalue); see `eigenvector_centrality`."""
+def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Entrywise non-negative dominant eigenvector of A per CSR row.
+
+    Power iteration from the uniform positive vector, applied to A + I so
+    that bipartite graphs (paired +/- eigenvalues) still converge; the
+    shift leaves eigenvectors untouched.  The result has unit Euclidean
+    length.  Iteration stops once a step moves no entry by more than
+    TOLERANCE and the residual |A x - lam x|, lam the Rayleigh quotient
+    of A at x, is within 10 * TOLERANCE; NoConvergenceError if no step
+    gets within TOLERANCE in MAX_ITERATIONS.  No edges: all zeros.
+    """
     n = len(indptr) - 1
     if len(indices) == 0:
-        return np.zeros(n), 0.0
+        return np.zeros(n)
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
         shape=(n, n),
@@ -151,56 +139,40 @@ def eigenvector_scores(
 
     x = np.full(n, 1.0 / np.sqrt(n))
     diff = np.inf
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         z = adj @ x + x
         x_next = z / np.linalg.norm(z)
         diff = float(np.max(np.abs(x_next - x)))
         x = x_next
-        if diff <= tolerance:
+        if diff <= TOLERANCE:
             ax = adj @ x
             lam = float(x @ ax)
-            if np.max(np.abs(ax - lam * x)) <= 10.0 * tolerance:
+            if np.max(np.abs(ax - lam * x)) <= 10.0 * TOLERANCE:
                 break
     else:
-        if diff > tolerance:
+        if diff > TOLERANCE:
             raise NoConvergenceError(
-                f"power iteration did not converge within {max_iterations} iterations "
-                f"(last step moved {diff:.3e} > tolerance {tolerance:.3e})"
+                f"power iteration did not converge within {MAX_ITERATIONS} iterations "
+                f"(last step moved {diff:.3e} > {TOLERANCE:.3e})"
             )
-        ax = adj @ x
-        lam = float(x @ ax)
-    return x, lam
-
-
-def eigenvector_centrality(
-    g: UndirectedGraph,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> ScoreTable:
-    """Entrywise non-negative dominant eigenvector of the adjacency matrix.
-
-    Power iteration from the uniform positive vector, applied to A + I so
-    that bipartite graphs (paired +/- eigenvalues) still converge; the
-    shift leaves eigenvectors untouched.  Scores are normalized to unit
-    Euclidean length and the dominant eigenvalue is the Rayleigh quotient
-    of A at the returned vector.  Graphs with no edges score all zeros
-    with eigenvalue 0.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    labels, indptr, indices = g.csr_arrays()
-    x, lam = eigenvector_scores(indptr, indices, tolerance, max_iterations)
-    return _table(labels, x, "eigenvector", dominant_eigenvalue=lam)
+    return x
 
 
 def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
-    """Dispatch to the matching measure with module-default settings."""
+    """Base centrality of every vertex of g, keyed by label.
+
+    Degree is deg(v) / (|V| - 1), 0 on a single vertex; betweenness is
+    unnormalized, over unordered pairs (`betweenness_scores`); eigenvector
+    is the unit-norm dominant eigenvector of the adjacency matrix, found
+    by power iteration on the shifted matrix A + I (`eigenvector_scores`).
+    """
+    labels, indptr, indices = g.csr_arrays()
     if kind is CentralityKind.DEGREE:
-        return degree_centrality(g)
-    if kind is CentralityKind.BETWEENNESS:
-        return betweenness_centrality(g)
-    if kind is CentralityKind.EIGENVECTOR:
-        return eigenvector_centrality(g)
-    raise ValueError(f"unknown centrality kind: {kind!r}")
+        scores = degree_scores(np.diff(indptr))
+    elif kind is CentralityKind.BETWEENNESS:
+        scores = betweenness_scores(indptr, indices)
+    elif kind is CentralityKind.EIGENVECTOR:
+        scores = eigenvector_scores(indptr, indices)
+    else:
+        raise ValueError(f"unknown centrality kind: {kind!r}")
+    return ScoreTable.from_rows(labels, scores)

@@ -165,15 +165,19 @@ def _bucket_rows_json(rows) -> list[dict]:
     ]
 
 
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    bucket_count(args.bucket_width)  # reject a bad width before any work
-    g, truth = _load_reference(args.graph, args.truth)
-    cfg = PipelineConfig(
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    return PipelineConfig(
         alpha=args.alpha,
         connections=args.connections,
         kind=CentralityKind(args.centrality),
         master_seed=args.seed,
     )
+
+
+def cmd_reconstruct(args: argparse.Namespace) -> int:
+    bucket_count(args.bucket_width)  # reject a bad width or config before any work
+    cfg = _pipeline_config(args)
+    g, truth = _load_reference(args.graph, args.truth)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=jobs)
 
@@ -234,6 +238,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise NetchronoError("--step must be >= 1")
     if args.repeats < 1:
         raise NetchronoError("--repeats must be >= 1")
+    if args.seed < 0:
+        raise NetchronoError(f"--seed must be >= 0, got {args.seed}")
     xs = list(range(args.start, args.stop + 1, args.step))
     tasks = []
     for pi, x in enumerate(xs):
@@ -268,13 +274,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_bins(args: argparse.Namespace) -> int:
+    cfg = _pipeline_config(args)
     g, truth = _load_reference(args.graph, args.truth)
-    cfg = PipelineConfig(
-        alpha=args.alpha,
-        connections=args.connections,
-        kind=CentralityKind(args.centrality),
-        master_seed=args.seed,
-    )
     jobs = args.jobs if args.jobs is not None else default_jobs()
     bins, _, _ = reconstruct_with_ranking(g, cfg, jobs=jobs)
     delta = bins.delta
@@ -310,6 +311,8 @@ def cmd_compare_bins(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", None) is not None and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
     except (NetchronoError, OSError, ValueError) as exc:

@@ -46,7 +46,7 @@ def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray)
             return degree_scores(degrees[alive])
         level = _induced_csr(indptr, indices, rows, alive)
         if kind is CentralityKind.EIGENVECTOR:
-            return eigenvector_scores(*level)[0]
+            return eigenvector_scores(*level)
         scores = betweenness_scores(*level)
         n = len(scores)
         return scores * (2.0 / ((n - 1) * (n - 2))) if n >= 3 else scores
@@ -80,12 +80,12 @@ def _peel(indptr: np.ndarray, indices: np.ndarray, level_scores: LevelScores) ->
 
 
 def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
-    """DCM score per vertex of g, tagged "dcm"."""
+    """DCM score per vertex of g, keyed by label."""
     if g.vertex_count == 0:
         raise ValueError("differential core ranking requires a nonempty graph")
     labels, indptr, indices = g.csr_arrays()
     dcm = _peel(indptr, indices, _level_scores(kind, indptr, indices))
-    return ScoreTable(dict(zip(labels.tolist(), dcm.tolist())), "dcm")
+    return ScoreTable.from_rows(labels, dcm)
 
 
 def rank_descending(t: ScoreTable) -> list[int]:

@@ -179,10 +179,6 @@ class Chronology:
     def order(self) -> tuple[int, ...]:
         return self._order
 
-    def index_of(self, v: int) -> int:
-        """Position of v in the arrival order (0-based)."""
-        return self.positions()[v]
-
     def positions(self) -> dict[int, int]:
         return {v: i for i, v in enumerate(self._order)}
 
@@ -364,18 +360,6 @@ def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:
         comp.setflags(write=False)
         dg._comp = comp
     return dg._comp
-
-
-def strongly_connected_components(dg: WeightedDigraph) -> list[frozenset[int]]:
-    """SCC partition, blocks sorted by their smallest vertex label."""
-    labels = dg.matrix()[0]
-    if dg.vertex_count == 0:
-        return []
-    comp = strong_component_ids(dg)
-    blocks: dict[int, set[int]] = {}
-    for pos, cid in enumerate(comp):
-        blocks.setdefault(int(cid), set()).add(int(labels[pos]))
-    return [frozenset(b) for b in sorted(blocks.values(), key=min)]
 
 
 def is_acyclic(dg: WeightedDigraph) -> bool:

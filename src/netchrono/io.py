@@ -10,8 +10,8 @@ Chronology: one vertex label per line, in arrival order.
 Readers reject a malformed line with an `InputFormatError` naming
 path:line: a wrong number of fields, a token that is not a non-negative
 decimal integer, a label above the int64 maximum (graphs store labels as
-int64), or, in an edge list with a "# vertices: N" header, a label of N
-or more.
+int64), in an edge list with a "# vertices: N" header a label of N or
+more, and in a chronology a label listed twice.
 """
 from __future__ import annotations
 
@@ -101,11 +101,15 @@ def write_chronology(chron: Chronology, path: str | Path) -> None:
 
 
 def read_chronology(path: str | Path) -> Chronology:
-    order: list[int] = []
+    first_line: dict[int, int] = {}  # label -> its line, in arrival order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            order.extend(_labels(line, 1, path, lineno))
-    return Chronology(order)
+            (label,) = _labels(line, 1, path, lineno)
+            if label in first_line:
+                raise InputFormatError(
+                    f"{path}:{lineno}: label {label} already appeared on line {first_line[label]}")
+            first_line[label] = lineno
+    return Chronology(first_line)

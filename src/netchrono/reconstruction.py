@@ -62,6 +62,8 @@ class PipelineConfig:
             raise InvalidConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.connections < 1:
             raise InvalidConfigError(f"connections must be >= 1, got {self.connections}")
+        if self.master_seed < 0:
+            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def child_seed(master_seed: int, index: int) -> int:
@@ -308,32 +310,21 @@ def _synthetic_prediction(task: tuple) -> np.ndarray:
     return _salted_rank(table, seed).astype(np.int32)
 
 
-def reconstruct(
-    g_m: UndirectedGraph,
-    cfg: PipelineConfig,
-    jobs: int | None = None,
-) -> tuple[BinOrdering, WeightedDigraph]:
-    """Full pipeline; returns the bin ordering and the pre-cycle-break digraph.
-
-    Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
-    child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
-    regenerate it from its seed, and results merge by index, so output is
-    identical for any `jobs` value.
-    """
-    bins, dg, _ = reconstruct_with_ranking(g_m, cfg, jobs)
-    return bins, dg
-
-
 def reconstruct_with_ranking(
     g_m: UndirectedGraph,
     cfg: PipelineConfig,
     jobs: int | None = None,
 ) -> tuple[BinOrdering, WeightedDigraph, list[int]]:
-    """reconstruct() plus the reference network's own DCM-descending ranking.
+    """Full pipeline: the bin ordering, the pre-cycle-break digraph, and
+    the reference network's own salted DCM-descending ranking.
 
-    The ranking drives the synthetic mappings anyway; callers comparing it
-    against a true chronology can take it from here instead of paying for
-    a second differential core ranking.
+    Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
+    child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
+    regenerate it from its seed, and results merge by index, so output is
+    identical for any `jobs` value.  The ranking drives the synthetic
+    mappings anyway; callers comparing it against a true chronology can
+    take it from here instead of paying for a second differential core
+    ranking.
     """
     n = g_m.vertex_count
     if n == 0:

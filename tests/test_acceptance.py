@@ -25,6 +25,7 @@ from netchrono import (
     break_cycles,
     centrality_bins,
     child_seed,
+    compute,
     differential_core_ranking,
     eta_pairs,
     from_edge_list,
@@ -32,7 +33,6 @@ from netchrono import (
     is_acyclic,
     pairwise_digraph,
     probability_bucket_table,
-    reconstruct,
     shuffle_vertex_labels,
 )
 from netchrono.cli import main as cli_main
@@ -174,11 +174,9 @@ def test_criterion_6_centrality_oracles():
     start = time.time()
     rng = random.Random(1234)
     worst_bet = 0.0
-    from netchrono import betweenness_centrality, eigenvector_centrality
-
     for _ in range(200):
         g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.9))
-        got = betweenness_centrality(g).scores
+        got = compute(g, CentralityKind.BETWEENNESS).scores
         want = brute_betweenness(g)
         worst_bet = max(worst_bet, max(abs(got[v] - want[v]) for v in g.vertices))
     assert worst_bet <= 1e-9
@@ -186,7 +184,7 @@ def test_criterion_6_centrality_oracles():
     worst_cos = 1.0
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(3, 30), 0.1)
-        table = eigenvector_centrality(g)
+        table = compute(g, CentralityKind.EIGENVECTOR)
         want, _ = dense_dominant_eigenvector(g)
         labels = sorted(g.vertices)
         x = np.array([table.scores[v] for v in labels])
@@ -252,9 +250,9 @@ def test_criterion_7_structural_invariants():
     # determinism under repetition and jobs variation
     g, _ = generate_ba(BAConfig(60, 3, 8))
     cfg = PipelineConfig(alpha=6, connections=3, kind=CentralityKind.DEGREE, master_seed=21)
-    a = reconstruct(g, cfg, jobs=1)
-    b = reconstruct(g, cfg, jobs=1)
-    c2 = reconstruct(g, cfg, jobs=3)
+    a = reconstruct_with_ranking(g, cfg, jobs=1)
+    b = reconstruct_with_ranking(g, cfg, jobs=1)
+    c2 = reconstruct_with_ranking(g, cfg, jobs=3)
     checks["determinism_repeat_and_jobs"] = a == b == c2
 
     elapsed = time.time() - start

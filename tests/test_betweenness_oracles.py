@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netchrono import BAConfig, UndirectedGraph, betweenness_centrality, generate_ba, remove_vertices
+from netchrono import BAConfig, CentralityKind, UndirectedGraph, compute, generate_ba, remove_vertices
 
 from oracles import oracle_brandes_ordered_sums, oracle_csr_arrays
 
@@ -27,7 +27,7 @@ def oracle_scores(g: UndirectedGraph) -> dict[int, float]:
 
 
 def assert_bit_identical(g: UndirectedGraph) -> None:
-    got = betweenness_centrality(g).scores
+    got = compute(g, CentralityKind.BETWEENNESS).scores
     want = oracle_scores(g)
     labels = sorted(want)
     assert sorted(got) == labels
@@ -102,7 +102,7 @@ def test_ba_matches_networkx(n, seed):
     G.add_nodes_from(g.vertices)
     G.add_edges_from(g.edges())
     want = nx.betweenness_centrality(G, normalized=False)
-    got = betweenness_centrality(g).scores
+    got = compute(g, CentralityKind.BETWEENNESS).scores
     assert got.keys() == want.keys()
     for v in want:
         assert got[v] == pytest.approx(want[v], abs=1e-9)

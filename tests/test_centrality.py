@@ -4,15 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from netchrono import (
-    CentralityKind,
-    UndirectedGraph,
-    betweenness_centrality,
-    compute,
-    degree_centrality,
-    eigenvector_centrality,
-    from_edge_list,
-)
+import netchrono.centrality
+from netchrono import CentralityKind, UndirectedGraph, compute, from_edge_list
 from netchrono.errors import NoConvergenceError
 
 from oracles import brute_betweenness, dense_dominant_eigenvector, random_connected_graph, random_graph
@@ -22,38 +15,48 @@ TRIANGLE = from_edge_list([(0, 1), (1, 2), (0, 2)])
 PATH3 = from_edge_list([(0, 1), (1, 2)])
 CYCLE4 = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0)])
 
+DEGREE, BETWEENNESS, EIGENVECTOR = CentralityKind
+
+
+def rayleigh(g, scores: dict[int, float]) -> tuple[np.ndarray, np.ndarray, float]:
+    """(x, A x, x.Ax / x.x) over g's vertices in ascending label order."""
+    labels = sorted(g.vertices)
+    x = np.array([scores[v] for v in labels])
+    ax = np.array([sum(scores[w] for w in g.neighbors(v)) for v in labels])
+    return x, ax, float(x @ ax) / float(x @ x)
+
 
 def test_degree_star():
-    scores = degree_centrality(STAR).scores
+    scores = compute(STAR, DEGREE).scores
     assert scores[0] == 1.0
     for leaf in (1, 2, 3):
         assert scores[leaf] == pytest.approx(1 / 3)
 
 
 def test_degree_triangle():
-    assert degree_centrality(TRIANGLE).scores == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert compute(TRIANGLE, DEGREE).scores == {0: 1.0, 1: 1.0, 2: 1.0}
 
 
 def test_degree_single_vertex():
     g = UndirectedGraph({7: []})
-    assert degree_centrality(g).scores == {7: 0.0}
+    assert compute(g, DEGREE).scores == {7: 0.0}
 
 
 def test_degree_sum_rule():
     rng = random.Random(2)
     for _ in range(20):
         g = random_graph(rng, 12, 0.3)
-        scores = degree_centrality(g).scores
+        scores = compute(g, DEGREE).scores
         assert sum(scores.values()) * (g.vertex_count - 1) == pytest.approx(2 * g.edge_count)
 
 
 def test_betweenness_path():
-    scores = betweenness_centrality(PATH3).scores
+    scores = compute(PATH3, BETWEENNESS).scores
     assert scores == {0: 0.0, 1: 1.0, 2: 0.0}
 
 
 def test_betweenness_star():
-    scores = betweenness_centrality(STAR).scores
+    scores = compute(STAR, BETWEENNESS).scores
     assert scores[0] == pytest.approx(3.0)
     assert scores[1] == scores[2] == scores[3] == 0.0
 
@@ -63,7 +66,7 @@ def test_betweenness_matches_brute_force():
     for _ in range(60):
         n = rng.randint(2, 8)
         g = random_graph(rng, n, rng.uniform(0.2, 0.8))
-        got = betweenness_centrality(g).scores
+        got = compute(g, BETWEENNESS).scores
         want = brute_betweenness(g)
         for v in g.vertices:
             assert got[v] == pytest.approx(want[v], abs=1e-9)
@@ -73,58 +76,48 @@ def test_betweenness_medium_graphs_match_oracle():
     rng = random.Random(77)
     for _ in range(10):
         g = random_graph(rng, rng.randint(10, 30), 0.15)
-        got = betweenness_centrality(g).scores
+        got = compute(g, BETWEENNESS).scores
         want = brute_betweenness(g)
         for v in g.vertices:
             assert got[v] == pytest.approx(want[v], abs=1e-9)
 
 
 def test_eigenvector_cycle4():
-    table = eigenvector_centrality(CYCLE4)
+    scores = compute(CYCLE4, EIGENVECTOR).scores
     for v in range(4):
-        assert table.scores[v] == pytest.approx(0.5, abs=1e-9)
-    assert table.dominant_eigenvalue == pytest.approx(2.0, abs=1e-9)
+        assert scores[v] == pytest.approx(0.5, abs=1e-9)
+    assert rayleigh(CYCLE4, scores)[2] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_eigenvector_star_ratio():
-    table = eigenvector_centrality(STAR)
-    assert table.dominant_eigenvalue == pytest.approx(math.sqrt(3), abs=1e-6)
-    assert table.scores[0] / table.scores[1] == pytest.approx(math.sqrt(3), abs=1e-6)
+    scores = compute(STAR, EIGENVECTOR).scores
+    assert rayleigh(STAR, scores)[2] == pytest.approx(math.sqrt(3), abs=1e-6)
+    assert scores[0] / scores[1] == pytest.approx(math.sqrt(3), abs=1e-6)
     want, lam = dense_dominant_eigenvector(STAR)
     for v in STAR.vertices:
-        assert table.scores[v] == pytest.approx(want[v], abs=1e-8)
+        assert scores[v] == pytest.approx(want[v], abs=1e-8)
 
 
 def test_eigenvector_edgeless():
     g = UndirectedGraph({v: [] for v in range(5)})
-    table = eigenvector_centrality(g)
-    assert all(s == 0.0 for s in table.scores.values())
-    assert table.dominant_eigenvalue == 0.0
+    assert all(s == 0.0 for s in compute(g, EIGENVECTOR).scores.values())
 
 
 def test_eigenvector_unit_norm_and_residual():
     rng = random.Random(13)
-    tol = 1e-10
+    tol = netchrono.centrality.TOLERANCE
     for _ in range(15):
         g = random_connected_graph(rng, rng.randint(3, 25), 0.1)
-        table = eigenvector_centrality(g, tolerance=tol)
-        x = np.array([table.scores[v] for v in sorted(g.vertices)])
+        x, ax, lam = rayleigh(g, compute(g, EIGENVECTOR).scores)
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        labels = sorted(g.vertices)
-        index = {v: i for i, v in enumerate(labels)}
-        ax = np.zeros(len(labels))
-        for v in labels:
-            ax[index[v]] = sum(table.scores[w] for w in g.neighbors(v))
-        assert np.max(np.abs(ax - table.dominant_eigenvalue * x)) <= 10 * tol
+        assert np.max(np.abs(ax - lam * x)) <= 10 * tol
 
 
-def test_eigenvector_validation_and_no_convergence():
-    with pytest.raises(ValueError):
-        eigenvector_centrality(STAR, tolerance=0.0)
-    with pytest.raises(ValueError):
-        eigenvector_centrality(STAR, max_iterations=0)
+def test_eigenvector_validation_and_no_convergence(monkeypatch):
+    monkeypatch.setattr(netchrono.centrality, "TOLERANCE", 1e-14)
+    monkeypatch.setattr(netchrono.centrality, "MAX_ITERATIONS", 2)
     with pytest.raises(NoConvergenceError):
-        eigenvector_centrality(STAR, tolerance=1e-14, max_iterations=2)
+        compute(STAR, EIGENVECTOR)
 
 
 def test_relabeling_invariance():
@@ -147,8 +140,3 @@ def test_compute_dispatch():
     for v in range(4):
         assert eig[v] == pytest.approx(0.5, abs=1e-9)
 
-
-def test_measure_tags():
-    assert degree_centrality(STAR).measure_tag == "degree"
-    assert betweenness_centrality(STAR).measure_tag == "betweenness"
-    assert eigenvector_centrality(STAR).measure_tag == "eigenvector"

@@ -233,3 +233,38 @@ def test_reconstruct_rejects_labels_the_graph_cannot_hold(tmp_path, capsys, text
     assert code == 1
     assert f"error: {edges}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def pipeline_argv(command, tmp_path, seed, jobs):
+    """A `command` run on missing input files, so nothing can start before the flags pass."""
+    if command == "sweep":
+        head = ["sweep", "--mode", "nodes", "--from", 30, "--to", 30, "--repeats", 1]
+    else:
+        head = [command, "--graph", tmp_path / "missing.edges",
+                "--truth", tmp_path / "missing.chron", "--alpha", 2]
+    return [*head, "--connections", 3, "--centrality", "degree", "--seed", seed,
+            "--out", tmp_path / "out", "--jobs", jobs]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran with a negative seed")
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
+    monkeypatch.setattr(cli, "_sweep_point", no_pipeline)
+    code = run(*pipeline_argv(command, tmp_path, seed=-1, jobs=1))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "master_seed" in err or "--seed" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run(*pipeline_argv(command, tmp_path, seed=1, jobs=jobs))
+    assert exc.value.code == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err

@@ -29,7 +29,6 @@ def test_hand_oracle_path():
     # their value, the middle vertex survives to an isolated level worth 0
     table = differential_core_ranking(PATH3, CentralityKind.DEGREE)
     assert table.scores == {0: 0.5, 1: 1.0, 2: 0.5}
-    assert table.measure_tag == "dcm"
 
 
 def test_hand_oracle_triangle():
@@ -61,8 +60,7 @@ def test_nonnegative_and_covers_all_vertices():
 def _peel_table(g, level_scores) -> ScoreTable:
     """DCM of g through the array-level entry with an injected level measure."""
     labels, indptr, indices = g.csr_arrays()
-    return ScoreTable(dict(zip(labels.tolist(), _peel(indptr, indices, level_scores).tolist())),
-                      "dcm")
+    return ScoreTable.from_rows(labels, _peel(indptr, indices, level_scores))
 
 
 def test_removal_term_lower_bound():
@@ -110,9 +108,9 @@ def test_positive_scaling_preserves_ranking():
 
 
 def test_rank_descending_examples():
-    assert rank_descending(ScoreTable({0: 0.5, 1: 1.0, 2: 0.5}, "dcm")) == [1, 0, 2]
-    assert rank_descending(ScoreTable({3: 1.0, 1: 1.0, 2: 1.0}, "dcm")) == [1, 2, 3]
-    assert rank_descending(ScoreTable({}, "dcm")) == []
+    assert rank_descending(ScoreTable({0: 0.5, 1: 1.0, 2: 0.5})) == [1, 0, 2]
+    assert rank_descending(ScoreTable({3: 1.0, 1: 1.0, 2: 1.0})) == [1, 2, 3]
+    assert rank_descending(ScoreTable({})) == []
 
 
 def _assert_bit_equal_dcm(g, kind):

@@ -13,7 +13,6 @@ from netchrono import (
     from_edge_list,
     is_acyclic,
     remove_vertices,
-    strongly_connected_components,
 )
 from netchrono.errors import SelfLoopError, UnknownVertexError
 
@@ -94,23 +93,6 @@ def test_adjacency_must_be_symmetric():
         UndirectedGraph({0: [1], 1: []})
 
 
-def test_scc_mutual_pair():
-    dg = WeightedDigraph([0, 1], {(0, 1): 0.9, (1, 0): 0.8})
-    assert strongly_connected_components(dg) == [frozenset({0, 1})]
-
-
-def test_scc_chain_is_singletons():
-    dg = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
-    assert strongly_connected_components(dg) == [
-        frozenset({0}), frozenset({1}), frozenset({2})]
-
-
-def test_scc_classic():
-    dg = WeightedDigraph(
-        [0, 1, 2, 3], {(0, 1): 0.9, (1, 2): 0.9, (2, 0): 0.9, (2, 3): 0.9})
-    assert strongly_connected_components(dg) == [frozenset({0, 1, 2}), frozenset({3})]
-
-
 def test_is_acyclic_examples():
     chain = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
     assert is_acyclic(chain)
@@ -129,8 +111,7 @@ def test_is_acyclic_iff_singleton_sccs():
                 if u != v and rng.random() < 0.2:
                     edges[(u, v)] = 0.75
         dg = WeightedDigraph(range(n), edges)
-        singletons = all(len(b) == 1 for b in strongly_connected_components(dg))
-        assert is_acyclic(dg) == singletons
+        assert is_acyclic(dg) == nx.is_directed_acyclic_graph(nx.DiGraph(list(edges)))
 
 
 def test_weighted_digraph_validation():
@@ -194,7 +175,7 @@ def test_chronology_rejects_duplicates():
 
 def test_chronology_positions():
     c = Chronology([4, 2, 7])
-    assert c.index_of(2) == 1
+    assert c.positions() == {4: 0, 2: 1, 7: 2}
     assert list(c) == [4, 2, 7]
     assert len(c) == 3
 

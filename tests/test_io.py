@@ -68,11 +68,19 @@ def test_edge_list_rejects_malformed_line(tmp_path, text, lineno):
     ("0\n2.0\n", 2),          # non-integer number
     ("4\n-3\n", 2),           # negative label
     ("0 1\n", 1),             # two labels on one line
+    ("5\n# c\n7\n5\n", 4),     # a label listed twice
 ])
 def test_chronology_rejects_malformed_line(tmp_path, text, lineno):
     path = tmp_path / "bad.chron"
     path.write_text(text)
     with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
+        read_chronology(path)
+
+
+def test_chronology_repeat_names_label_and_first_line(tmp_path):
+    path = tmp_path / "dup.chron"
+    path.write_text("5\n# c\n7\n5\n")
+    with pytest.raises(InputFormatError, match="label 5 already appeared on line 1$"):
         read_chronology(path)
 
 

@@ -20,7 +20,7 @@ from netchrono import (
     is_acyclic,
     map_and_predict,
     pairwise_digraph,
-    reconstruct,
+    reconstruct_with_ranking,
 )
 from netchrono.errors import (
     CyclicInputError,
@@ -39,6 +39,8 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha=0, connections=3, kind=CentralityKind.DEGREE, master_seed=1)
     with pytest.raises(InvalidConfigError):
         PipelineConfig(alpha=1, connections=0, kind=CentralityKind.DEGREE, master_seed=1)
+    with pytest.raises(InvalidConfigError, match="master_seed"):
+        PipelineConfig(alpha=1, connections=3, kind=CentralityKind.DEGREE, master_seed=-1)
 
 
 def test_child_seed_deterministic_and_distinct():
@@ -323,7 +325,7 @@ def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
 def test_reconstruct_alpha_one_gives_singletons():
     g, _ = generate_ba(BAConfig(40, 3, 77))
     cfg = PipelineConfig(alpha=1, connections=3, kind=CentralityKind.DEGREE, master_seed=5)
-    bins, dg = reconstruct(g, cfg)
+    bins, dg, _ = reconstruct_with_ranking(g, cfg)
     assert all(len(b) == 1 for b in bins.bins)
     assert bins.delta == 40
     assert is_acyclic(dg)
@@ -334,7 +336,7 @@ def test_reconstruct_alpha_one_gives_singletons():
 def test_reconstruct_smoke_small():
     g, _ = generate_ba(BAConfig(5, 3, 2))
     cfg = PipelineConfig(alpha=2, connections=3, kind=CentralityKind.DEGREE, master_seed=3)
-    bins, dg = reconstruct(g, cfg)
+    bins, dg, _ = reconstruct_with_ranking(g, cfg)
     assert set().union(*bins.bins) == g.vertices
     assert dg.edge_count == 10
 
@@ -342,17 +344,18 @@ def test_reconstruct_smoke_small():
 def test_reconstruct_deterministic_across_jobs():
     g, _ = generate_ba(BAConfig(60, 3, 8))
     cfg = PipelineConfig(alpha=6, connections=3, kind=CentralityKind.DEGREE, master_seed=21)
-    serial_bins, serial_dg = reconstruct(g, cfg, jobs=1)
-    parallel_bins, parallel_dg = reconstruct(g, cfg, jobs=3)
+    serial_bins, serial_dg, serial_rank = reconstruct_with_ranking(g, cfg, jobs=1)
+    parallel_bins, parallel_dg, parallel_rank = reconstruct_with_ranking(g, cfg, jobs=3)
     assert serial_bins == parallel_bins
     assert serial_dg == parallel_dg
+    assert serial_rank == parallel_rank
 
 
 def test_reconstruct_validates_input():
     g, _ = generate_ba(BAConfig(5, 3, 2))
     cfg = PipelineConfig(alpha=2, connections=5, kind=CentralityKind.DEGREE, master_seed=3)
     with pytest.raises(InvalidConfigError):
-        reconstruct(g, cfg)
+        reconstruct_with_ranking(g, cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,12 +370,12 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
     # few distinct scores, so most vertices tie, 0.0 and -0.0 among them
     scores = data.draw(st.lists(st.sampled_from(pool), min_size=len(labels),
                                 max_size=len(labels)))
-    table = ScoreTable(dict(zip(labels, scores)), "dcm")
+    table = ScoreTable(dict(zip(labels, scores)))
     assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
 
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
     labels = [0, 1, 2**63 - 1, 2**62 + 5, 12, 2**40, -3]
-    table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])), "dcm")
+    table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])))
     for seed in (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
         assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
