@@ -4,8 +4,8 @@ Everything here is deliberately naive: exhaustive shortest-path
 enumeration for betweenness, dense eigendecomposition for eigenvector
 scores, edge-probability random graphs for fuzzing, the pairwise
 digraph, cycle break and in-degree binning on raw position arrays with
-full-mask probing, the CSR build and block Brandes kernel as first
-written, and the BA draw loop, dict-based core peeling and sort-key tie
+full-mask probing, the CSR build, block Brandes kernel and scipy-product
+power iteration as first written, and the BA draw loop, dict-based core peeling and sort-key tie
 salting as first written.  None of it shares code with the package
 internals, except that the peeling oracle scores each level through the
 public `netchrono.centrality.compute`.  `list_positions` is plumbing, not
@@ -21,8 +21,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph, csr_matrix
 
+import netchrono.centrality
 from netchrono import ScoreTable, UndirectedGraph, from_edge_list
 from netchrono.centrality import CentralityKind, compute
+from netchrono.errors import NoConvergenceError
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -151,6 +153,41 @@ def oracle_brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int)
         delta[rows, np.arange(lo, hi)] = 0.0
         total += delta.sum(axis=0)
     return total
+
+
+def oracle_eigenvector_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Power iteration on A + I as first written: a scipy CSR product per
+    step, `np.linalg.norm` and a fresh array per operation.  Reads the
+    stopping rule from `netchrono.centrality` at each call, as the kernel does."""
+    tolerance = netchrono.centrality.TOLERANCE
+    max_iterations = netchrono.centrality.MAX_ITERATIONS
+    n = len(indptr) - 1
+    if len(indices) == 0:
+        return np.zeros(n)
+    adj = sp.csr_array(
+        (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
+        shape=(n, n),
+    )
+
+    x = np.full(n, 1.0 / np.sqrt(n))
+    diff = np.inf
+    for _ in range(max_iterations):
+        z = adj @ x + x
+        x_next = z / np.linalg.norm(z)
+        diff = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if diff <= tolerance:
+            ax = adj @ x
+            lam = float(x @ ax)
+            if np.max(np.abs(ax - lam * x)) <= 10.0 * tolerance:
+                break
+    else:
+        if diff > tolerance:
+            raise NoConvergenceError(
+                f"power iteration did not converge within {max_iterations} iterations "
+                f"(last step moved {diff:.3e} > {tolerance:.3e})"
+            )
+    return x
 
 
 def dense_dominant_eigenvector(g: UndirectedGraph) -> tuple[dict[int, float], float]:
