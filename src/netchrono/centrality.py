@@ -128,24 +128,28 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     TOLERANCE and the residual |A x - lam x|, lam the Rayleigh quotient
     of A at x, is within 10 * TOLERANCE; NoConvergenceError if no step
     gets within TOLERANCE in MAX_ITERATIONS.  No edges: all zeros.
+
+    Each product A x is one weighted `bincount` over the row id of every
+    CSR entry.  It adds a row's neighbours in index order, starting from
+    0.0, as scipy's CSR product does, and the norm is `np.linalg.norm`'s
+    own sqrt(z . z); so every iterate, and the step that stops, is the
+    scipy form's bit for bit, without its per-call dispatch.
     """
     n = len(indptr) - 1
     if len(indices) == 0:
         return np.zeros(n)
-    adj = sp.csr_array(
-        (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
-        shape=(n, n),
-    )
+    rows = np.repeat(np.arange(n), np.diff(indptr))
 
     x = np.full(n, 1.0 / np.sqrt(n))
+    z, x_next, step = np.empty(n), np.empty(n), np.empty(n)
     diff = np.inf
     for _ in range(MAX_ITERATIONS):
-        z = adj @ x + x
-        x_next = z / np.linalg.norm(z)
-        diff = float(np.max(np.abs(x_next - x)))
-        x = x_next
+        np.add(np.bincount(rows, x[indices], n), x, out=z)
+        np.divide(z, np.sqrt(z.dot(z)), out=x_next)
+        diff = float(np.abs(np.subtract(x_next, x, out=step), out=step).max())
+        x, x_next = x_next, x
         if diff <= TOLERANCE:
-            ax = adj @ x
+            ax = np.bincount(rows, x[indices], n)
             lam = float(x @ ax)
             if np.max(np.abs(ax - lam * x)) <= 10.0 * TOLERANCE:
                 break
