@@ -178,8 +178,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     bucket_count(args.bucket_width)  # reject a bad width or config before any work
     cfg = _pipeline_config(args)
     g, truth = _load_reference(args.graph, args.truth)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=jobs)
+    bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
 
     _, _, _, weights = dg.arrays()
     result = {
@@ -250,9 +249,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seed = int(np.random.SeedSequence(args.seed, spawn_key=(pi, rep)).generate_state(1, np.uint64)[0])
             tasks.append((n, c, args.centrality, seed))
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
@@ -276,8 +274,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_compare_bins(args: argparse.Namespace) -> int:
     cfg = _pipeline_config(args)
     g, truth = _load_reference(args.graph, args.truth)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    bins, _, _ = reconstruct_with_ranking(g, cfg, jobs=jobs)
+    bins, _, _ = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
     delta = bins.delta
 
     metrics = {"bqm_dcr": bqm(truth, bins)}
@@ -314,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "jobs", None) is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
+        if hasattr(args, "jobs") and args.jobs is None:
+            args.jobs = default_jobs()  # before any subcommand reads input
         return args.func(args)
     except (NetchronoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -352,11 +352,17 @@ def reconstruct_with_ranking(
 
 
 def default_jobs() -> int:
-    """--jobs default: NETCHRONO_JOBS env var, else the hardware thread count."""
+    """--jobs default: NETCHRONO_JOBS env var, else the hardware thread count.
+
+    InvalidConfigError if NETCHRONO_JOBS is set to anything but an integer >= 1.
+    """
     env = os.environ.get("NETCHRONO_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise InvalidConfigError(f"NETCHRONO_JOBS must be an integer, got {env!r}") from None
+            jobs = 0
+        if jobs < 1:
+            raise InvalidConfigError(f"NETCHRONO_JOBS must be an integer >= 1, got {env!r}")
+        return jobs
     return os.cpu_count() or 1

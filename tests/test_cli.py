@@ -236,14 +236,16 @@ def test_reconstruct_rejects_labels_the_graph_cannot_hold(tmp_path, capsys, text
 
 
 def pipeline_argv(command, tmp_path, seed, jobs):
-    """A `command` run on missing input files, so nothing can start before the flags pass."""
+    """A `command` run on missing input files, so nothing can start before the flags pass;
+    jobs None leaves out --jobs."""
     if command == "sweep":
         head = ["sweep", "--mode", "nodes", "--from", 30, "--to", 30, "--repeats", 1]
     else:
         head = [command, "--graph", tmp_path / "missing.edges",
                 "--truth", tmp_path / "missing.chron", "--alpha", 2]
+    tail = [] if jobs is None else ["--jobs", jobs]
     return [*head, "--connections", 3, "--centrality", "degree", "--seed", seed,
-            "--out", tmp_path / "out", "--jobs", jobs]
+            "--out", tmp_path / "out", *tail]
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
@@ -268,3 +270,20 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
         run(*pipeline_argv(command, tmp_path, seed=1, jobs=jobs))
     assert exc.value.code == 2
     assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
+@pytest.mark.parametrize("env", ["0", "-2", "x"])
+def test_bad_jobs_env_is_rejected_before_any_input(tmp_path, capsys, monkeypatch, command, env):
+    # the input files are missing: an error naming them would mean they were read first
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran with a bad NETCHRONO_JOBS")
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
+    monkeypatch.setattr(cli, "_sweep_point", no_pipeline)
+    monkeypatch.setenv("NETCHRONO_JOBS", env)
+    code = run(*pipeline_argv(command, tmp_path, seed=1, jobs=None))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NETCHRONO_JOBS" in err
+    assert not (tmp_path / "out").exists()

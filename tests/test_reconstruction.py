@@ -29,7 +29,7 @@ from netchrono.errors import (
     SizeMismatchError,
 )
 from netchrono.centrality import ScoreTable
-from netchrono.reconstruction import _salted_rank
+from netchrono.reconstruction import _salted_rank, default_jobs
 
 from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
 
@@ -41,6 +41,20 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha=1, connections=0, kind=CentralityKind.DEGREE, master_seed=1)
     with pytest.raises(InvalidConfigError, match="master_seed"):
         PipelineConfig(alpha=1, connections=3, kind=CentralityKind.DEGREE, master_seed=-1)
+
+
+@pytest.mark.parametrize("env", ["0", "-2", "x"])
+def test_default_jobs_rejects_env_values_below_one(monkeypatch, env):
+    monkeypatch.setenv("NETCHRONO_JOBS", env)
+    with pytest.raises(InvalidConfigError, match="NETCHRONO_JOBS"):
+        default_jobs()
+
+
+def test_default_jobs_reads_the_env(monkeypatch):
+    monkeypatch.setenv("NETCHRONO_JOBS", "3")
+    assert default_jobs() == 3
+    monkeypatch.delenv("NETCHRONO_JOBS")
+    assert default_jobs() >= 1
 
 
 def test_child_seed_deterministic_and_distinct():
