@@ -361,7 +361,7 @@ def default_jobs() -> int:
         try:
             jobs = int(env)
         except ValueError:
-            jobs = 0
+            jobs = 0  # reported below, like any value under 1
         if jobs < 1:
             raise InvalidConfigError(f"NETCHRONO_JOBS must be an integer >= 1, got {env!r}")
         return jobs
