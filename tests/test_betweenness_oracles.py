@@ -15,7 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netchrono import BAConfig, CentralityKind, UndirectedGraph, compute, generate_ba, remove_vertices
+from netchrono import (
+    BAConfig,
+    CentralityKind,
+    UndirectedGraph,
+    compute,
+    from_edge_list,
+    generate_ba,
+    remove_vertices,
+)
+from netchrono.centrality import betweenness_scores
+from netchrono.dcr import _peel
+from netchrono.graph import _induced_csr
 
 from oracles import oracle_brandes_ordered_sums, oracle_csr_arrays
 
@@ -32,6 +43,12 @@ def assert_bit_identical(g: UndirectedGraph) -> None:
     labels = sorted(want)
     assert sorted(got) == labels
     assert np.array_equal(np.array([got[v] for v in labels]), np.array([want[v] for v in labels]))
+
+
+def assert_kernel_bit_identical(indptr: np.ndarray, indices: np.ndarray) -> None:
+    got = betweenness_scores(indptr, indices)
+    want = oracle_brandes_ordered_sums(indptr, indices, len(indptr) - 1) / 2.0
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def peeling_levels(g: UndirectedGraph, count: int) -> list[UndirectedGraph]:
@@ -61,6 +78,54 @@ def test_ba_and_peeled_levels_match_first_kernel(n):
     g, _ = generate_ba(BAConfig(n, 3, 5))
     for level in peeling_levels(g, 2):
         assert_bit_identical(level)
+
+
+def test_every_peeling_level_matches_first_kernel():
+    g, _ = generate_ba(BAConfig(1000, 3, 1))
+    _, indptr, indices = g.csr_arrays()
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    levels = []
+
+    def record(alive, degrees):
+        level = _induced_csr(indptr, indices, rows, alive)
+        levels.append(level)
+        return betweenness_scores(*level)
+
+    _peel(indptr, indices, record)
+    assert len(levels) > 10
+    for level in levels:
+        assert_kernel_bit_identical(*level)
+
+
+def test_complete_graph_matches_first_kernel():
+    # the first product reaches every vertex, so no dependency is walked back;
+    # 300 sources leave a ragged last block of 44
+    g = from_edge_list([(u, v) for u in range(300) for v in range(u + 1, 300)])
+    assert_kernel_bit_identical(*g.csr_arrays()[1:])
+
+
+def test_long_cycle_matches_first_kernel():
+    # C(600): about 300 BFS levels per source
+    g = from_edge_list([(v, (v + 1) % 600) for v in range(600)])
+    assert_kernel_bit_identical(*g.csr_arrays()[1:])
+
+
+def test_star_with_hub_in_second_block_matches_first_kernel():
+    # K(1, 400) with the hub at row 300, inside the second source block
+    g = from_edge_list([(300, leaf) for leaf in range(401) if leaf != 300])
+    _, indptr, indices = g.csr_arrays()
+    assert np.diff(indptr)[300] == 400
+    assert_kernel_bit_identical(indptr, indices)
+
+
+def test_last_block_of_isolated_vertices_matches_first_kernel():
+    # rows 512..599 have no edges: their block reaches nothing from any source,
+    # so its forward sweep ends on an empty level, not on the count of vertices
+    g, _ = generate_ba(BAConfig(512, 3, 6))
+    lonely = UndirectedGraph({v: [] for v in range(512, 600)})
+    _, indptr, indices = union(g, lonely).csr_arrays()
+    assert len(indptr) - 1 == 600 and not np.diff(indptr)[512:].any()
+    assert_kernel_bit_identical(indptr, indices)
 
 
 def test_disconnected_graph_matches_first_kernel():
