@@ -116,20 +116,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.gamma_kmin is not None and args.gamma_kmin < 1:
+        raise NetchronoError(f"--gamma-kmin must be >= 1, got {args.gamma_kmin}")
     g, chron = generate_ba(BAConfig(args.nodes, args.connections, args.seed))
     if args.shuffle_labels:
         g, chron = shuffle_vertex_labels(g, chron, child_seed(args.seed, 0))
+    dist = degree_histogram(g)
+    if args.gamma:  # fit before writing, so a failed fit leaves no files
+        k_min = args.gamma_kmin if args.gamma_kmin is not None else args.connections
+        fitted = estimate_power_law_exponent(dist, k_min)
     nio.write_edge_list(g, args.out)
     nio.write_chronology(chron, args.chronology)
-    dist = degree_histogram(g)
     degrees = sorted(dist.histogram)
     mean_deg = 2 * g.edge_count / g.vertex_count
     print(f"vertices={g.vertex_count} edges={g.edge_count}")
     print(f"degree min={degrees[0]} max={degrees[-1]} mean={mean_deg:.3f} "
           f"distinct={len(degrees)}")
     if args.gamma:
-        k_min = args.gamma_kmin if args.gamma_kmin is not None else args.connections
-        fitted = estimate_power_law_exponent(dist, k_min)
         print(f"gamma={fitted.gamma_estimate:.4f} normalization={fitted.normalization:.6g} "
               f"k_min={k_min}")
     return 0

@@ -48,6 +48,19 @@ def test_generate_gamma_reports_exponent(tmp_path, capsys):
     assert 1.5 <= gamma <= 4.5
 
 
+@pytest.mark.parametrize("k_min", [0, -3, 100])
+def test_generate_bad_gamma_kmin_fails_without_files(tmp_path, capsys, k_min):
+    # 0 and -3 are rejected before generating; no degree of BA(50, 3) reaches
+    # 100, so that fit fails, and it runs before either file is written
+    edges, chron = tmp_path / "g.edges", tmp_path / "g.chron"
+    code = run("generate", "--nodes", 50, "--connections", 3, "--seed", 7,
+               "--out", edges, "--chronology", chron, "--gamma", "--gamma-kmin", k_min)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not edges.exists() and not chron.exists()
+
+
 def test_generate_shuffle_labels(tmp_path):
     plain_c = tmp_path / "a.chron"
     run("generate", "--nodes", 50, "--connections", 3, "--seed", 5,
