@@ -26,6 +26,8 @@ from .graph import UndirectedGraph
 # power-iteration stopping rule of `eigenvector_scores`, read at each call
 TOLERANCE = 1e-10
 MAX_ITERATIONS = 10000
+# each block's column sum adds its sources in one 256-wide group, which fixes
+# the summation order of the scores: a retuned block must keep those groups
 _SOURCE_BLOCK = 256
 
 
@@ -75,10 +77,16 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     arrays, one column per source, so `adj @ X` is a plain CSR product.
     Each BFS level is kept as flat indices into those arrays; only the
     frontier is loaded into the product buffer and only the entries of
-    the next (or previous) level are written back.  Path counts are
-    integers, each dependency entry is written once, and the column sums
-    add the sources of a block in source order: scores do not depend on
-    how the levels are stored.
+    the next (or previous) level are written back.  The next level is
+    found on two n*b bool arrays: the product's nonzero entries, masked
+    by the entries not yet seen, give its flat indices in ascending
+    order, as a scan of the float product would.  The forward sweep
+    stops once every (vertex, source) entry is seen, so a connected
+    block skips the last product, which could only find nothing; an
+    empty level ends it otherwise.  Path counts are integers, each
+    dependency entry is written once, and the column sums add the
+    sources of a block in source order: scores do not depend on how the
+    levels are stored or found.
     """
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
@@ -92,18 +100,25 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
         flat_buf = buf.reshape(-1)
         start = np.arange(lo, lo + b) * b + np.arange(b)
         sigma[start] = 1.0
+        unseen = np.ones(n * b, dtype=bool)
+        unseen[start] = False
+        mask = np.empty(n * b, dtype=bool)
+        to_reach = n * b - b
         levels = [start]
-        while True:
+        while to_reach:
             frontier = levels[-1]
             flat_buf[frontier] = sigma[frontier]
             paths = (adj @ buf).reshape(-1)
             flat_buf[frontier] = 0.0
-            reached = np.flatnonzero(paths)
-            reached = reached[sigma[reached] == 0.0]
-            if reached.size == 0:
+            np.not_equal(paths, 0.0, out=mask)
+            mask &= unseen
+            reached = np.flatnonzero(mask)
+            if reached.size == 0:  # some vertex is unreachable from some source
                 break
+            unseen[reached] = False
             sigma[reached] = paths[reached]
             levels.append(reached)
+            to_reach -= reached.size
 
         # the sources (level 0) get no dependency, so the walk back stops at level 1
         delta = np.zeros(n * b, dtype=np.float64)
