@@ -1,11 +1,13 @@
 """Betweenness against the block Brandes kernel as first written, and networkx.
 
 The first-written kernel in `oracles.py` fixes the floating-point
-reduction order (per 256-source block, then block by block), so scores
-must match it bit for bit.  Graphs of more than 256 vertices span several
-source blocks, with a ragged last one; they are the cases that can show a
-change of reduction order.  networkx is an independent second oracle,
-compared within 1e-9.
+reduction order (sources one after another within each 256-source
+group, then group by group), so scores must match it bit for bit.  The
+kernel walks 64-source blocks and carries a group's open sum from block
+to block: graphs of more than 64 vertices span several blocks, and those
+of more than 256 several groups, with a ragged last block or group.
+They are the cases that can show a change of reduction order.  networkx
+is an independent second oracle, compared within 1e-9.
 """
 from __future__ import annotations
 
@@ -111,7 +113,8 @@ def test_long_cycle_matches_first_kernel():
 
 
 def test_star_with_hub_in_second_block_matches_first_kernel():
-    # K(1, 400) with the hub at row 300, inside the second source block
+    # K(1, 400) with the hub at row 300: in the fifth 64-source block, which
+    # opens the second 256-source group
     g = from_edge_list([(300, leaf) for leaf in range(401) if leaf != 300])
     _, indptr, indices = g.csr_arrays()
     assert np.diff(indptr)[300] == 400
@@ -125,6 +128,28 @@ def test_last_block_of_isolated_vertices_matches_first_kernel():
     lonely = UndirectedGraph({v: [] for v in range(512, 600)})
     _, indptr, indices = union(g, lonely).csr_arrays()
     assert len(indptr) - 1 == 600 and not np.diff(indptr)[512:].any()
+    assert_kernel_bit_identical(indptr, indices)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 256, 257, 320, 513])
+def test_block_and_group_boundaries_match_first_kernel(n):
+    # 63: one ragged block; 64: one exact block; 65: a one-source block that
+    # continues the group; 256: a group closed by a full block; 257: a
+    # one-source block that opens a new group; 320 and 513: ragged groups
+    g, _ = generate_ba(BAConfig(n, 3, n))
+    assert_kernel_bit_identical(*g.csr_arrays()[1:])
+
+
+def test_middle_block_of_isolated_vertices_matches_first_kernel():
+    # rows 64..127 have no edges: that block's forward sweep ends on an empty
+    # level, and connected blocks come before and after it in the same group
+    a, _ = generate_ba(BAConfig(64, 3, 11))
+    b, _ = generate_ba(BAConfig(130, 3, 12))
+    lonely = UndirectedGraph({v: [] for v in range(64, 128)})
+    _, indptr, indices = union(a, lonely, shifted(b, 128)).csr_arrays()
+    degrees = np.diff(indptr)
+    assert len(degrees) == 258 and not degrees[64:128].any()
+    assert degrees[:64].all() and degrees[128:].all()
     assert_kernel_bit_identical(indptr, indices)
 
 
