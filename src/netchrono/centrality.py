@@ -26,9 +26,12 @@ from .graph import UndirectedGraph
 # power-iteration stopping rule of `eigenvector_scores`, read at each call
 TOLERANCE = 1e-10
 MAX_ITERATIONS = 10000
-# each block's column sum adds its sources in one 256-wide group, which fixes
-# the summation order of the scores: a retuned block must keep those groups
-_SOURCE_BLOCK = 256
+# one (n x 64) float64 array is 512 KB at n = 1000, so a block's working set
+# fits a 2 MB L2 cache.  The column sums add the sources one after another
+# within each 256-source group, then group by group; that fixes the summation
+# order of the scores, so a retuned block must divide the group and keep it
+_SOURCE_BLOCK = 64
+_SUM_GROUP = 256
 
 
 class CentralityKind(Enum):
@@ -73,20 +76,27 @@ def betweenness_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np.ndarray:
     """Dependency sums over ordered source-target pairs, all sources.
 
-    Per block of b sources, path counts and dependencies live in (n x b)
-    arrays, one column per source, so `adj @ X` is a plain CSR product.
-    Each BFS level is kept as flat indices into those arrays; only the
-    frontier is loaded into the product buffer and only the entries of
-    the next (or previous) level are written back.  The next level is
-    found on two n*b bool arrays: the product's nonzero entries, masked
-    by the entries not yet seen, give its flat indices in ascending
-    order, as a scan of the float product would.  The forward sweep
-    stops once every (vertex, source) entry is seen, so a connected
-    block skips the last product, which could only find nothing; an
-    empty level ends it otherwise.  Path counts are integers, each
-    dependency entry is written once, and the column sums add the
-    sources of a block in source order: scores do not depend on how the
-    levels are stored or found.
+    Sources are taken in blocks of b = _SOURCE_BLOCK.  The product buffer
+    and the dependencies of a block are (n x b) arrays, one column per
+    source, so `adj @ X` is a plain CSR product.  Each BFS level is kept
+    as flat indices into those arrays, with the path counts of its
+    entries beside it in level order; only the frontier is loaded into
+    the product buffer and only the entries of the next (or previous)
+    level are written back.  The next level is found on two n*b bool
+    arrays: the product's nonzero entries, masked by the entries not yet
+    seen, give its flat indices in ascending order, as a scan of the
+    float product would.  The forward sweep stops once every (vertex,
+    source) entry is seen, so a connected block skips the last product,
+    which could only find nothing; an empty level ends it otherwise.
+    The walk back keeps the dependencies it just wrote for the next
+    level's (1 + delta) / sigma, so it reads no entry back.
+
+    Path counts are integers and each dependency entry is written once.
+    The column sums add the sources one after another within each group
+    of _SUM_GROUP sources: a block that continues a group adds the
+    group's open sum into its first source's row before summing.  Each
+    closed group is then added to the total.  So scores depend neither on
+    the block size nor on how the levels are stored or found.
     """
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
@@ -95,19 +105,17 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     total = np.zeros(n, dtype=np.float64)
     for lo in range(0, n, _SOURCE_BLOCK):
         b = min(_SOURCE_BLOCK, n - lo)
-        sigma = np.zeros(n * b, dtype=np.float64)
         buf = np.zeros((n, b), dtype=np.float64)
         flat_buf = buf.reshape(-1)
         start = np.arange(lo, lo + b) * b + np.arange(b)
-        sigma[start] = 1.0
         unseen = np.ones(n * b, dtype=bool)
         unseen[start] = False
         mask = np.empty(n * b, dtype=bool)
         to_reach = n * b - b
-        levels = [start]
+        levels, sigmas = [start], [np.ones(b, dtype=np.float64)]
         while to_reach:
             frontier = levels[-1]
-            flat_buf[frontier] = sigma[frontier]
+            flat_buf[frontier] = sigmas[-1]
             paths = (adj @ buf).reshape(-1)
             flat_buf[frontier] = 0.0
             np.not_equal(paths, 0.0, out=mask)
@@ -116,20 +124,27 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
             if reached.size == 0:  # some vertex is unreachable from some source
                 break
             unseen[reached] = False
-            sigma[reached] = paths[reached]
             levels.append(reached)
+            sigmas.append(paths[reached])
             to_reach -= reached.size
 
         # the sources (level 0) get no dependency, so the walk back stops at level 1
         delta = np.zeros(n * b, dtype=np.float64)
+        dep = 0.0  # the deepest level depends on nothing beyond it
         for k in range(len(levels) - 1, 1, -1):
             at, prev = levels[k], levels[k - 1]
-            flat_buf[at] = (1.0 + delta[at]) / sigma[at]
+            flat_buf[at] = (1.0 + dep) / sigmas[k]
             contrib = (adj @ buf).reshape(-1)
             flat_buf[at] = 0.0
-            delta[prev] = contrib[prev] * sigma[prev]
-        # (b x n) C order, so the sum adds the block's sources one after another
-        total += delta.reshape(n, b).T.copy().sum(axis=0)
+            dep = contrib[prev] * sigmas[k - 1]
+            delta[prev] = dep
+        # (b x n) C order, so the sum adds the sources one after another
+        rows = delta.reshape(n, b).T.copy()
+        if lo % _SUM_GROUP:
+            rows[0] += group
+        group = rows.sum(axis=0)
+        if (lo + b) % _SUM_GROUP == 0 or lo + b == n:
+            total += group
     return total
 
 
