@@ -31,7 +31,7 @@ from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
 from .errors import NetchronoError, SizeMismatchError
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
-from .graph import Chronology, UndirectedGraph
+from .graph import Chronology, UndirectedGraph, WeightedDigraph
 from .reconstruction import PipelineConfig, child_seed, default_jobs, reconstruct_with_ranking
 
 _CENTRALITY_CHOICES = [k.value for k in CentralityKind]
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gamma", action="store_true",
                    help="fit and report the power-law degree exponent")
     g.add_argument("--gamma-kmin", type=int, default=None,
-                   help="smallest degree used by the fit (default: --connections)")
+                   help="smallest degree used by the --gamma fit (default: --connections)")
     g.add_argument("--shuffle-labels", action="store_true",
                    help="randomly relabel vertices so labels carry no arrival "
                         "information (chronology is rewritten to match)")
@@ -116,6 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.gamma_kmin is not None and not args.gamma:
+        raise NetchronoError("--gamma-kmin needs --gamma")
     if args.gamma_kmin is not None and args.gamma_kmin < 1:
         raise NetchronoError(f"--gamma-kmin must be >= 1, got {args.gamma_kmin}")
     g, chron = generate_ba(BAConfig(args.nodes, args.connections, args.seed))
@@ -177,13 +179,26 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
+def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
+    """Min, mean and max edge weight, from the edge count of each weight level."""
+    _, codes, levels = dg.matrix()
+    counts = np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]
+    present = np.flatnonzero(counts)
+    if present.size == 0:
+        return {"min_weight": None, "mean_weight": None, "max_weight": None}
+    return {
+        "min_weight": float(levels[present[0]]),
+        "mean_weight": float(counts @ levels / counts.sum()),
+        "max_weight": float(levels[present[-1]]),
+    }
+
+
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     bucket_count(args.bucket_width)  # reject a bad width or config before any work
     cfg = _pipeline_config(args)
     g, truth = _load_reference(args.graph, args.truth)
     bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
 
-    _, _, _, weights = dg.arrays()
     result = {
         "config": {
             "graph": str(args.graph),
@@ -198,9 +213,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "digraph_summary": {
             "vertices": dg.vertex_count,
             "edges": dg.edge_count,
-            "min_weight": float(weights.min()) if len(weights) else None,
-            "mean_weight": float(weights.mean()) if len(weights) else None,
-            "max_weight": float(weights.max()) if len(weights) else None,
+            **_weight_summary(dg),
         },
         "metrics": {"bqm": None, "eta_pairs": None},
         "bucket_table": None,

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from netchrono import (
@@ -8,6 +9,7 @@ from netchrono import (
     bqm,
     read_chronology,
     read_edge_list,
+    reconstruct_with_ranking,
 )
 from netchrono import cli
 from netchrono.cli import main
@@ -61,6 +63,17 @@ def test_generate_bad_gamma_kmin_fails_without_files(tmp_path, capsys, k_min):
     assert not edges.exists() and not chron.exists()
 
 
+def test_generate_gamma_kmin_without_gamma_fails_without_files(tmp_path, capsys):
+    edges, chron = tmp_path / "g.edges", tmp_path / "g.chron"
+    code = run("generate", "--nodes", 20, "--connections", 3, "--seed", 1,
+               "--out", edges, "--chronology", chron, "--gamma-kmin", 5)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--gamma" in captured.err
+    assert captured.out == ""
+    assert not edges.exists() and not chron.exists()
+
+
 def test_generate_shuffle_labels(tmp_path):
     plain_c = tmp_path / "a.chron"
     run("generate", "--nodes", 50, "--connections", 3, "--seed", 5,
@@ -102,6 +115,31 @@ def test_reconstruct_result_schema_and_roundtrip(tmp_path):
     truth = read_chronology(chron)
     bins = BinOrdering(tuple(frozenset(b) for b in result["bins"]))
     assert bqm(truth, bins) == result["metrics"]["bqm"]
+
+
+def test_reconstruct_weight_summary_matches_edge_arrays(tmp_path, monkeypatch):
+    # alpha 50 gives many weight levels; the summary is counted per level
+    edges = tmp_path / "g.edges"
+    run("generate", "--nodes", 60, "--connections", 3, "--seed", 2,
+        "--out", edges, "--chronology", tmp_path / "g.chron")
+    digraphs = []
+
+    def keep_digraph(*args, **kwargs):
+        result = reconstruct_with_ranking(*args, **kwargs)
+        digraphs.append(result[1])
+        return result
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", keep_digraph)
+    out = tmp_path / "result.json"
+    assert run("reconstruct", "--graph", edges, "--connections", 3,
+               "--alpha", 50, "--centrality", "degree", "--seed", 8,
+               "--out", out, "--jobs", 1) == 0
+    summary = json.loads(out.read_text())["digraph_summary"]
+    _, _, _, weights = digraphs[0].arrays()
+    assert len(np.unique(weights)) > 3
+    assert summary["min_weight"] == float(weights.min())
+    assert summary["max_weight"] == float(weights.max())
+    assert summary["mean_weight"] == pytest.approx(float(weights.mean()), rel=0, abs=1e-12)
 
 
 def test_reconstruct_without_truth_has_null_metrics(tmp_path):
