@@ -140,7 +140,7 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
             delta[prev] = dep
         # (b x n) C order, so the sum adds the sources one after another
         rows = delta.reshape(n, b).T.copy()
-        if lo % _SUM_GROUP:
+        if lo % _SUM_GROUP:  # the block continues the open group
             rows[0] += group
         group = rows.sum(axis=0)
         if (lo + b) % _SUM_GROUP == 0 or lo + b == n:
