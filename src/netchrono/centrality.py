@@ -89,7 +89,8 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     source) entry is seen, so a connected block skips the last product,
     which could only find nothing; an empty level ends it otherwise.
     The walk back keeps the dependencies it just wrote for the next
-    level's (1 + delta) / sigma, so it reads no entry back.
+    level's (1 + delta) / sigma, so it gathers nothing from `delta`,
+    which only the column sums read.
 
     Path counts are integers and each dependency entry is written once.
     The column sums add the sources one after another within each group
