@@ -31,7 +31,7 @@ from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
 from .errors import NetchronoError, SizeMismatchError
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
-from .graph import Chronology, UndirectedGraph, WeightedDigraph
+from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
 from .reconstruction import PipelineConfig, child_seed, default_jobs, reconstruct_with_ranking
 
 _CENTRALITY_CHOICES = [k.value for k in CentralityKind]
@@ -182,7 +182,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
     """Min, mean and max edge weight, from the edge count of each weight level."""
     _, codes, levels = dg.matrix()
-    counts = np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]
+    counts = _level_counts(codes, len(levels))
     present = np.flatnonzero(counts)
     if present.size == 0:
         return {"min_weight": None, "mean_weight": None, "max_weight": None}

@@ -20,7 +20,7 @@ from .errors import (
     SizeMismatchError,
     TooSmallError,
 )
-from .graph import Chronology, WeightedDigraph
+from .graph import Chronology, WeightedDigraph, _level_counts
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,8 @@ def probability_bucket_table(
     # edges per weight level; the correct ones, from an earlier to a later
     # arrival, lie above the diagonal once rows and columns follow the truth
     arrival = np.argsort(np.array([pos[int(v)] for v in labels], dtype=np.int64))
-    total = np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]
-    correct = np.bincount(np.triu(codes[np.ix_(arrival, arrival)], 1).ravel(),
-                          minlength=len(levels) + 1)[1:]
+    total = _level_counts(codes, len(levels))
+    correct = _level_counts(np.triu(codes[np.ix_(arrival, arrival)], 1), len(levels))
     m = int(total.sum())
     idx = np.ceil((levels - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
     idx = np.clip(idx, 0, n_buckets - 1)

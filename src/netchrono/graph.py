@@ -7,6 +7,9 @@ pairwise arrival-probability digraph and its acyclic transform) and
 
 All types are immutable after construction; structural operations return
 new objects, which makes them safe to share across worker processes.
+
+The one cycle test is Kahn's source peel (`_source_rounds`), read by
+`is_acyclic`, the probes of `break_cycles` and `bin_by_indegree`.
 """
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import SelfLoopError, UnknownVertexError
 
@@ -219,7 +220,7 @@ class WeightedDigraph:
     on demand, see `arrays`.
     """
 
-    __slots__ = ("_labels", "_codes", "_levels", "_comp")
+    __slots__ = ("_labels", "_codes", "_levels", "_left")
 
     def __init__(self, vertices: Iterable[int], edges: Mapping[tuple[int, int], float]):
         labels = np.fromiter(sorted({int(v) for v in vertices}), dtype=np.int64)
@@ -244,7 +245,7 @@ class WeightedDigraph:
         self._labels = labels
         self._codes = codes
         self._levels = levels
-        self._comp = None  # strong-component ids, computed on first use
+        self._left = None  # the source peel's leftover mask, computed on first use
         for a in (labels, codes, levels):
             a.setflags(write=False)
 
@@ -341,32 +342,42 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     return UndirectedGraph._from_csr(labels[keep], *_induced_csr(indptr, indices, rows, keep))
 
 
-def strong_component_ids(dg: WeightedDigraph) -> np.ndarray:
-    """Strong-component id per vertex position (scipy csgraph backend).
+def _level_counts(codes: np.ndarray, n_levels: int) -> np.ndarray:
+    """Edges per weight level (entry k counts code k + 1), counted 256 rows
+    at a time: `np.bincount` widens its input to intp, 8 bytes per entry."""
+    counts = np.zeros(n_levels + 1, dtype=np.intp)
+    for lo in range(0, len(codes), 256):
+        counts += np.bincount(codes[lo:lo + 256].ravel(), minlength=n_levels + 1)
+    return counts[1:]
 
-    Cached on the digraph, so that a caller asking after `is_acyclic`
-    said no does not pay for the components twice.
-    """
-    if dg._comp is None:
-        edge = dg._codes != 0  # numpy finds nonzeros in a bool array far faster
-        n = len(edge)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(edge, axis=1), out=indptr[1:])
-        indices = np.flatnonzero(edge)
-        np.remainder(indices, max(n, 1), out=indices)
-        # components read only the structure; a constant stands in as data
-        mat = sp.csr_matrix((np.broadcast_to(1.0, len(indices)), indices, indptr), shape=(n, n))
-        _, comp = csgraph.connected_components(mat, directed=True, connection="strong")
-        comp.setflags(write=False)
-        dg._comp = comp
-    return dg._comp
+
+def _source_rounds(edge: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kahn's source peel of an n x n bool edge matrix: the positions of
+    each round's sources, and the mask of positions never peeled (the
+    vertices on a cycle, self-loops included, and those downstream of one;
+    empty iff the digraph is acyclic).  A peeled vertex keeps in-degree 0,
+    so only the columns a round lowers can hold the next round's sources."""
+    indeg = np.count_nonzero(edge, axis=0)
+    rounds = []
+    sources = np.flatnonzero(indeg == 0)
+    while len(sources):
+        rounds.append(sources)
+        drop = np.count_nonzero(edge[sources], axis=0)
+        indeg -= drop
+        sources = np.flatnonzero((indeg == 0) & (drop != 0))
+    return rounds, indeg != 0
+
+
+def _unpeeled(dg: WeightedDigraph) -> np.ndarray:
+    """Mask of the positions of dg the source peel never reaches; cached, so
+    a caller asking after `is_acyclic` said no does not peel twice."""
+    if dg._left is None:
+        dg._left = _source_rounds(dg._codes != 0)[1]
+        dg._left.setflags(write=False)
+    return dg._left
 
 
 def is_acyclic(dg: WeightedDigraph) -> bool:
-    """True iff the digraph has no directed cycle (self-loops included)."""
-    if np.any(np.diagonal(dg._codes)):
-        return False
-    if dg.vertex_count == 0:
-        return True
-    comp = strong_component_ids(dg)
-    return bool(np.all(np.bincount(comp) <= 1))
+    """True iff the digraph has no directed cycle (self-loops included):
+    iff the source peel reaches every vertex."""
+    return not _unpeeled(dg).any()

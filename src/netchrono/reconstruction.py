@@ -38,8 +38,10 @@ from .graph import (
     Chronology,
     UndirectedGraph,
     WeightedDigraph,
+    _level_counts,
+    _source_rounds,
+    _unpeeled,
     is_acyclic,
-    strong_component_ids,
 )
 
 
@@ -198,7 +200,7 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     Deletion never creates cycles, so the removed set is exactly the
     shortest prefix of the ascending (weight, source, target) edge order
     whose removal leaves the graph acyclic.  That prefix is found in two
-    binary searches with an SCC-based acyclicity probe per step: first
+    binary searches with a source-peel acyclicity probe per step: first
     over the weight levels present (at most alpha + 1 in a pairwise
     digraph), then over the row-major order of the edges at the one
     threshold level.
@@ -209,18 +211,18 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     n = len(labels)
 
     # Every probe is a subgraph of the last probe found cyclic (a binary
-    # search only narrows), and each of its cycles lies within one strong
-    # component of that probe: so a probe takes only the principal
-    # submatrix over the vertices on its cycles, often a small fraction.
-    # Sorted, they keep the row-major order.
-    cyclic = _on_cycles(dg, np.arange(n))
+    # search only narrows), so its cycles lie among the vertices that
+    # probe's source peel never reached: a probe takes only the principal
+    # submatrix over those, the cycle vertices and what lies downstream of
+    # them.  Sorted, they keep the row-major order.
+    cyclic = np.flatnonzero(_unpeeled(dg))
 
     def acyclic(sub: np.ndarray) -> bool:
         nonlocal cyclic
         probe = WeightedDigraph._from_codes(labels[cyclic], sub, levels)
         if is_acyclic(probe):
             return True
-        cyclic = _on_cycles(probe, cyclic)
+        cyclic = cyclic[_unpeeled(probe)]
         return False
 
     def submatrix(floor: int) -> np.ndarray:
@@ -235,7 +237,7 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
 
     # smallest level whose removal, with every lighter one, leaves a DAG;
     # removing nothing leaves a cycle, removing every edge (the last level) does not
-    present = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(levels) + 1)[1:]) + 1
+    present = np.flatnonzero(_level_counts(codes, len(levels))) + 1
     top = present[_first_true(-1, len(present) - 1, above)]
     tied = np.flatnonzero(codes == top)
 
@@ -259,13 +261,6 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     return WeightedDigraph._from_codes(labels, kept, levels)
 
 
-def _on_cycles(probe: WeightedDigraph, positions: np.ndarray) -> np.ndarray:
-    """The entries of `positions` (one per probe vertex) whose vertex lies on
-    a cycle: in a strong component of two or more, or on a self-loop."""
-    comp = strong_component_ids(probe)
-    return positions[(np.bincount(comp)[comp] > 1) | (np.diagonal(probe.matrix()[1]) != 0)]
-
-
 def _first_true(lo: int, hi: int, pred) -> int:
     """Smallest x in (lo, hi] with pred(x), for pred monotone, false at lo, true at hi."""
     while hi - lo > 1:
@@ -282,24 +277,15 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
 
     Each round bins every surviving vertex of minimum in-degree within the
     surviving induced subgraph and removes them; bins are ordered by
-    creation.  In-degrees are the column counts of the edge matrix, lowered
-    by the rows of each removed bin.  Every induced subgraph of a DAG has a
-    source, so the minimum is 0 in every round exactly when the digraph is
-    acyclic: a positive minimum is the cycle check.
+    creation.  Every induced subgraph of a DAG has a source, so the
+    minimum is 0 in every round and the bins are the rounds of the source
+    peel; a vertex the peel never reaches is the cycle check.
     """
     labels, codes, _ = dag.matrix()
-    edge = codes != 0
-    indeg = np.count_nonzero(edge, axis=0)
-    alive = np.ones(len(labels), dtype=bool)
-    bins: list[frozenset[int]] = []
-    while alive.any():
-        if indeg[alive].min() > 0:
-            raise CyclicInputError("binning requires an acyclic digraph")
-        members = np.flatnonzero(alive & (indeg == 0))
-        bins.append(frozenset(labels[members].tolist()))
-        alive[members] = False
-        indeg -= np.count_nonzero(edge[members], axis=0)
-    return BinOrdering(tuple(bins))
+    rounds, left = _source_rounds(codes != 0)
+    if left.any():
+        raise CyclicInputError("binning requires an acyclic digraph")
+    return BinOrdering(tuple(frozenset(labels[r].tolist()) for r in rounds))
 
 
 def _synthetic_prediction(task: tuple) -> np.ndarray:

@@ -1,11 +1,13 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from netchrono import (
     BinOrdering,
+    WeightedDigraph,
     bqm,
     read_chronology,
     read_edge_list,
@@ -338,3 +340,16 @@ def test_bad_jobs_env_is_rejected_before_any_input(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error:") and "NETCHRONO_JOBS" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_weight_summary_counts_levels_without_widening():
+    # bincount over the whole 3000 x 3000 uint8 matrix widened it to 72 MB of intp
+    codes = np.random.default_rng(3).integers(0, 51, size=(3000, 3000), dtype=np.uint8)
+    dg = WeightedDigraph._from_codes(np.arange(3000), codes, np.linspace(0.5, 1.0, 50))
+    tracemalloc.start()
+    try:
+        cli._weight_summary(dg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -15,6 +15,7 @@ from netchrono import (
     remove_vertices,
 )
 from netchrono.errors import SelfLoopError, UnknownVertexError
+from netchrono.graph import _level_counts
 
 from oracles import oracle_csr_arrays, random_graph
 
@@ -98,7 +99,20 @@ def test_is_acyclic_examples():
     assert is_acyclic(chain)
     two_cycle = WeightedDigraph([0, 1], {(0, 1): 0.9, (1, 0): 0.8})
     assert not is_acyclic(two_cycle)
+    # a source feeding a 2-cycle, and a self-loop reached from a source:
+    # the peel takes the source and stops
+    fed_cycle = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8, (2, 1): 0.7})
+    assert not is_acyclic(fed_cycle)
+    fed_loop = WeightedDigraph([0, 1], {(0, 1): 0.9, (1, 1): 0.6})
+    assert not is_acyclic(fed_loop)
     assert is_acyclic(WeightedDigraph([], {}))
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+def test_level_counts_match_bincount(n):
+    # 256 rows are counted at a time: an empty matrix, one row, and block edges
+    codes = np.random.default_rng(n).integers(0, 7, size=(n, n), dtype=np.uint8)
+    assert np.array_equal(_level_counts(codes, 6), np.bincount(codes.ravel(), minlength=7)[1:])
 
 
 def test_is_acyclic_iff_singleton_sccs():
