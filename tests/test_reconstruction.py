@@ -311,13 +311,13 @@ def test_bin_by_indegree_edgeless():
 
 
 def test_bin_by_indegree_rejects_cycles():
-    for edges in (
-        {(0, 1): 0.9, (1, 0): 0.8},
-        {(2, 0): 0.9, (0, 1): 0.9, (1, 0): 0.8},  # a source feeding a 2-cycle
-        {(2, 0): 0.9, (0, 0): 0.6},  # a self-loop reached from a source
+    for vertices, edges in (
+        ([0, 1], {(0, 1): 0.9, (1, 0): 0.8}),  # no source: the peel takes no round
+        ([0, 1, 2], {(2, 0): 0.9, (0, 1): 0.9, (1, 0): 0.8}),  # a source feeding a 2-cycle
+        ([0, 2], {(2, 0): 0.9, (0, 0): 0.6}),  # a self-loop reached from a source
     ):
         with pytest.raises(CyclicInputError):
-            bin_by_indegree(WeightedDigraph([0, 1, 2], edges))
+            bin_by_indegree(WeightedDigraph(vertices, edges))
 
 
 def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
