@@ -106,9 +106,16 @@ def _draw_targets(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
         rng.integers(0, bounds[:(k + 1) * c])
         u += k
         chosen = list(dict.fromkeys(rows[k].tolist()))
+        bound = int(bounds[k * c])
         while len(chosen) < c:
-            pick = int(_resolve(rng.integers(0, bounds[k * c:k * c + 1]), flat, base, c,
-                                len(flat))[0])
+            # one position, resolved as `_resolve` does; every pick it can
+            # refer to is an earlier arrival's, already in `flat`
+            pos = int(rng.integers(0, bound))
+            if pos < base:
+                pick = pos // (c - 1)
+            else:
+                block, r = divmod(pos - base, 2 * c)
+                pick = int(flat[block * c + r]) if r < c else block + c
             if pick not in chosen:
                 chosen.append(pick)
         targets[u - c] = chosen

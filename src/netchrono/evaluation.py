@@ -120,7 +120,7 @@ def probability_bucket_table(
     # arrival, lie above the diagonal once rows and columns follow the truth
     arrival = np.argsort(np.array([pos[int(v)] for v in labels], dtype=np.int64))
     total = _level_counts(codes, len(levels))
-    correct = _level_counts(np.triu(codes[np.ix_(arrival, arrival)], 1), len(levels))
+    correct = _level_counts(np.triu(codes.take(arrival, 0).take(arrival, 1), 1), len(levels))
     m = int(total.sum())
     idx = np.ceil((levels - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
     idx = np.clip(idx, 0, n_buckets - 1)

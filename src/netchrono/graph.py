@@ -351,18 +351,28 @@ def _level_counts(codes: np.ndarray, n_levels: int) -> np.ndarray:
     return counts[1:]
 
 
-def _source_rounds(edge: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+def _source_rounds(edge: np.ndarray,
+                   rows: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
     """Kahn's source peel of an n x n bool edge matrix: the positions of
     each round's sources, and the mask of positions never peeled (the
     vertices on a cycle, self-loops included, and those downstream of one;
     empty iff the digraph is acyclic).  A peeled vertex keeps in-degree 0,
-    so only the columns a round lowers can hold the next round's sources."""
-    indeg = np.count_nonzero(edge, axis=0)
+    so only the columns a round lowers can hold the next round's sources.
+
+    With `rows` (ascending positions), `edge` holds only those rows, all n
+    columns, and the peel is that of the principal submatrix over `rows`,
+    read by position in `rows`: no column is gathered.  In-degrees are
+    column sums of the bytes, which needs no cast of the bools to intp."""
+    def indegree(part: np.ndarray) -> np.ndarray:
+        counts = part.view(np.uint8).sum(axis=0, dtype=np.int32)
+        return counts if rows is None else counts[rows]
+
+    indeg = indegree(edge)
     rounds = []
     sources = np.flatnonzero(indeg == 0)
     while len(sources):
         rounds.append(sources)
-        drop = np.count_nonzero(edge[sources], axis=0)
+        drop = indegree(edge[sources])
         indeg -= drop
         sources = np.flatnonzero((indeg == 0) & (drop != 0))
     return rounds, indeg != 0

@@ -38,7 +38,6 @@ from .graph import (
     Chronology,
     UndirectedGraph,
     WeightedDigraph,
-    _level_counts,
     _source_rounds,
     _unpeeled,
     is_acyclic,
@@ -181,8 +180,8 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
         block.fill(0)
         for p in pos:
             np.less(p[lo:hi, None], p[lo:], out=less)
-            block += less
-        up, down = upper[block], lower[block]
+            block += less.view(np.uint8)  # a same-type add when block is uint8
+        up, down = upper.take(block), lower.take(block)  # `take` beats fancy indexing
         # in the block's own square, only the counts right of the diagonal are pairs i < j
         not_pairs = on_or_below[:hi - lo, :hi - lo]
         up[:, :hi - lo][not_pairs] = 0
@@ -201,9 +200,8 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     shortest prefix of the ascending (weight, source, target) edge order
     whose removal leaves the graph acyclic.  That prefix is found in two
     binary searches with a source-peel acyclicity probe per step: first
-    over the weight levels present (at most alpha + 1 in a pairwise
-    digraph), then over the row-major order of the edges at the one
-    threshold level.
+    over the level codes 1..len(levels), then over the row-major order of
+    the edges at the one threshold level.
     """
     if is_acyclic(dg):
         return dg
@@ -212,53 +210,53 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
 
     # Every probe is a subgraph of the last probe found cyclic (a binary
     # search only narrows), so its cycles lie among the vertices that
-    # probe's source peel never reached: a probe takes only the principal
-    # submatrix over those, the cycle vertices and what lies downstream of
-    # them.  Sorted, they keep the row-major order.
+    # probe's source peel never reached: a probe takes only their rows,
+    # the cycle vertices and what lies downstream of them, and peels the
+    # principal submatrix over them.  Sorted, they keep the row-major order.
     cyclic = np.flatnonzero(_unpeeled(dg))
 
-    def acyclic(sub: np.ndarray) -> bool:
+    def acyclic(edge: np.ndarray) -> bool:
         nonlocal cyclic
-        probe = WeightedDigraph._from_codes(labels[cyclic], sub, levels)
-        if is_acyclic(probe):
+        left = _source_rounds(edge, cyclic)[1]
+        if not left.any():
             return True
-        cyclic = cyclic[_unpeeled(probe)]
+        cyclic = cyclic[left]
         return False
 
-    def submatrix(floor: int) -> np.ndarray:
-        """Principal submatrix over `cyclic`, without the edges of code <= floor."""
-        sub = codes.take(cyclic, axis=0).take(cyclic, axis=1)
-        np.multiply(sub, sub > floor, out=sub)
-        return sub
+    # smallest code whose removal, with every lighter one, leaves a DAG; it
+    # carries an edge, else its probe would be that of the code below it.
+    # Removing nothing leaves a cycle, removing every edge does not.
+    top = _first_true(0, len(levels), lambda floor: acyclic(codes.take(cyclic, 0) > floor))
 
-    def above(j: int) -> bool:
-        """Acyclic once every edge at or below the level code present[j] goes."""
-        return acyclic(submatrix(present[j]))
+    # Cycles left once every lighter edge goes lie among `cyclic`, so only
+    # the tied edges inside its principal submatrix decide the cut; (row,
+    # col) lists them in row-major order.
+    inside = np.zeros(n, dtype=bool)
+    inside[cyclic] = True
+    at, col = np.nonzero((codes.take(cyclic, 0) == top) & inside)
+    row = cyclic[at]
 
-    # smallest level whose removal, with every lighter one, leaves a DAG;
-    # removing nothing leaves a cycle, removing every edge (the last level) does not
-    present = np.flatnonzero(_level_counts(codes, len(levels))) + 1
-    top = present[_first_true(-1, len(present) - 1, above)]
-    tied = np.flatnonzero(codes == top)
-
-    def without_first(count: int) -> bool:
-        """Acyclic once every lighter edge and the first `count` tied edges go."""
-        sub = submatrix(top - 1)
-        # the first `count` tied edges: rows above `row`, then `row` left of `col`
-        row, col = divmod(int(tied[count]) if count < len(tied) else n * n, n)
-        r = int(np.searchsorted(cyclic, row))
-        head = sub[:r]
-        np.multiply(head, head != top, out=head)
-        if r < len(cyclic) and cyclic[r] == row:
-            part = sub[r, :np.searchsorted(cyclic, col)]
-            np.multiply(part, part != top, out=part)
-        return acyclic(sub)
+    def without_through(k: int) -> bool:
+        """Acyclic once every lighter edge goes, and every tied edge up to
+        the k-th tied edge inside."""
+        return acyclic(_outlast(codes.take(cyclic, 0), cyclic, top, row[k - 1], col[k - 1]))
 
     # removing none of the tied edges leaves a cycle, removing all of them does not
-    count = _first_true(0, len(tied), without_first)
-    kept = codes * (codes >= top)
-    kept.ravel()[tied[:count]] = 0
+    k = _first_true(0, len(row), without_through)
+    kept = codes * _outlast(codes, np.arange(n), top, row[k - 1], col[k - 1])
     return WeightedDigraph._from_codes(labels, kept, levels)
+
+
+def _outlast(sub: np.ndarray, rows: np.ndarray, top: int, cut_row: int,
+             cut_col: int) -> np.ndarray:
+    """Mask of the edges of `sub`, the rows `rows` (ascending) of a code
+    matrix, that outlast a cut: those of code above `top`, and those of code
+    `top` after (cut_row, cut_col) in row-major order."""
+    keep = sub > np.where(rows < cut_row, top, top - 1).astype(sub.dtype)[:, None]
+    r = int(np.searchsorted(rows, cut_row))
+    if r < len(rows) and rows[r] == cut_row:
+        np.greater(sub[r, :cut_col + 1], top, out=keep[r, :cut_col + 1])
+    return keep
 
 
 def _first_true(lo: int, hi: int, pred) -> int:

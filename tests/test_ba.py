@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netchrono import (
@@ -145,6 +145,12 @@ def test_edge_list_digest(n, c, seed, digest):
 
 @settings(max_examples=60, deadline=None)
 @given(c=st.integers(1, 7), extra=st.integers(1, 300), seed=st.integers(0, 2**64 - 1))
+# a scalar redraw itself draws a repeat, so the redraw loop runs more than
+# once: the first arrival after a K_7 (it must hit all seven), and arrivals
+# well into a chunk, 144 of a c = 3 network (44 in) and 75 of a c = 2 one (10 in)
+@example(c=7, extra=1, seed=0)
+@example(c=3, extra=300, seed=0)
+@example(c=2, extra=200, seed=11)
 def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
     n = c + extra
     g, _ = generate_ba(BAConfig(n, c, seed))
