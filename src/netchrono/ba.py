@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InsufficientSupportError, InvalidConfigError
+from .errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
 from .graph import Chronology, UndirectedGraph, _csr_layout
 
 _SEED_MAX = 2**64
@@ -165,17 +165,19 @@ def shuffle_vertex_labels(
     Freshly generated networks carry labels equal to their arrival ranks,
     which is information no real snapshot would expose; evaluation against
     arrival-order predictors should run on a relabeled copy.  The label
-    set is preserved, only the assignment changes, and the chronology is
-    rewritten to stay consistent.
+    set is preserved, only the assignment changes, and the chronology,
+    which must list exactly g's vertices, is rewritten to stay consistent.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
     labels, indptr, indices = g.csr_arrays()
+    if set(chronology) != set(labels.tolist()):
+        raise SizeMismatchError("the chronology does not list exactly the graph's vertices")
+    order = np.fromiter(chronology, dtype=np.int64, count=len(chronology))
+    rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(len(labels))
     # labels[i] becomes labels[perm[i]], so row i moves to row perm[i]
     relabeled = UndirectedGraph._from_csr(labels, *_csr_layout(
         len(labels), np.repeat(perm, np.diff(indptr)), perm[indices]))
-    mapping = dict(zip(labels.tolist(), labels[perm].tolist()))
-    return relabeled, Chronology(mapping[v] for v in chronology)
+    return relabeled, Chronology(labels[perm[np.searchsorted(labels, order)]].tolist())
 
 
 def degree_histogram(g: UndirectedGraph) -> DegreeDistribution:

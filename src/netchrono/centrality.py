@@ -201,6 +201,7 @@ def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     is the unit-norm dominant eigenvector of the adjacency matrix, found
     by power iteration on the shifted matrix A + I (`eigenvector_scores`).
     """
+    # only the baselines call it; perfbench/spans.py traces it by name (ROADMAP item 1)
     labels, indptr, indices = g.csr_arrays()
     if kind is CentralityKind.DEGREE:
         scores = degree_scores(np.diff(indptr))

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,8 @@ from .dcr import differential_core_ranking, rank_descending
 from .errors import NetchronoError, SizeMismatchError
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
-from .reconstruction import PipelineConfig, child_seed, default_jobs, reconstruct_with_ranking
+from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
+                             reconstruct_with_ranking)
 
 _CENTRALITY_CHOICES = [k.value for k in CentralityKind]
 
@@ -262,14 +262,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if n <= c:
             raise NetchronoError(f"sweep point x={x} gives nodes={n} <= connections={c}")
         for rep in range(args.repeats):
-            seed = int(np.random.SeedSequence(args.seed, spawn_key=(pi, rep)).generate_state(1, np.uint64)[0])
-            tasks.append((n, c, args.centrality, seed))
-
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_sweep_point, tasks))
-    else:
-        results = [_sweep_point(t) for t in tasks]
+            tasks.append((n, c, args.centrality, child_seed(args.seed, pi, rep)))
+    results = fan_out(_sweep_point, tasks, args.jobs)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -85,6 +85,7 @@ def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> Score
         raise ValueError("differential core ranking requires a nonempty graph")
     labels, indptr, indices = g.csr_arrays()
     dcm = _peel(indptr, indices, _level_scores(kind, indptr, indices))
+    # a ScoreTable, not arrays: perfbench/spans.py reads `.scores` (ROADMAP item 1)
     return ScoreTable.from_rows(labels, dcm)
 
 

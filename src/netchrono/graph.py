@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import SelfLoopError, UnknownVertexError
+from .errors import NetchronoError, SelfLoopError, UnknownVertexError
 
 
 class UndirectedGraph:
@@ -89,15 +89,6 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         row = self._row(v)
         return row.stop - row.start
-
-    def has_vertex(self, v: int) -> bool:
-        return _position(self._labels, v) is not None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not self.has_vertex(u):
-            return False
-        # a row's neighbour labels ascend, as its positions do
-        return _position(self._labels[self._indices[self._row(u)]], v) is not None
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (min(u,v), max(u,v)), sorted."""
@@ -210,51 +201,29 @@ class Chronology:
 class WeightedDigraph:
     """Directed graph with weighted edges, weights in [0.5, 1.0].
 
-    Digraphs produced by the pipeline additionally carry exactly one of
-    (u, v) and (v, u) per pair (arrival-probability semantics), so they are
-    stored dense: `codes` is an n x n matrix over the sorted labels in
-    which entry 0 means no edge and entry k >= 1 an edge of weight
-    levels[k - 1], `levels` ascending.  The type itself admits self-loops
-    and opposite pairs so cycle detection can be exercised on arbitrary
+    Only `pairwise_digraph` and `break_cycles` build one, through
+    `_from_codes`, and they carry exactly one of (u, v) and (v, u) per pair
+    (arrival-probability semantics), so the digraph is stored dense:
+    `codes` is an n x n matrix over the sorted labels in which entry 0
+    means no edge and entry k >= 1 an edge of weight levels[k - 1],
+    `levels` ascending.  The stored form itself admits self-loops and
+    opposite pairs, so cycle detection can be exercised on arbitrary
     digraphs.  Edge arrays in canonical (source, target) order are derived
     on demand, see `arrays`.
     """
 
     __slots__ = ("_labels", "_codes", "_levels", "_left")
 
-    def __init__(self, vertices: Iterable[int], edges: Mapping[tuple[int, int], float]):
-        labels = np.fromiter(sorted({int(v) for v in vertices}), dtype=np.int64)
-        index = {int(v): i for i, v in enumerate(labels)}
-        src, dst, w = [], [], []
-        for (u, v), weight in edges.items():
-            if u not in index:
-                raise UnknownVertexError(u)
-            if v not in index:
-                raise UnknownVertexError(v)
-            if not (0.5 <= weight <= 1.0):
-                raise ValueError(f"edge ({u}, {v}) weight {weight} outside [0.5, 1.0]")
-            src.append(index[u])
-            dst.append(index[v])
-            w.append(weight)
-        levels, level_of = np.unique(np.array(w, dtype=np.float64), return_inverse=True)
-        codes = np.zeros((len(labels), len(labels)), dtype=np.min_scalar_type(len(levels)))
-        codes[np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)] = level_of + 1
-        self._set(labels, codes, levels)
-
-    def _set(self, labels, codes, levels) -> None:
-        self._labels = labels
-        self._codes = codes
-        self._levels = levels
-        self._left = None  # the source peel's leftover mask, computed on first use
-        for a in (labels, codes, levels):
-            a.setflags(write=False)
-
     @classmethod
     def _from_codes(cls, labels: np.ndarray, codes: np.ndarray,
                     levels: np.ndarray) -> "WeightedDigraph":
-        # internal fast path: labels sorted, levels ascending and covering codes
-        dg = cls.__new__(cls)
-        dg._set(labels, codes, levels)
+        # the one builder, from the stored form `matrix` returns: labels
+        # sorted, levels ascending and covering codes; they become read-only
+        dg = cls()
+        dg._labels, dg._codes, dg._levels = labels, codes, levels
+        dg._left = None  # the source peel's leftover mask, computed on first use
+        for a in (labels, codes, levels):
+            a.setflags(write=False)
         return dg
 
     @property
@@ -284,24 +253,6 @@ class WeightedDigraph:
         src, dst = np.divmod(flat, max(len(self._labels), 1))
         return self._labels, src, dst, self._levels[self._codes.ravel()[flat] - 1]
 
-    def edges(self) -> Iterator[tuple[tuple[int, int], float]]:
-        labels, src, dst, w = self.arrays()
-        for s, d, weight in zip(src, dst, w):
-            yield (int(labels[s]), int(labels[d])), float(weight)
-
-    def _code(self, u: int, v: int) -> int:
-        ui, vi = _position(self._labels, u), _position(self._labels, v)
-        return 0 if ui is None or vi is None else int(self._codes[ui, vi])
-
-    def weight(self, u: int, v: int) -> float:
-        code = self._code(u, v)
-        if code == 0:
-            raise KeyError((u, v))
-        return float(self._levels[code - 1])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._code(u, v) != 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
@@ -314,11 +265,15 @@ class WeightedDigraph:
 def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
     """Build a simple undirected graph from (u, v) pairs.
 
-    Duplicate and reversed pairs collapse to a single edge; self-loops are
-    rejected.  Isolated endpoints never arise here (every listed vertex is
-    an endpoint), but vertices of degree zero are representable and survive
-    `remove_vertices`.
+    Duplicate and reversed pairs collapse to a single edge; self-loops, and
+    items that are not two labels, are rejected.  Isolated endpoints never
+    arise here (every listed vertex is an endpoint), but vertices of degree
+    zero are representable and survive `remove_vertices`.
     """
+    pairs = list(pairs)
+    sizes = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
+    if np.any(sizes != 2):
+        raise NetchronoError(f"edge {pairs[np.argmax(sizes != 2)]!r} is not a pair of labels")
     ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
@@ -331,6 +286,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
 
 def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     """Induced subgraph on g.vertices minus s; g itself is unmodified."""
+    # no pipeline caller: kept while perfbench/spans.py traces it by name (ROADMAP item 1)
     labels, indptr, indices = g.csr_arrays()
     keep = np.ones(len(labels), dtype=bool)
     for v in {int(v) for v in s}:

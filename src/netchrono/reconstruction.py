@@ -67,15 +67,15 @@ class PipelineConfig:
             raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
-def child_seed(master_seed: int, index: int) -> int:
-    """Derived 64-bit seed for synthetic network `index` (1-based; 0 is
-    reserved for the reference ranking's tie salt).
+def child_seed(master_seed: int, *key: int) -> int:
+    """Derived 64-bit seed for task `key`: synthetic network (i,), 1-based,
+    (0,) being the reference ranking's tie salt, or sweep (point, repeat).
 
     numpy's SeedSequence spawn-key mixing: deterministic, documented, and
-    collision-resistant across indices, so batches stay reproducible under
+    collision-resistant across keys, so batches stay reproducible under
     any parallel schedule.
     """
-    ss = np.random.SeedSequence(master_seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(master_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -107,8 +107,9 @@ def map_and_predict(
     Position k of syn_rank maps to position k of ref_rank (equal-importance
     bijection); the synthetic chronology re-read through that map is the
     predicted arrival order of the reference network.  The pipeline does
-    not call this: a synthetic chronology is 0..n-1, so it places each
-    synthetic rank straight into a position array (`reconstruct_with_ranking`).
+    not call this (a synthetic chronology is 0..n-1, so it places ranks
+    straight into positions); it stays while perfbench/spans.py traces it
+    by name, so removing it waits for ROADMAP item 1.
     """
     if not (len(ref_rank) == len(syn_rank) == len(syn_chronology)):
         raise SizeMismatchError(
@@ -203,6 +204,7 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     over the level codes 1..len(levels), then over the row-major order of
     the edges at the one threshold level.
     """
+    # is_acyclic: perfbench/spans.py counts its calls by name (ROADMAP item 1)
     if is_acyclic(dg):
         return dg
     labels, codes, levels = dg.matrix()
@@ -286,6 +288,18 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
     return BinOrdering(tuple(frozenset(labels[r].tolist()) for r in rounds))
 
 
+def fan_out(fn, tasks: list, jobs: int | None) -> list:
+    """[fn(t) for t in tasks], over min(jobs, len(tasks)) worker processes
+    when jobs > 1, else serially (jobs None included); results keep task
+    order.  InvalidConfigError when jobs < 1."""
+    if jobs is not None and jobs < 1:
+        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs is None or jobs == 1 or len(tasks) < 2:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _synthetic_prediction(task: tuple) -> np.ndarray:
     """Salted DCM rank of one synthetic network, as int32 labels."""
     n, connections, seed, kind_value = task
@@ -304,11 +318,11 @@ def reconstruct_with_ranking(
 
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
     child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
-    regenerate it from its seed, and results merge by index, so output is
-    identical for any `jobs` value.  The ranking drives the synthetic
-    mappings anyway; callers comparing it against a true chronology can
-    take it from here instead of paying for a second differential core
-    ranking.
+    regenerate it from its seed (`fan_out`), and results merge by index,
+    so output is identical for any `jobs` value.  The ranking drives the
+    synthetic mappings anyway; callers comparing it against a true
+    chronology can take it from here instead of paying for a second
+    differential core ranking.
     """
     n = g_m.vertex_count
     if n == 0:
@@ -319,11 +333,7 @@ def reconstruct_with_ranking(
     ref_rank = _salted_rank(ref_table, child_seed(cfg.master_seed, 0))
     tasks = [(n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value)
              for i in range(1, cfg.alpha + 1)]
-    if jobs is not None and jobs > 1 and cfg.alpha > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, cfg.alpha)) as pool:
-            syn_ranks = list(pool.map(_synthetic_prediction, tasks))
-    else:
-        syn_ranks = [_synthetic_prediction(t) for t in tasks]
+    syn_ranks = fan_out(_synthetic_prediction, tasks, jobs)
     # generate_ba labels vertices by arrival, so a synthetic chronology is
     # 0..n-1: the vertex of synthetic rank k, a label, is the predicted
     # position of the reference vertex of rank k

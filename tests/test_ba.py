@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from netchrono import (
     BAConfig,
+    Chronology,
     UndirectedGraph,
     degree_histogram,
     estimate_power_law_exponent,
@@ -15,7 +16,7 @@ from netchrono import (
     shuffle_vertex_labels,
 )
 from netchrono.ba import DegreeDistribution
-from netchrono.errors import InsufficientSupportError, InvalidConfigError
+from netchrono.errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
 
 from oracles import oracle_csr_arrays, oracle_generate_ba
 
@@ -32,7 +33,7 @@ def test_small_network_shape():
     # seed clique on the first three labels
     for u in range(3):
         for v in range(u + 1, 3):
-            assert g.has_edge(u, v)
+            assert v in g.neighbors(u)
 
 
 def test_invalid_configs():
@@ -120,6 +121,18 @@ def test_shuffle_vertex_labels():
     assert sg2 == sg and schron2 == schron
     # degree multiset preserved
     assert sorted(g.degree(v) for v in g.vertices) == sorted(sg.degree(v) for v in sg.vertices)
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1],           # too few labels
+    [0, 1, 2, 9],     # a label the graph does not have
+    [0, 1, 2, 3, 9],  # every vertex and one more
+    [0, 1, 2, 2**70],  # a label no int64 holds
+])
+def test_shuffle_vertex_labels_rejects_a_chronology_of_other_vertices(order):
+    g, _ = generate_ba(BAConfig(4, 2, 1))
+    with pytest.raises(SizeMismatchError):
+        shuffle_vertex_labels(g, Chronology(order), 4)
 
 
 # sha256 of the sorted edge list ("u v" lines) of generate_ba(BAConfig(n, c, seed)),

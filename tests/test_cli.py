@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import tracemalloc
 
@@ -205,13 +206,17 @@ def test_sweep_bad_range_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# sha256 of the sweep CSV below; pins the (point, repeat) seeds of every sweep task
+SWEEP_DIGEST = "af3e1b5a4ec752a5a6240b26a5aa0597971aa433f3f0018e4e1cf0ad8128a052"
+
+
 def test_sweep_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for out in (a, b):
+    for jobs in (1, 2):
+        out = tmp_path / f"sweep-{jobs}.csv"
         run("sweep", "--mode", "nodes", "--from", 30, "--to", 40, "--step", 10,
             "--connections", 3, "--centrality", "degree", "--repeats", 2,
-            "--seed", 31, "--out", out, "--jobs", 2)
-    assert a.read_text() == b.read_text()
+            "--seed", 31, "--out", out, "--jobs", jobs)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGEST, jobs
 
 
 def test_compare_bins_output(tmp_path, capsys):

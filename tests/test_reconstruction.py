@@ -12,7 +12,6 @@ from netchrono import (
     CentralityKind,
     Chronology,
     PipelineConfig,
-    WeightedDigraph,
     bin_by_indegree,
     break_cycles,
     child_seed,
@@ -29,8 +28,9 @@ from netchrono.errors import (
     SizeMismatchError,
 )
 from netchrono.centrality import ScoreTable
-from netchrono.reconstruction import _salted_rank, default_jobs
+from netchrono.reconstruction import _salted_rank, default_jobs, fan_out
 
+from builders import digraph, edge_map
 from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
 
 
@@ -92,18 +92,18 @@ def test_map_size_mismatch():
 
 def test_pairwise_digraph_majority():
     dg = pairwise_digraph(*list_positions([[0, 1], [0, 1], [1, 0]]))
-    assert list(dg.edges()) == [((0, 1), pytest.approx(2 / 3))]
+    assert list(edge_map(dg).items()) == [((0, 1), pytest.approx(2 / 3))]
 
 
 def test_pairwise_digraph_tie():
     dg = pairwise_digraph(*list_positions([[0, 1], [1, 0]]))
-    assert list(dg.edges()) == [((0, 1), 0.5)]
+    assert list(edge_map(dg).items()) == [((0, 1), 0.5)]
 
 
 def test_pairwise_digraph_unanimous_is_acyclic():
     dg = pairwise_digraph(*list_positions([[2, 0, 1]] * 4))
     assert is_acyclic(dg)
-    assert all(w == 1.0 for _, w in dg.edges())
+    assert all(w == 1.0 for w in edge_map(dg).values())
     assert dg.edge_count == 3
 
 
@@ -124,7 +124,7 @@ def test_pairwise_digraph_complete_and_bounded():
     assert np.allclose(np.round(w * alpha), w * alpha, atol=1e-9)
     # antisymmetry is structural: exactly one direction per pair
     seen = set()
-    for (u, v), _ in dg.edges():
+    for u, v in edge_map(dg):
         assert (v, u) not in seen
         seen.add((u, v))
 
@@ -164,12 +164,12 @@ def test_digraph_stages_keep_their_invariants(n, alpha, same, seed):
     labels = rng.sample(range(-500, 500), n)
     orders = [labels[:] if rng.random() < same else rng.sample(labels, n) for _ in range(alpha)]
     dg = pairwise_digraph(*list_positions(orders))
-    edges = dict(dg.edges())
+    edges = edge_map(dg)
     assert dg.edge_count == len(edges) == n * (n - 1) // 2
     assert {frozenset(e) for e in edges} == {frozenset(p) for p in itertools.combinations(labels, 2)}
 
     dag = break_cycles(dg)
-    kept = dict(dag.edges())
+    kept = edge_map(dag)
     assert all(e in edges and kept[e] == edges[e] for e in kept)
     g = nx.DiGraph(list(kept))
     g.add_nodes_from(labels)
@@ -181,21 +181,21 @@ def test_digraph_stages_keep_their_invariants(n, alpha, same, seed):
 
 
 def test_break_cycles_triangle():
-    dg = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8, (2, 0): 0.55})
+    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8, (2, 0): 0.55})
     out = break_cycles(dg)
-    assert sorted(out.edges()) == [((0, 1), 0.9), ((1, 2), 0.8)]
+    assert sorted(edge_map(out).items()) == [((0, 1), 0.9), ((1, 2), 0.8)]
 
 
 def test_break_cycles_acyclic_unchanged():
-    dg = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
+    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
     assert break_cycles(dg) == dg
 
 
 def test_break_cycles_two_disjoint_cycles():
-    dg = WeightedDigraph(
+    dg = digraph(
         [0, 1, 2, 3], {(0, 1): 0.6, (1, 0): 0.7, (2, 3): 0.55, (3, 2): 0.9})
     out = break_cycles(dg)
-    assert sorted(out.edges()) == [((1, 0), 0.7), ((3, 2), 0.9)]
+    assert sorted(edge_map(out).items()) == [((1, 0), 0.7), ((3, 2), 0.9)]
 
 
 def test_break_cycles_orders_split_weights_by_float_value():
@@ -204,9 +204,9 @@ def test_break_cycles_orders_split_weights_by_float_value():
     # 1 - 17/50, one ulp below 33/50: that edge, not (0, 1), is the lightest.
     orders = [[0, 1, 2]] * 16 + [[1, 2, 0]] * 17 + [[2, 0, 1]] * 16 + [[0, 2, 1]]
     dg = pairwise_digraph(*list_positions(orders))
-    assert sorted(dg.edges()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.6599999999999999)]
+    assert sorted(edge_map(dg).items()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.6599999999999999)]
     out = break_cycles(dg)
-    assert sorted(out.edges()) == [((0, 1), 0.66), ((1, 2), 0.66)]
+    assert sorted(edge_map(out).items()) == [((0, 1), 0.66), ((1, 2), 0.66)]
     labels, src, dst, w = dg.arrays()
     keep = oracle_break_cycles(len(labels), src, dst, w)
     assert np.array_equal(out.arrays()[1], src[keep])
@@ -267,10 +267,10 @@ def test_break_cycles_matches_literal_loop():
                 if rng.random() < 0.25:
                     a, b = (v, u) if (u, v) in edges else (u, v)
                     edges[(a, b)] = rng.choice([0.5, 0.6, 0.75, 0.95])
-        dg = WeightedDigraph(vertices, edges)
+        dg = digraph(vertices, edges)
         out = break_cycles(dg)
         assert is_acyclic(out)
-        assert {e for e, _ in out.edges()} == brute_break_cycles(vertices, edges)
+        assert set(edge_map(out)) == brute_break_cycles(vertices, edges)
 
 
 def test_break_cycles_removed_edges_are_weakest():
@@ -284,9 +284,9 @@ def test_break_cycles_removed_edges_are_weakest():
                 edges[(u, v)] = w
             else:
                 edges[(v, u)] = w
-        dg = WeightedDigraph(range(n), edges)
+        dg = digraph(range(n), edges)
         out = break_cycles(dg)
-        kept = {e: w for e, w in out.edges()}
+        kept = edge_map(out)
         removed = {e: w for e, w in edges.items() if e not in kept}
         if removed and kept:
             # removals follow ascending (weight, src, dst); every removed edge
@@ -295,18 +295,18 @@ def test_break_cycles_removed_edges_are_weakest():
 
 
 def test_bin_by_indegree_chain():
-    dg = WeightedDigraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
+    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{0}, {1}, {2}]
 
 
 def test_bin_by_indegree_diamond():
-    dg = WeightedDigraph(
+    dg = digraph(
         [0, 1, 2, 3], {(0, 1): 0.9, (0, 2): 0.9, (1, 3): 0.9, (2, 3): 0.9})
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{0}, {1, 2}, {3}]
 
 
 def test_bin_by_indegree_edgeless():
-    dg = WeightedDigraph([5, 7, 9], {})
+    dg = digraph([5, 7, 9], {})
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{5, 7, 9}]
 
 
@@ -317,7 +317,7 @@ def test_bin_by_indegree_rejects_cycles():
         ([0, 2], {(2, 0): 0.9, (0, 0): 0.6}),  # a self-loop reached from a source
     ):
         with pytest.raises(CyclicInputError):
-            bin_by_indegree(WeightedDigraph(vertices, edges))
+            bin_by_indegree(digraph(vertices, edges))
 
 
 def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
@@ -330,7 +330,7 @@ def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
         for i, j in itertools.combinations(range(n), 2):
             if rng.random() < 0.4:
                 edges[(order[i], order[j])] = rng.choice([0.6, 0.8, 1.0])
-        dag = WeightedDigraph(range(n), edges)
+        dag = digraph(range(n), edges)
         bins = bin_by_indegree(dag)
         assert set().union(*bins.bins) == dag.vertices
         assert sum(len(b) for b in bins.bins) == n
@@ -367,6 +367,17 @@ def test_reconstruct_deterministic_across_jobs():
     assert serial_bins == parallel_bins
     assert serial_dg == parallel_dg
     assert serial_rank == parallel_rank
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_are_rejected(jobs):
+    # as `--jobs` and NETCHRONO_JOBS are, rather than read as serial
+    with pytest.raises(InvalidConfigError):
+        fan_out(abs, [1, 2], jobs)
+    g, _ = generate_ba(BAConfig(8, 2, 4))
+    cfg = PipelineConfig(alpha=2, connections=2, kind=CentralityKind.DEGREE, master_seed=3)
+    with pytest.raises(InvalidConfigError):
+        reconstruct_with_ranking(g, cfg, jobs=jobs)
 
 
 def test_reconstruct_validates_input():
