@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NoConvergenceError
 from .graph import UndirectedGraph
@@ -99,6 +98,9 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     closed group is then added to the total.  So scores depend neither on
     the block size nor on how the levels are stored or found.
     """
+    # imported here, not at module level: no other stage needs scipy, half of a cold import
+    import scipy.sparse as sp
+
     adj = sp.csr_array(
         (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
         shape=(n, n),

@@ -58,24 +58,28 @@ def _peel(indptr: np.ndarray, indices: np.ndarray, level_scores: LevelScores) ->
     """DCM per CSR row.  Each peeling level is scored exactly once: a
     level's scores are reused as the previous-level scores of the next."""
     n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
     degrees = np.diff(indptr)
     alive = np.ones(n, dtype=bool)
+    live = np.arange(n)  # the alive positions, ascending
     dcm = np.zeros(n)
     current = level_scores(alive, degrees)
     while True:
-        live = np.flatnonzero(alive)
         level_degrees = degrees[live]
         peeled = level_degrees == level_degrees.min()
-        removed = np.zeros(n, dtype=bool)
-        removed[live[peeled]] = True
-        alive &= ~removed
-        dcm[removed] += np.abs(current[peeled])
-        if not alive.any():
+        gone = live[peeled]
+        dcm[gone] += np.abs(current[peeled])
+        if gone.size == live.size:
             return dcm
-        degrees = degrees - np.bincount(indices[removed[rows]], minlength=n)
+        alive[gone] = False
+        live = live[~peeled]
+        # the CSR positions of the removed rows only: each row's start, repeated, plus an offset
+        starts = indptr[gone]
+        counts = indptr[gone + 1] - starts
+        ends = np.cumsum(counts)
+        at = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        degrees = degrees - np.bincount(indices[at], minlength=n)
         nxt = level_scores(alive, degrees)
-        dcm[live[~peeled]] += np.abs(nxt - current[~peeled])
+        dcm[live] += np.abs(nxt - current[~peeled])
         current = nxt
 
 

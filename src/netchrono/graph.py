@@ -14,6 +14,7 @@ The one cycle test is Kahn's source peel (`_source_rounds`), read by
 from __future__ import annotations
 
 from itertools import chain
+from numbers import Integral
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -265,16 +266,26 @@ class WeightedDigraph:
 def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
     """Build a simple undirected graph from (u, v) pairs.
 
-    Duplicate and reversed pairs collapse to a single edge; self-loops, and
-    items that are not two labels, are rejected.  Isolated endpoints never
-    arise here (every listed vertex is an endpoint), but vertices of degree
-    zero are representable and survive `remove_vertices`.
+    Duplicate and reversed pairs collapse to a single edge; self-loops,
+    items that are not two labels, and labels that are not integers in the
+    int64 range are rejected.  Isolated endpoints never arise here (every
+    listed vertex is an endpoint), but vertices of degree zero are
+    representable and survive `remove_vertices`.
     """
     pairs = list(pairs)
     sizes = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
     if np.any(sizes != 2):
         raise NetchronoError(f"edge {pairs[np.argmax(sizes != 2)]!r} is not a pair of labels")
-    ends = np.fromiter(chain.from_iterable(pairs), dtype=np.int64).reshape(-1, 2)
+    flat = chain.from_iterable
+    # the label types, collected in one C-level pass: `np.fromiter` would truncate 1.9 to 1
+    if not all(issubclass(t, Integral) for t in set(map(type, flat(pairs)))):
+        bad = next(x for x in flat(pairs) if not isinstance(x, Integral))
+        raise NetchronoError(f"label {bad!r} is not an integer")
+    try:
+        ends = np.fromiter(flat(pairs), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        bad = next(x for x in flat(pairs) if not -2**63 <= x < 2**63)
+        raise NetchronoError(f"label {bad} is outside the int64 range") from None
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
         raise SelfLoopError(int(ends[np.argmax(loops), 0]))

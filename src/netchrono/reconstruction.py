@@ -19,7 +19,6 @@ salts derive from master_seed; results stay bit-reproducible.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +295,9 @@ def fan_out(fn, tasks: list, jobs: int | None) -> list:
         raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs is None or jobs == 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, tasks))
 

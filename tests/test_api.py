@@ -1,8 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 
 import netchrono
+from netchrono.centrality import CentralityKind, compute
+from netchrono.graph import from_edge_list
+
+EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)]
 
 
 def test_every_export_resolves():
@@ -10,11 +15,24 @@ def test_every_export_resolves():
     assert len(set(netchrono.__all__)) == len(netchrono.__all__)
 
 
-def test_import_leaves_csgraph_unloaded():
-    # the library's cycle test is a source peel; scipy is only the Brandes product
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    # scipy is imported by the Brandes product on first use, the pool by fan_out
     src = os.path.dirname(os.path.dirname(netchrono.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import netchrono, sys; print('scipy.sparse.csgraph' in sys.modules)"
+    code = f"""
+import json, sys
+import netchrono, netchrono.cli
+from netchrono.centrality import CentralityKind, compute
+from netchrono.graph import from_edge_list
+cold = sorted(m for m in sys.modules
+              if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+scores = compute(from_edge_list({EDGES!r}), CentralityKind.BETWEENNESS).scores
+print(json.dumps([cold, sorted(scores.items()), "scipy.sparse" in sys.modules]))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    cold, scores, sparse_after = json.loads(out)
+    assert cold == []
+    want = compute(from_edge_list(EDGES), CentralityKind.BETWEENNESS).scores
+    assert scores == [[v, s] for v, s in sorted(want.items())]
+    assert sparse_after

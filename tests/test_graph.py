@@ -46,6 +46,24 @@ def test_from_edge_list_rejects_items_that_are_not_pairs(pairs):
         from_edge_list(pairs)
 
 
+@pytest.mark.parametrize("pairs, match", [
+    ([(0, 2**64)], "outside the int64 range"),
+    ([(0, 1), (-2**63 - 1, 2)], "outside the int64 range"),
+    ([(0, 1.9)], "not an integer"),
+    ([(0, 2.0)], "not an integer"),
+    ([(0, "1")], "not an integer"),
+])
+def test_from_edge_list_rejects_labels_it_cannot_store(pairs, match):
+    # np.fromiter would overflow on the first two and truncate 1.9 to 1
+    with pytest.raises(NetchronoError, match=match):
+        from_edge_list(pairs)
+
+
+def test_from_edge_list_keeps_the_int64_extremes():
+    labels, _, _ = from_edge_list([(-2**63, 2**63 - 1)]).csr_arrays()
+    assert labels.tolist() == [-2**63, 2**63 - 1]
+
+
 def test_from_edge_list_order_independent():
     rng = random.Random(7)
     for _ in range(30):
