@@ -31,6 +31,9 @@ class BAConfig:
             raise InvalidConfigError(f"require n > c >= 1, got n={self.n} c={self.c}")
         if not (0 <= self.seed < _SEED_MAX):
             raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        # the draws replay numpy's 32-bit bounded-integer rule (`_lemire`)
+        if self.c * (self.c - 1) + 2 * self.c * (self.n - 1 - self.c) >= 2**32:
+            raise InvalidConfigError(f"n={self.n} c={self.c}: attachment list reaches 2**32")
 
 
 @dataclass(frozen=True)
@@ -52,11 +55,10 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
     Returns the graph and the chronology [0, 1, ..., n-1].
 
     The draws are those of one scalar `integers(0, len(list))` call per
-    pick, in arrival order, but made a chunk of arrivals at a time; see
-    `_draw_targets`.
+    pick, in arrival order; see `_draw_targets`.
     """
     n, c = cfg.n, cfg.c
-    targets = _draw_targets(n, c, np.random.Generator(np.random.PCG64(cfg.seed)))
+    targets = _draw_targets(n, c, np.random.PCG64(cfg.seed))
     clique_u, clique_v = np.triu_indices(c, k=1)
     src = np.concatenate([clique_u, np.repeat(np.arange(c, n), c)])
     dst = np.concatenate([clique_v, targets.reshape(-1)])
@@ -65,94 +67,92 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
     return g, Chronology(range(n))
 
 
-def _draw_targets(n: int, c: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_targets(n: int, c: int, bitgen: np.random.BitGenerator) -> np.ndarray:
     """targets[u - c]: the c distinct vertices arrival u attaches to, in draw order.
 
-    The attachment list is never built.  Arrival u draws below the fixed
-    bound c(c-1) + 2c(u-c), and a list position p resolves by index alone:
-    below c(c-1) it is seed vertex p // (c-1); past that, each earlier
-    arrival w owns a block of 2c positions, its c targets and then w
-    itself c times.  A chunk of arrivals takes one `integers` call on the
-    array of their bounds, which yields the values and leaves the
-    generator state of the same scalar calls made in order.  The chunk
-    holds as long as no arrival in it draws a repeat; at the first one that
-    does, the state saved before the chunk is restored, the draws up to and
-    including that arrival's first c are made again, and its redraws are
-    scalar, as in the plain loop.
+    `attach` is the network's attachment list: c(c-1) seed positions
+    (vertex p // (c-1)), then per arrival its c picks (-1 until accepted)
+    and itself c times; arrival u draws below c(c-1) + 2c(u-c).  A chunk of
+    arrivals reads one word per pick (`_lemire`) and gathers its picks from
+    `attach`, a -1 being a pick of the same chunk.  The arrivals before the
+    first that repeats a pick or reads a rejected word are accepted; that
+    one is finished word by word, as numpy's scalar calls would, and the
+    next chunk starts at the next word.
     """
     base = c * (c - 1)
-    targets = np.empty((n - c, c), dtype=np.int64)
-    flat = targets.reshape(-1)
-    u = c
+    attach = np.full(base + 2 * c * (n - c), -1, dtype=np.int64)
+    attach[:base] = np.arange(base) // max(c - 1, 1)
+    blocks = attach[base:].reshape(n - c, 2 * c)
+    blocks[:, c:] = np.arange(c, n)[:, None]
+    bounds = np.repeat(base + 2 * c * np.arange(n - c, dtype=np.uint64), c)
+    floors = (2**32 - bounds) % np.maximum(bounds, 1)  # bound 0: arrival 1 of c = 1
+    offsets = np.repeat(np.arange(n - c) * n, c)
+    words, at, u = np.empty(0, dtype=np.uint64), 0, c
     if base == 0:
-        # degenerate c=1 start: K_1 has no degree mass, fall back to uniform
-        targets[0, 0] = rng.integers(0, u)
+        # K_1 has no degree mass: arrival 1 draws integers(0, 1), which reads no word
+        attach[0] = 0
         u += 1
     while u < n:
-        end = min(n, u + max(_CHUNK_MIN, u // _CHUNK_SHARE))
-        saved = rng.bit_generator.state
-        bounds = np.repeat(base + 2 * c * (np.arange(u, end) - c), c)
-        picks = _resolve(rng.integers(0, bounds), flat, base, c, (u - c) * c)
+        lo, hi = (u - c) * c, (min(n, u + max(_CHUNK_MIN, u // _CHUNK_SHARE)) - c) * c
+        if len(words) - at < hi - lo:
+            words, at = np.concatenate([words[at:], _words(bitgen, hi - lo)]), 0
+        pos, accepted = _lemire(words[at:at + hi - lo], bounds[lo:hi], floors[lo:hi])
+        picks = attach[pos]
+        miss = (picks < 0).nonzero()[0]
+        if miss.size:
+            # each refers to an earlier slot of this chunk; chains resolve one link a round
+            block, r = np.divmod(pos[miss] - base, 2 * c)
+            ref = block * c + r - lo
+            while miss.size:
+                picks[miss] = picks[ref]
+                left = picks[miss] < 0
+                miss, ref = miss[left], ref[left]
         rows = picks.reshape(-1, c)
-        ordered = np.sort(rows, axis=1)
-        repeats = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-        if repeats.size == 0:
-            targets[u - c:end - c] = rows
-            u = end
+        # a repeat is an equal pair once each pick is offset by its arrival times n
+        keys = picks + offsets[lo:hi]
+        keys.sort()
+        same = (keys[1:] == keys[:-1]).nonzero()[0]
+        k = int(keys[same[0]]) // n - (u - c) if same.size else len(rows)
+        if not accepted.all():
+            k = min(k, int(np.argmin(accepted)) // c)
+        blocks[u - c:u - c + k, :c] = rows[:k]
+        u, at = u + k, at + k * c
+        if k == len(rows):
             continue
-        k = int(repeats[0])
-        targets[u - c:u - c + k] = rows[:k]
-        rng.bit_generator.state = saved
-        rng.integers(0, bounds[:(k + 1) * c])
-        u += k
-        chosen = list(dict.fromkeys(rows[k].tolist()))
-        bound = int(bounds[k * c])
+        # arrival u: its c words above, then one at a time; its picks share one bound
+        chosen = list(dict.fromkeys(rows[k][accepted[k * c:(k + 1) * c]].tolist()))
+        bound, floor = int(bounds[lo + k * c]), int(floors[lo + k * c])
+        at += c
         while len(chosen) < c:
-            # one position, resolved as `_resolve` does; every pick it can
-            # refer to is an earlier arrival's, already in `flat`
-            pos = int(rng.integers(0, bound))
-            if pos < base:
-                pick = pos // (c - 1)
-            else:
-                block, r = divmod(pos - base, 2 * c)
-                pick = int(flat[block * c + r]) if r < c else block + c
-            if pick not in chosen:
-                chosen.append(pick)
-        targets[u - c] = chosen
+            if at == len(words):
+                words, at = _words(bitgen, _CHUNK_MIN), 0
+            p, ok = _lemire(int(words[at]), bound, floor)
+            at += 1
+            if ok and int(attach[p]) not in chosen:
+                chosen.append(int(attach[p]))
+        blocks[u - c, :c] = chosen
         u += 1
-    return targets
+    return blocks[:, :c]
 
 
-# chunk length: at least _CHUNK_MIN arrivals, else one in _CHUNK_SHARE of
-# those already grown, so a repeat costs a redraw of a short prefix
+# a chunk is _CHUNK_MIN arrivals, or one in _CHUNK_SHARE of those grown if more
 _CHUNK_MIN = 64
 _CHUNK_SHARE = 8
 
 
-def _resolve(pos: np.ndarray, flat: np.ndarray, base: int, c: int, lo: int) -> np.ndarray:
-    """Vertices at attachment-list positions `pos`, the picks flat[lo:lo + len(pos)].
+def _words(bitgen: np.random.BitGenerator, outputs: int) -> np.ndarray:
+    """The next 2 * outputs 32-bit words, in the order PCG64's next_uint32
+    hands them out: each 64-bit output's low half, then its high half."""
+    raw = bitgen.random_raw(outputs)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
 
-    A position inside an earlier arrival's target block refers to one of
-    its picks: before `lo` it is read from `flat`; inside this chunk it is
-    another of these picks, followed by pointer jumping (references always
-    point to earlier picks).
-    """
-    block, r = np.divmod(pos - base, 2 * c)
-    vertex = np.where(pos < base, pos // max(c - 1, 1), block + c)
-    ref = np.where((pos >= base) & (r < c), block * c + r, -1)
-    earlier = (ref >= 0) & (ref < lo)
-    vertex[earlier] = flat[ref[earlier]]
-    ref = np.where(ref >= lo, ref - lo, -1)
-    pending = np.flatnonzero(ref >= 0)
-    while pending.size:
-        to = ref[pending]
-        onward = ref[to]
-        done = onward < 0
-        vertex[pending[done]] = vertex[to[done]]
-        ref[pending[done]] = -1
-        ref[pending[~done]] = onward[~done]
-        pending = pending[~done]
-    return vertex
+
+def _lemire(words, bounds, floors):
+    """numpy's integers(0, L) rule for L < 2**32, on words and bounds (arrays
+    or ints): (value, accepted).  m = word * L; the value is m >> 32 and the
+    word is rejected when m mod 2**32 < (2**32 - L) mod L, its floor."""
+    m = words * bounds
+    return m >> 32, (m & 0xFFFFFFFF) >= floors
 
 
 def shuffle_vertex_labels(

@@ -39,11 +39,11 @@ def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray)
     level size, so it is rescaled by the unordered pair count, which
     leaves every within-level ranking untouched.
     """
+    if kind is CentralityKind.DEGREE:
+        return lambda alive, degrees: degree_scores(degrees[alive])
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
     def score(alive: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        if kind is CentralityKind.DEGREE:
-            return degree_scores(degrees[alive])
         level = _induced_csr(indptr, indices, rows, alive)
         if kind is CentralityKind.EIGENVECTOR:
             return eigenvector_scores(*level)
@@ -95,4 +95,6 @@ def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> Score
 
 def rank_descending(t: ScoreTable) -> list[int]:
     """Vertices by score descending; equal scores break by ascending label."""
-    return sorted(t.scores, key=lambda v: (-t.scores[v], v))
+    labels = np.fromiter(t.scores, dtype=np.int64, count=len(t.scores))
+    scores = np.fromiter(t.scores.values(), dtype=np.float64, count=len(t.scores))
+    return labels[np.lexsort((labels, -scores))].tolist()

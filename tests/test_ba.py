@@ -15,7 +15,7 @@ from netchrono import (
     generate_ba,
     shuffle_vertex_labels,
 )
-from netchrono.ba import DegreeDistribution
+from netchrono.ba import DegreeDistribution, _lemire, _words
 from netchrono.errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
 
 from oracles import oracle_csr_arrays, oracle_generate_ba
@@ -43,6 +43,13 @@ def test_invalid_configs():
         BAConfig(5, 0, 1)
     with pytest.raises(InvalidConfigError):
         BAConfig(5, 2, -1)
+    # the largest bound c(c-1) + 2c(n-1-c) must stay below 2**32
+    BAConfig(715827885, 3, 1)
+    BAConfig(2**31 + 1, 1, 1)
+    with pytest.raises(InvalidConfigError):
+        BAConfig(715827886, 3, 1)
+    with pytest.raises(InvalidConfigError):
+        BAConfig(2**31 + 2, 1, 1)
 
 
 def test_deterministic_given_seed():
@@ -162,8 +169,12 @@ def test_edge_list_digest(n, c, seed, digest):
 # once: the first arrival after a K_7 (it must hit all seven), and arrivals
 # well into a chunk, 144 of a c = 3 network (44 in) and 75 of a c = 2 one (10 in)
 @example(c=7, extra=1, seed=0)
+# a chunk of one pick: the last arrival of a c = 1 network
+@example(c=1, extra=2, seed=0)
 @example(c=3, extra=300, seed=0)
 @example(c=2, extra=200, seed=11)
+# a word numpy's bounded-integer rule rejects, at arrival 2700 (bound 16188)
+@example(c=3, extra=2997, seed=180)
 def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
     n = c + extra
     g, _ = generate_ba(BAConfig(n, c, seed))
@@ -177,3 +188,32 @@ def test_csr_handed_over_matches_per_row_build(n, c, seed):
     g, _ = generate_ba(BAConfig(n, c, seed))
     for got, want in zip(g.csr_arrays(), oracle_csr_arrays(g)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    bounds=st.lists(st.integers(2, 2**16) | st.integers(2**31, 2**32 - 1), min_size=1, max_size=40),
+)
+@example(seed=0, bounds=[2**31 + 1] * 8)
+def test_word_replay_matches_generator_integers(seed, bounds):
+    """`_words` and `_lemire` give the values, and read the words, of
+    Generator.integers(0, bounds); bounds past 2**31 reject about half
+    their words."""
+    expected = np.random.Generator(np.random.PCG64(seed)).integers(0, np.array(bounds))
+    bounds = np.array(bounds, dtype=np.uint64)
+    floors = (2**32 - bounds) % bounds
+    words = _words(np.random.PCG64(seed), 40 * len(bounds))
+    values, accepted = _lemire(words[:len(bounds)], bounds, floors)
+    first = int(np.argmin(accepted)) if not accepted.all() else len(bounds)
+    assert np.array_equal(values[:first], expected[:first])
+    # one word at a time, as the redraws in _draw_targets read them
+    at, replayed = 0, []
+    for bound, floor in zip(bounds.tolist(), floors.tolist()):
+        while True:
+            value, ok = _lemire(int(words[at]), bound, floor)
+            at += 1
+            if ok:
+                break
+        replayed.append(value)
+    assert replayed == expected.tolist()

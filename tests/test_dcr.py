@@ -3,6 +3,8 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netchrono import (
     BAConfig,
@@ -111,6 +113,18 @@ def test_rank_descending_examples():
     assert rank_descending(ScoreTable({0: 0.5, 1: 1.0, 2: 0.5})) == [1, 0, 2]
     assert rank_descending(ScoreTable({3: 1.0, 1: 1.0, 2: 1.0})) == [1, 2, 3]
     assert rank_descending(ScoreTable({})) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(
+    st.integers(-2**63, 2**63 - 1) | st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]),
+    st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(allow_nan=False),
+    max_size=30,
+))
+@example({2**63 - 1: 0.0, -2**63: -0.0, 0: 0.0, -1: -0.0, 7: 2.0, -7: 2.0})
+def test_rank_descending_matches_sorted_key(scores):
+    # 0.0 and -0.0 tie, so they order by label
+    assert rank_descending(ScoreTable(scores)) == sorted(scores, key=lambda v: (-scores[v], v))
 
 
 def _assert_bit_equal_dcm(g, kind):
