@@ -9,6 +9,7 @@ the arrival completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -27,13 +28,24 @@ class BAConfig:
     seed: int
 
     def __post_init__(self):
+        _require_integers(self, "n", "c", "seed")
         if self.c < 1 or self.n <= self.c:
             raise InvalidConfigError(f"require n > c >= 1, got n={self.n} c={self.c}")
         if not (0 <= self.seed < _SEED_MAX):
             raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        # the draws replay numpy's 32-bit bounded-integer rule (`_lemire`)
-        if self.c * (self.c - 1) + 2 * self.c * (self.n - 1 - self.c) >= 2**32:
+        # the draws replay numpy's 32-bit bounded-integer rule (`_lemire`); the
+        # bound is taken on Python ints, where numpy integers would wrap
+        n, c = int(self.n), int(self.c)
+        if c * (c - 1) + 2 * c * (n - 1 - c) >= 2**32:
             raise InvalidConfigError(f"n={self.n} c={self.c}: attachment list reaches 2**32")
+
+
+def _require_integers(cfg, *fields: str) -> None:
+    """Reject a config field that is not an integer; numpy integers pass, bools do not."""
+    for name in fields:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

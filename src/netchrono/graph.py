@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -28,41 +28,21 @@ class UndirectedGraph:
     Vertex labels are arbitrary integers in the int64 range and are never
     re-indexed by structural operations; per-vertex scores accumulated
     across peeled subgraphs rely on that.  The stored form is the one
-    `csr_arrays` returns, so equal graphs have equal arrays.
+    `csr_arrays` returns, so equal graphs have equal arrays.  It has one
+    builder, `_from_csr`; build one from pairs with `from_edge_list`.
     """
 
     __slots__ = ("_labels", "_indptr", "_indices")
 
-    def __init__(self, adjacency: Mapping[int, Iterable[int]]):
-        adj = {int(v): frozenset(int(w) for w in nbrs) for v, nbrs in adjacency.items()}
-        for v, nbrs in adj.items():
-            if v in nbrs:
-                raise SelfLoopError(v)
-            for w in nbrs:
-                if w not in adj or v not in adj[w]:
-                    raise ValueError(f"adjacency is not symmetric at edge ({v}, {w})")
-        order = sorted(adj)
-        labels = np.fromiter(order, dtype=np.int64, count=len(order))
-        degrees = np.fromiter((len(adj[v]) for v in order), dtype=np.int64, count=len(order))
-        nbrs = np.fromiter(chain.from_iterable(adj[v] for v in order), dtype=np.int64,
-                           count=int(degrees.sum()))
-        rows = np.repeat(np.arange(len(order), dtype=np.int64), degrees)
-        self._set(labels, *_csr_layout(len(order), rows, np.searchsorted(labels, nbrs)))
-
-    def _set(self, labels: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
-        self._labels = labels
-        self._indptr = indptr
-        self._indices = indices
-        for a in (labels, indptr, indices):
-            a.setflags(write=False)
-
     @classmethod
     def _from_csr(cls, labels: np.ndarray, indptr: np.ndarray,
                   indices: np.ndarray) -> "UndirectedGraph":
-        # internal fast path: int64 arrays of a symmetric CSR structure with no
+        # the one builder: int64 arrays of a symmetric CSR structure with no
         # self-loops, in the layout `csr_arrays` returns; they become read-only
-        g = cls.__new__(cls)
-        g._set(labels, indptr, indices)
+        g = cls()
+        g._labels, g._indptr, g._indices = labels, indptr, indices
+        for a in (labels, indptr, indices):
+            a.setflags(write=False)
         return g
 
     @property
@@ -76,20 +56,6 @@ class UndirectedGraph:
     @property
     def edge_count(self) -> int:
         return len(self._indices) // 2
-
-    def _row(self, v: int) -> slice:
-        """The span of v's neighbour positions in `indices`."""
-        i = _position(self._labels, v)
-        if i is None:
-            raise UnknownVertexError(v)
-        return slice(int(self._indptr[i]), int(self._indptr[i + 1]))
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._labels[self._indices[self._row(v)]].tolist())
-
-    def degree(self, v: int) -> int:
-        row = self._row(v)
-        return row.stop - row.start
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (min(u,v), max(u,v)), sorted."""

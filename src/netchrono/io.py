@@ -3,15 +3,16 @@
 Edge list: one edge per line as two whitespace-separated non-negative
 integers; lines starting with '#' are comments.  A graph whose labels are
 contiguous 0..N-1 carries a "# vertices: N" header so isolated vertices
-survive a round trip.
+survive a round trip; a file has at most one.
 
 Chronology: one vertex label per line, in arrival order.
 
 Readers reject a malformed line with an `InputFormatError` naming
 path:line: a wrong number of fields, a token that is not a non-negative
-decimal integer, a label above the int64 maximum (graphs store labels as
-int64), in an edge list with a "# vertices: N" header a label of N or
-more, and in a chronology a label listed twice.
+decimal integer, a label or a vertex count above the int64 maximum
+(graphs store labels as int64), in an edge list a second "# vertices: N"
+header or, after one, a label of N or more, and in a chronology a label
+listed twice.
 """
 from __future__ import annotations
 
@@ -37,12 +38,20 @@ def _labels(line: str, count: int, path, lineno: int) -> list[int]:
         if not (token.isascii() and token.isdecimal()):
             raise InputFormatError(
                 f"{path}:{lineno}: {token!r} is not a non-negative integer label")
-    labels = [int(token) for token in parts]
-    for label in labels:
-        if label > _LABEL_MAX:
-            raise InputFormatError(
-                f"{path}:{lineno}: label {label} is above the int64 maximum {_LABEL_MAX}")
-    return labels
+    return [_bounded(token, "label", path, lineno) for token in parts]
+
+
+def _bounded(digits: str, what: str, path, lineno: int) -> int:
+    """The decimal `digits` as an int, rejected above the int64 maximum.
+    A longer string is converted only when its significant digits are 19
+    or fewer: `int` refuses a string of over 4300 digits."""
+    if len(digits) <= 19 and (value := int(digits)) <= _LABEL_MAX:
+        return value
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > 19 or int(significant) > _LABEL_MAX:
+        raise InputFormatError(
+            f"{path}:{lineno}: {what} {significant} is above the int64 maximum {_LABEL_MAX}")
+    return int(significant)
 
 
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
@@ -72,7 +81,11 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
             if line.startswith("#"):
                 m = _VERTICES_HEADER.match(line)
                 if m:
-                    declared = int(m.group(1))
+                    if declared is not None:
+                        raise InputFormatError(
+                            f"{path}:{lineno}: a second vertices header "
+                            f"(one already declared {declared})")
+                    declared = _bounded(m.group(1), "vertex count", path, lineno)
                     if top >= declared:
                         raise InputFormatError(
                             f"{path}:{lineno}: header declares {declared} vertices, "
@@ -87,10 +100,14 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
             pairs.append((u, v))
     g = from_edge_list(pairs)
     if declared is not None and g.vertex_count < declared:
-        adj = {v: g.neighbors(v) for v in g.vertices}
-        for v in range(declared):
-            adj.setdefault(v, frozenset())
-        g = UndirectedGraph(adj)
+        # pad the isolated vertices in: the labels become 0..declared-1, so
+        # each label is its own row and a neighbour position is its label
+        labels, indptr, indices = g.csr_arrays()
+        degrees = np.zeros(declared, dtype=np.int64)
+        degrees[labels] = np.diff(indptr)
+        indptr = np.zeros(declared + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        g = UndirectedGraph._from_csr(np.arange(declared, dtype=np.int64), indptr, labels[indices])
     return g
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import BAConfig, generate_ba
+from .ba import BAConfig, _require_integers, generate_ba
 from .baselines import BinOrdering
 from .centrality import CentralityKind, ScoreTable
 from .dcr import differential_core_ranking
@@ -58,6 +58,9 @@ class PipelineConfig:
     master_seed: int
 
     def __post_init__(self):
+        _require_integers(self, "alpha", "connections", "master_seed")
+        if not isinstance(self.kind, CentralityKind):
+            raise InvalidConfigError(f"kind must be a CentralityKind, got {self.kind!r}")
         if self.alpha < 1:
             raise InvalidConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.connections < 1:

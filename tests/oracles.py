@@ -26,6 +26,8 @@ from netchrono import ScoreTable, UndirectedGraph, from_edge_list
 from netchrono.centrality import CentralityKind, compute
 from netchrono.errors import NoConvergenceError
 
+from builders import adjacency, graph
+
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
     """G(n, p) with all n vertices present even when isolated."""
@@ -33,8 +35,7 @@ def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
     adj: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in pairs:
         adj[u].add(v)
-        adj[v].add(u)
-    return UndirectedGraph(adj)
+    return graph(adj)
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_p: float) -> UndirectedGraph:
@@ -53,6 +54,7 @@ def random_connected_graph(rng: random.Random, n: int, extra_p: float) -> Undire
 def brute_betweenness(g: UndirectedGraph) -> dict[int, float]:
     """Enumerate every shortest path of every unordered pair, count pass-throughs."""
     vertices = sorted(g.vertices)
+    nbrs = adjacency(g)
     score = {v: 0.0 for v in vertices}
 
     def all_shortest_paths(s, t):
@@ -62,7 +64,7 @@ def brute_betweenness(g: UndirectedGraph) -> dict[int, float]:
         q = deque([s])
         while q:
             v = q.popleft()
-            for w in g.neighbors(v):
+            for w in nbrs[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     parents[w] = [v]
@@ -95,15 +97,16 @@ def brute_betweenness(g: UndirectedGraph) -> dict[int, float]:
     return score
 
 
-def oracle_csr_arrays(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, indptr, indices) built one row at a time; indices are row positions."""
-    labels = np.fromiter(sorted(g.vertices), dtype=np.int64, count=g.vertex_count)
+def oracle_csr_arrays(adj: dict[int, set[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, indptr, indices) of a symmetric adjacency map, built one row
+    at a time; indices are row positions."""
+    labels = np.fromiter(sorted(adj), dtype=np.int64, count=len(adj))
     index = {int(v): i for i, v in enumerate(labels)}
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     chunks = []
     for i, v in enumerate(labels):
-        nbrs = np.fromiter(sorted(index[w] for w in g.neighbors(int(v))), dtype=np.int64,
-                           count=g.degree(int(v)))
+        nbrs = np.fromiter(sorted(index[w] for w in adj[int(v)]), dtype=np.int64,
+                           count=len(adj[int(v)]))
         indptr[i + 1] = indptr[i] + len(nbrs)
         chunks.append(nbrs)
     indices = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
@@ -196,8 +199,8 @@ def dense_dominant_eigenvector(g: UndirectedGraph) -> tuple[dict[int, float], fl
     index = {v: i for i, v in enumerate(labels)}
     n = len(labels)
     a = np.zeros((n, n))
-    for v in labels:
-        for w in g.neighbors(v):
+    for v, nbrs in adjacency(g).items():
+        for w in nbrs:
             a[index[v], index[w]] = 1.0
     vals, vecs = np.linalg.eigh(a)
     lam = float(vals[-1])
@@ -326,7 +329,7 @@ def oracle_generate_ba(n: int, c: int, seed: int) -> dict[int, set[int]]:
 
 
 def _oracle_remove_vertices(g: UndirectedGraph, drop: set[int]) -> UndirectedGraph:
-    return UndirectedGraph({v: g.neighbors(v) - drop for v in g.vertices if v not in drop})
+    return graph({v: nbrs - drop for v, nbrs in adjacency(g).items() if v not in drop})
 
 
 def _oracle_level_scores(g: UndirectedGraph, kind: CentralityKind) -> dict[int, float]:
@@ -344,7 +347,7 @@ def oracle_differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -
     current_graph = g
     current = _oracle_level_scores(current_graph, kind)
     while current_graph.vertex_count > 0:
-        degrees = {v: current_graph.degree(v) for v in current_graph.vertices}
+        degrees = {v: len(nbrs) for v, nbrs in adjacency(current_graph).items()}
         min_degree = min(degrees.values())
         peeled = {v for v, d in degrees.items() if d == min_degree}
         next_graph = _oracle_remove_vertices(current_graph, peeled)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from netchrono import (
     BAConfig,
     Chronology,
-    UndirectedGraph,
     degree_histogram,
     estimate_power_law_exponent,
     generate_ba,
@@ -18,6 +17,7 @@ from netchrono import (
 from netchrono.ba import DegreeDistribution, _lemire, _words
 from netchrono.errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
 
+from builders import adjacency, graph
 from oracles import oracle_csr_arrays, oracle_generate_ba
 
 
@@ -31,9 +31,10 @@ def test_small_network_shape():
     assert g.edge_count == 21
     assert list(chron) == list(range(9))
     # seed clique on the first three labels
+    nbrs = adjacency(g)
     for u in range(3):
         for v in range(u + 1, 3):
-            assert v in g.neighbors(u)
+            assert v in nbrs[u]
 
 
 def test_invalid_configs():
@@ -50,6 +51,14 @@ def test_invalid_configs():
         BAConfig(715827886, 3, 1)
     with pytest.raises(InvalidConfigError):
         BAConfig(2**31 + 2, 1, 1)
+    # each field an integer: not a float, a string or a bool; numpy integers pass
+    for fields in [(30.0, 3, 1), (30, True, 1), (30, 3, 1.5), ("30", 3, 1), (30, 3, np.float64(1))]:
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            BAConfig(*fields)
+    BAConfig(np.int64(30), np.int32(3), np.uint64(2**64 - 1))
+    with pytest.raises(InvalidConfigError, match="2\\*\\*32"):
+        # 6 (n - 4) is 2**64 + 2: an int64 bound would wrap to 8 and pass
+        BAConfig(np.int64(3074457345618258607), np.int64(3), 1)
 
 
 def test_deterministic_given_seed():
@@ -68,7 +77,7 @@ def test_edge_count_law_and_degree_floor():
         g, chron = generate_ba(BAConfig(n, c, rng.randrange(2**32)))
         assert g.edge_count == expected_edges(n, c)
         assert list(chron) == list(range(n))
-        degrees = [g.degree(v) for v in sorted(g.vertices)]
+        degrees = np.diff(g.csr_arrays()[1])  # labels 0..n-1, so row v is vertex v
         assert min(degrees) >= c - 1
         assert all(degrees[v] >= c for v in range(c, n))
 
@@ -77,17 +86,18 @@ def test_early_vertices_outdegree_late_ones():
     early, late = [], []
     for seed in range(100):
         g, _ = generate_ba(BAConfig(200, 3, seed))
-        early.append(np.mean([g.degree(v) for v in range(20)]))
-        late.append(np.mean([g.degree(v) for v in range(180, 200)]))
+        degrees = np.diff(g.csr_arrays()[1])
+        early.append(np.mean(degrees[:20]))
+        late.append(np.mean(degrees[180:200]))
     assert np.mean(early) > np.mean(late)
 
 
 def test_degree_histogram_examples():
-    triangle = UndirectedGraph({0: [1, 2], 1: [0, 2], 2: [0, 1]})
+    triangle = graph({0: [1, 2], 1: [0, 2], 2: [0, 1]})
     assert degree_histogram(triangle).histogram == {2: 3}
-    star = UndirectedGraph({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
+    star = graph({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
     assert degree_histogram(star).histogram == {1: 3, 3: 1}
-    empty = UndirectedGraph({0: [], 1: []})
+    empty = graph({0: [], 1: []})
     assert degree_histogram(empty).histogram == {0: 2}
 
 
@@ -127,7 +137,7 @@ def test_shuffle_vertex_labels():
     sg2, schron2 = shuffle_vertex_labels(g, chron, 4)
     assert sg2 == sg and schron2 == schron
     # degree multiset preserved
-    assert sorted(g.degree(v) for v in g.vertices) == sorted(sg.degree(v) for v in sg.vertices)
+    assert sorted(np.diff(g.csr_arrays()[1])) == sorted(np.diff(sg.csr_arrays()[1]))
 
 
 @pytest.mark.parametrize("order", [
@@ -180,13 +190,13 @@ def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
     g, _ = generate_ba(BAConfig(n, c, seed))
     expected = oracle_generate_ba(n, c, seed)
     assert g.vertices == frozenset(expected)
-    assert all(g.neighbors(v) == frozenset(nbrs) for v, nbrs in expected.items())
+    assert adjacency(g) == {v: frozenset(nbrs) for v, nbrs in expected.items()}
 
 
 @pytest.mark.parametrize("n,c,seed", [(2, 1, 0), (50, 1, 3), (300, 3, 2**63), (200, 6, 4)])
 def test_csr_handed_over_matches_per_row_build(n, c, seed):
     g, _ = generate_ba(BAConfig(n, c, seed))
-    for got, want in zip(g.csr_arrays(), oracle_csr_arrays(g)):
+    for got, want in zip(g.csr_arrays(), oracle_csr_arrays(oracle_generate_ba(n, c, seed))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 

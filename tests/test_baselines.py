@@ -13,6 +13,7 @@ from netchrono import (
 )
 from netchrono.errors import InvalidDeltaError
 
+from builders import adjacency
 from oracles import random_connected_graph, random_graph
 
 STAR = from_edge_list([(0, 1), (0, 2), (0, 3)])
@@ -38,7 +39,7 @@ def test_degree_bins_groups_by_distinct_degree():
         (3, 7),
         (4, 5),
     ])
-    degrees = {v: g.degree(v) for v in g.vertices}
+    degrees = {v: len(nbrs) for v, nbrs in adjacency(g).items()}
     bins = degree_bins(g)
     seen = set()
     previous = None

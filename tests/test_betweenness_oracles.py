@@ -30,11 +30,12 @@ from netchrono.centrality import betweenness_scores
 from netchrono.dcr import _peel
 from netchrono.graph import _induced_csr
 
+from builders import adjacency, graph
 from oracles import oracle_brandes_ordered_sums, oracle_csr_arrays
 
 
 def oracle_scores(g: UndirectedGraph) -> dict[int, float]:
-    labels, indptr, indices = oracle_csr_arrays(g)
+    labels, indptr, indices = oracle_csr_arrays(adjacency(g))
     raw = oracle_brandes_ordered_sums(indptr, indices, len(labels))
     return {int(v): float(raw[i]) / 2.0 for i, v in enumerate(labels)}
 
@@ -58,21 +59,21 @@ def peeling_levels(g: UndirectedGraph, count: int) -> list[UndirectedGraph]:
     levels = [g]
     for _ in range(count):
         h = levels[-1]
-        low = min(h.degree(v) for v in h.vertices)
-        levels.append(remove_vertices(h, [v for v in h.vertices if h.degree(v) == low]))
+        labels, indptr, _ = h.csr_arrays()
+        degrees = np.diff(indptr)
+        levels.append(remove_vertices(h, labels[degrees == degrees.min()].tolist()))
     return levels
 
 
 def union(*graphs: UndirectedGraph) -> UndirectedGraph:
-    adj: dict[int, list[int]] = {}
+    adj: dict[int, frozenset[int]] = {}
     for g in graphs:
-        for v in g.vertices:
-            adj[v] = list(g.neighbors(v))
-    return UndirectedGraph(adj)
+        adj.update(adjacency(g))
+    return graph(adj)
 
 
 def shifted(g: UndirectedGraph, offset: int) -> UndirectedGraph:
-    return UndirectedGraph({v + offset: [w + offset for w in g.neighbors(v)] for v in g.vertices})
+    return graph({v + offset: [w + offset for w in nbrs] for v, nbrs in adjacency(g).items()})
 
 
 @pytest.mark.parametrize("n", [600, 1000])
@@ -125,7 +126,7 @@ def test_last_block_of_isolated_vertices_matches_first_kernel():
     # rows 512..599 have no edges: their block reaches nothing from any source,
     # so its forward sweep ends on an empty level, not on the count of vertices
     g, _ = generate_ba(BAConfig(512, 3, 6))
-    lonely = UndirectedGraph({v: [] for v in range(512, 600)})
+    lonely = graph({v: [] for v in range(512, 600)})
     _, indptr, indices = union(g, lonely).csr_arrays()
     assert len(indptr) - 1 == 600 and not np.diff(indptr)[512:].any()
     assert_kernel_bit_identical(indptr, indices)
@@ -145,7 +146,7 @@ def test_middle_block_of_isolated_vertices_matches_first_kernel():
     # level, and connected blocks come before and after it in the same group
     a, _ = generate_ba(BAConfig(64, 3, 11))
     b, _ = generate_ba(BAConfig(130, 3, 12))
-    lonely = UndirectedGraph({v: [] for v in range(64, 128)})
+    lonely = graph({v: [] for v in range(64, 128)})
     _, indptr, indices = union(a, lonely, shifted(b, 128)).csr_arrays()
     degrees = np.diff(indptr)
     assert len(degrees) == 258 and not degrees[64:128].any()
@@ -162,8 +163,8 @@ def test_disconnected_graph_matches_first_kernel():
 def test_isolated_vertices_match_first_kernel():
     g, _ = generate_ba(BAConfig(400, 3, 10))
     # spread the isolated labels through the label order, so they land in every block
-    spread = UndirectedGraph({3 * v: [3 * w for w in g.neighbors(v)] for v in g.vertices})
-    lonely = UndirectedGraph({3 * v + 1: [] for v in range(0, 400, 7)})
+    spread = graph({3 * v: [3 * w for w in nbrs] for v, nbrs in adjacency(g).items()})
+    lonely = graph({3 * v + 1: [] for v in range(0, 400, 7)})
     assert_bit_identical(union(spread, lonely))
 
 
@@ -176,7 +177,7 @@ def small_graphs(draw) -> UndirectedGraph:
         if u != v:
             adj[u].add(v)
             adj[v].add(u)
-    return UndirectedGraph(adj)
+    return graph(adj)
 
 
 @settings(max_examples=150, deadline=None)

@@ -20,6 +20,7 @@ from netchrono.centrality import degree_scores
 from netchrono.dcr import _peel
 from netchrono.graph import _induced_csr
 
+from builders import adjacency, graph
 from oracles import oracle_differential_core_ranking, random_graph
 
 PATH3 = from_edge_list([(0, 1), (1, 2)])
@@ -39,14 +40,14 @@ def test_hand_oracle_triangle():
 
 
 def test_single_vertex():
-    g = UndirectedGraph({4: []})
+    g = graph({4: []})
     for kind in CentralityKind:
         assert differential_core_ranking(g, kind).scores == {4: 0.0}
 
 
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
-        differential_core_ranking(UndirectedGraph({}), CentralityKind.DEGREE)
+        differential_core_ranking(graph({}), CentralityKind.DEGREE)
 
 
 def test_nonnegative_and_covers_all_vertices():
@@ -147,10 +148,10 @@ def _scattered(rng: random.Random, g: UndirectedGraph) -> UndirectedGraph:
     """g relabeled onto sparse, non-contiguous labels, plus a few isolated vertices."""
     labels = rng.sample(range(10**9), g.vertex_count + 3)
     names = dict(zip(sorted(g.vertices), labels))
-    adj = {names[v]: [names[w] for w in g.neighbors(v)] for v in g.vertices}
+    adj = {names[v]: [names[w] for w in nbrs] for v, nbrs in adjacency(g).items()}
     for extra in labels[g.vertex_count:]:
         adj[extra] = []
-    return UndirectedGraph(adj)
+    return graph(adj)
 
 
 @pytest.mark.parametrize("kind", list(CentralityKind))
@@ -161,17 +162,17 @@ def test_random_graphs_match_copying_peel(kind):
                  for _ in range(rng.randint(1, 3))]
         adj = {}
         for k, part in enumerate(parts):  # disjoint union: disconnected parts
-            adj.update({1000 * k + v: [1000 * k + w for w in part.neighbors(v)]
-                        for v in part.vertices})
-        g = UndirectedGraph(adj)
+            adj.update({1000 * k + v: [1000 * k + w for w in nbrs]
+                        for v, nbrs in adjacency(part).items()})
+        g = graph(adj)
         _assert_bit_equal_dcm(g, kind)
         _assert_bit_equal_dcm(_scattered(rng, g), kind)
 
 
 @pytest.mark.parametrize("kind", list(CentralityKind))
 def test_tiny_graphs_match_copying_peel(kind):
-    for g in (UndirectedGraph({7: []}), UndirectedGraph({3: [9], 9: [3]}),
-              UndirectedGraph({2: [], 5: [], 11: []}), PATH3, TRIANGLE):
+    for g in (graph({7: []}), graph({3: [9], 9: [3]}),
+              graph({2: [], 5: [], 11: []}), PATH3, TRIANGLE):
         _assert_bit_equal_dcm(g, kind)
 
 
@@ -185,7 +186,7 @@ def test_induced_csr_equals_csr_of_copied_subgraph():
         labels, indptr, indices = g.csr_arrays()
         nxg = nx.Graph()
         nxg.add_nodes_from(g.vertices)
-        nxg.add_edges_from((v, w) for v in g.vertices for w in g.neighbors(v))
+        nxg.add_edges_from(g.edges())
         rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
         for _ in range(4):
             keep = np.array([rng.random() < 0.6 for _ in labels], dtype=bool)

@@ -22,6 +22,7 @@ from netchrono.dcr import _peel
 from netchrono.errors import NoConvergenceError
 from netchrono.graph import _induced_csr
 
+from builders import graph
 from oracles import oracle_eigenvector_scores
 
 
@@ -60,7 +61,7 @@ def graphs(draw) -> UndirectedGraph:
         adj.setdefault(v, set())
     if not adj:
         adj[0] = set()
-    return UndirectedGraph(adj)
+    return graph(adj)
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,9 +72,9 @@ def test_random_graphs_match_first_kernel(g):
 
 
 @pytest.mark.parametrize("g", [
-    UndirectedGraph({4: []}),
-    UndirectedGraph({1: [2], 2: [1]}),
-    UndirectedGraph({1: [2], 2: [1], 5: []}),
+    graph({4: []}),
+    graph({1: [2], 2: [1]}),
+    graph({1: [2], 2: [1], 5: []}),
     from_edge_list([(0, 1), (2, 3)]),
     from_edge_list([(0, 2), (0, 3), (1, 2), (1, 3)]),
 ])

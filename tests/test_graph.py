@@ -17,7 +17,7 @@ from netchrono import (
 from netchrono.errors import NetchronoError, SelfLoopError, UnknownVertexError
 from netchrono.graph import _level_counts, _source_rounds
 
-from builders import digraph
+from builders import adjacency, digraph, graph
 from oracles import oracle_csr_arrays, random_graph
 
 
@@ -25,7 +25,7 @@ def test_from_edge_list_path():
     g = from_edge_list([(0, 1), (1, 2)])
     assert g.vertex_count == 3
     assert g.edge_count == 2
-    assert g.neighbors(1) == {0, 2}
+    assert adjacency(g) == {0: {1}, 1: {0, 2}, 2: {1}}
 
 
 def test_from_edge_list_collapses_duplicates():
@@ -108,14 +108,8 @@ def test_remove_vertices_induced_subgraph_property():
         g = random_graph(rng, 14, 0.25)
         drop = {v for v in g.vertices if rng.random() < 0.4}
         h = remove_vertices(g, drop)
-        assert h.vertices == g.vertices - drop
-        for u in h.vertices:
-            assert h.neighbors(u) == g.neighbors(u) - drop
-
-
-def test_adjacency_must_be_symmetric():
-    with pytest.raises(ValueError):
-        UndirectedGraph({0: [1], 1: []})
+        assert adjacency(h) == {u: nbrs - drop for u, nbrs in adjacency(g).items()
+                                if u not in drop}
 
 
 def test_is_acyclic_examples():
@@ -184,18 +178,24 @@ def test_weighted_digraph_has_no_edge_map_constructor():
         WeightedDigraph([0, 1], {(0, 1): 0.9})
 
 
+def test_undirected_graph_has_no_adjacency_constructor():
+    # `_from_csr` is the one builder: every graph is built as CSR arrays
+    with pytest.raises(TypeError):
+        UndirectedGraph({0: [1], 1: [0]})
+
+
 def test_csr_arrays_match_per_row_build():
     rng = random.Random(17)
-    graphs = [UndirectedGraph({}), UndirectedGraph({9: []}), from_edge_list([(5, 2)])]
+    maps = [{}, {9: set()}, {5: {2}, 2: {5}}]
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 60), rng.uniform(0.0, 0.3))
         # non-contiguous labels in an order unrelated to the positions
         relabel = dict(zip(sorted(g.vertices), rng.sample(range(10 ** 6), g.vertex_count)))
-        graphs.append(UndirectedGraph(
-            {relabel[v]: [relabel[w] for w in g.neighbors(v)] for v in g.vertices}))
-    for g in graphs:
-        got = g.csr_arrays()
-        want = oracle_csr_arrays(g)
+        maps.append({relabel[v]: {relabel[w] for w in nbrs} for v, nbrs in adjacency(g).items()})
+    assert from_edge_list([(5, 2)]) == graph(maps[2])
+    for adj in maps:
+        got = graph(adj).csr_arrays()
+        want = oracle_csr_arrays(adj)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, b)
@@ -229,16 +229,15 @@ def test_csr_graph_matches_networkx(labels, data):
     nxg = nx.Graph()
     nxg.add_nodes_from(labels)
     nxg.add_edges_from(pairs)
-    g = UndirectedGraph({v: list(nxg[v]) for v in labels})
+    g = graph({v: list(nxg[v]) for v in labels})
 
     assert g.vertices == frozenset(nxg) and g.vertex_count == nxg.number_of_nodes()
     assert g.edge_count == nxg.number_of_edges()
     assert list(g.edges()) == _canonical_edges(nxg)
-    for v in labels:
-        assert g.neighbors(v) == frozenset(nxg[v]) and g.degree(v) == nxg.degree[v]
+    assert adjacency(g) == {v: frozenset(nxg[v]) for v in labels}
     for stranger in (min(labels) - 1, max(labels) + 1, 2**70):
         with pytest.raises(UnknownVertexError):
-            g.neighbors(stranger)
+            remove_vertices(g, [stranger])
 
     want = nx.to_scipy_sparse_array(nxg, nodelist=sorted(labels), format="csr")
     want.sort_indices()
@@ -251,7 +250,7 @@ def test_csr_graph_matches_networkx(labels, data):
         shuffled = data.draw(st.permutations(pairs + [(v, u) for u, v in pairs]))
         h = from_edge_list(shuffled)
         touched = nxg.subgraph({v for pair in pairs for v in pair})
-        expected = UndirectedGraph({v: list(touched[v]) for v in touched})
+        expected = graph({v: list(touched[v]) for v in touched})
         assert h == expected and hash(h) == hash(expected)
         assert (h == g) == (touched.number_of_nodes() == len(labels))
 
@@ -260,5 +259,5 @@ def test_csr_graph_matches_networkx(labels, data):
     kept = nxg.subgraph(set(labels) - drop)
     assert sub.vertices == frozenset(kept) and sub.edge_count == kept.number_of_edges()
     assert list(sub.edges()) == _canonical_edges(kept)
-    rebuilt = UndirectedGraph({v: list(kept[v]) for v in kept})
+    rebuilt = graph({v: list(kept[v]) for v in kept})
     assert sub == rebuilt and hash(sub) == hash(rebuilt)

@@ -1,10 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netchrono import (
     Chronology,
-    UndirectedGraph,
     from_edge_list,
     read_chronology,
     read_edge_list,
@@ -12,6 +13,8 @@ from netchrono import (
     write_edge_list,
 )
 from netchrono.errors import InputFormatError
+
+from builders import graph
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -29,15 +32,46 @@ def test_edge_list_comments_ignored(tmp_path):
 
 
 def test_edge_list_header_preserves_isolated_vertices(tmp_path):
-    g = UndirectedGraph({0: [1], 1: [0], 2: []})
+    g = graph({0: [1], 1: [0], 2: []})
     path = tmp_path / "g.edges"
     write_edge_list(g, path)
     assert "# vertices: 3" in path.read_text()
     assert read_edge_list(path) == g
 
 
+@pytest.mark.parametrize("text, adjacency", [
+    ("# vertices: 4\n", {0: [], 1: [], 2: [], 3: []}),      # header only
+    ("# vertices: 6\n0 1\n1 2\n", {0: [1], 1: [2], 2: [], 3: [], 4: [], 5: []}),  # above every label
+    ("# vertices: 7\n0 3\n3 6\n", {0: [3], 1: [], 2: [], 3: [6], 4: [], 5: [], 6: []}),  # between
+    ("# vertices: 0\n", {}),
+])
+def test_edge_list_header_pads_isolated_vertices(tmp_path, text, adjacency):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    g = read_edge_list(path)
+    assert g == graph(adjacency)
+    write_edge_list(g, tmp_path / "again.edges")
+    assert (tmp_path / "again.edges").read_text() == text
+    assert read_edge_list(tmp_path / "again.edges") == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 20), data=st.data())
+def test_edge_list_roundtrip_keeps_isolated_vertices(tmp_path_factory, n, data):
+    """read(write(g)) == g for graphs on 0..n-1, isolated vertices included."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=40)) if n else []
+    adj = {v: [] for v in range(n)}
+    for u, v in pairs:
+        adj[u].append(v)
+    g = graph(adj)
+    path = tmp_path_factory.mktemp("roundtrip") / "g.edges"
+    write_edge_list(g, path)
+    assert read_edge_list(path) == g
+
+
 def test_edge_list_isolated_noncontiguous_rejected(tmp_path):
-    g = UndirectedGraph({0: [1], 1: [0], 7: []})
+    g = graph({0: [1], 1: [0], 7: []})
     with pytest.raises(ValueError):
         write_edge_list(g, tmp_path / "g.edges")
 
@@ -90,11 +124,24 @@ def test_chronology_repeat_names_label_and_first_line(tmp_path):
     ("# vertices: 3\n0 1\n0 5\n", 3),           # label above the declared count
     ("# vertices: 3\n0 3\n", 2),                 # the declared count itself
     ("0 5\n1 2\n# vertices: 3\n", 3),           # the header follows a larger label
+    ("# vertices: 3\n0 1\n# vertices: 5\n3 4\n", 3),  # a second header
+    ("# vertices: 3\n# vertices: 3\n", 2),            # a second header, even an equal one
+    ("# vertices: 9223372036854775808\n", 1),        # a vertex count above the int64 maximum
 ])
 def test_edge_list_rejects_labels_the_graph_cannot_hold(tmp_path, text, lineno):
     path = tmp_path / "bad.edges"
     path.write_text(text)
     with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
+        read_edge_list(path)
+
+
+@pytest.mark.parametrize("text", ["# vertices: " + "9" * 5000 + "\n", "0 " + "1" * 5000 + "\n"],
+                         ids=["count", "label"])
+def test_edge_list_rejects_numbers_too_long_to_convert(tmp_path, text):
+    # `int` refuses a string of over 4300 digits with a ValueError of its own
+    path = tmp_path / "long.edges"
+    path.write_text(text)
+    with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:1: ") + ".*int64 maximum"):
         read_edge_list(path)
 
 

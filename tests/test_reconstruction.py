@@ -41,6 +41,13 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha=1, connections=0, kind=CentralityKind.DEGREE, master_seed=1)
     with pytest.raises(InvalidConfigError, match="master_seed"):
         PipelineConfig(alpha=1, connections=3, kind=CentralityKind.DEGREE, master_seed=-1)
+    # each count an integer (not a float, a string or a bool) and kind a CentralityKind
+    valid = dict(alpha=2, connections=3, kind=CentralityKind.DEGREE, master_seed=1)
+    for field, value in [("alpha", 2.5), ("alpha", True), ("connections", "3"),
+                         ("master_seed", 1.0), ("kind", "degree"), ("kind", None)]:
+        with pytest.raises(InvalidConfigError, match=field):
+            PipelineConfig(**{**valid, field: value})
+    PipelineConfig(**{**valid, "alpha": np.int64(2), "master_seed": np.uint64(1)})
 
 
 @pytest.mark.parametrize("env", ["0", "-2", "x"])
