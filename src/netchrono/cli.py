@@ -180,16 +180,16 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
-    """Min, mean and max edge weight, from the edge count of each weight level."""
-    _, codes, levels = dg.matrix()
-    counts = _level_counts(codes, len(levels))
-    present = np.flatnonzero(counts)
+    """Min, mean and max edge weight m / alpha, from the edges of each count m."""
+    _, counts, alpha = dg.matrix()
+    tally = _level_counts(counts, alpha)
+    present = np.flatnonzero(tally) + 1
     if present.size == 0:
         return {"min_weight": None, "mean_weight": None, "max_weight": None}
     return {
-        "min_weight": float(levels[present[0]]),
-        "mean_weight": float(counts @ levels / counts.sum()),
-        "max_weight": float(levels[present[-1]]),
+        "min_weight": present[0] / alpha,
+        "mean_weight": float(tally @ np.arange(1, alpha + 1) / (alpha * tally.sum())),
+        "max_weight": present[-1] / alpha,
     }
 
 

@@ -111,18 +111,19 @@ def probability_bucket_table(
     """
     n_buckets = bucket_count(bucket_width)
     pos = truth.positions()
-    labels, codes, levels = dg.matrix()
+    labels, counts, alpha = dg.matrix()
     missing = dg.vertices - set(truth.order)
     if missing:
         raise SizeMismatchError(f"truth is missing {len(missing)} digraph vertices")
 
-    # edges per weight level; the correct ones, from an earlier to a later
-    # arrival, lie above the diagonal once rows and columns follow the truth
+    # edges per count m = 1..alpha; the correct ones, from an earlier to a
+    # later arrival, lie above the diagonal once rows and columns follow the truth
     arrival = np.argsort(np.array([pos[int(v)] for v in labels], dtype=np.int64))
-    total = _level_counts(codes, len(levels))
-    correct = _level_counts(np.triu(codes.take(arrival, 0).take(arrival, 1), 1), len(levels))
+    total = _level_counts(counts, alpha)
+    correct = _level_counts(np.triu(counts.take(arrival, 0).take(arrival, 1), 1), alpha)
     m = int(total.sum())
-    idx = np.ceil((levels - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
+    weights = np.arange(1, alpha + 1) / alpha
+    idx = np.ceil((weights - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
     idx = np.clip(idx, 0, n_buckets - 1)
 
     rows: list[BucketRow] = []

@@ -166,30 +166,29 @@ class Chronology:
 
 
 class WeightedDigraph:
-    """Directed graph with weighted edges, weights in [0.5, 1.0].
+    """Pairwise arrival-probability digraph, stored as majority counts out of alpha.
 
     Only `pairwise_digraph` and `break_cycles` build one, through
-    `_from_codes`, and they carry exactly one of (u, v) and (v, u) per pair
-    (arrival-probability semantics), so the digraph is stored dense:
-    `codes` is an n x n matrix over the sorted labels in which entry 0
-    means no edge and entry k >= 1 an edge of weight levels[k - 1],
-    `levels` ascending.  The stored form itself admits self-loops and
-    opposite pairs, so cycle detection can be exercised on arbitrary
-    digraphs.  Edge arrays in canonical (source, target) order are derived
-    on demand, see `arrays`.
+    `_from_counts`, with exactly one of (u, v) and (v, u) per pair, so it
+    is stored dense: `counts` is an n x n matrix over the sorted labels in
+    which 0 means no edge and m an edge of weight m / alpha, the share of
+    the alpha prediction lists agreeing with it: ceil(alpha/2) <= m <= alpha.
+    The stored form itself admits self-loops and opposite pairs, so cycle
+    detection can be exercised on arbitrary digraphs.  Edge arrays in
+    canonical (source, target) order are derived on demand, see `arrays`.
     """
 
-    __slots__ = ("_labels", "_codes", "_levels", "_left")
+    __slots__ = ("_labels", "_counts", "_alpha", "_left")
 
     @classmethod
-    def _from_codes(cls, labels: np.ndarray, codes: np.ndarray,
-                    levels: np.ndarray) -> "WeightedDigraph":
-        # the one builder, from the stored form `matrix` returns: labels
-        # sorted, levels ascending and covering codes; they become read-only
+    def _from_counts(cls, labels: np.ndarray, counts: np.ndarray,
+                     alpha: int) -> "WeightedDigraph":
+        # the one builder, from the stored form `matrix` returns: labels sorted,
+        # every nonzero count in ceil(alpha/2)..alpha; the arrays become read-only
         dg = cls()
-        dg._labels, dg._codes, dg._levels = labels, codes, levels
+        dg._labels, dg._counts, dg._alpha = labels, counts, int(alpha)
         dg._left = None  # the source peel's leftover mask, computed on first use
-        for a in (labels, codes, levels):
+        for a in (labels, counts):
             a.setflags(write=False)
         return dg
 
@@ -203,22 +202,18 @@ class WeightedDigraph:
 
     @property
     def edge_count(self) -> int:
-        return int(np.count_nonzero(self._codes))
+        return int(np.count_nonzero(self._counts))
 
-    def matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(labels, codes, levels), the stored form; all three read-only.
-
-        levels may hold weights that no edge carries (`break_cycles` keeps
-        the levels of its input).
-        """
-        return self._labels, self._codes, self._levels
+    def matrix(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(labels, counts, alpha), the stored form; both arrays read-only."""
+        return self._labels, self._counts, self._alpha
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(labels, src, dst, weights) in canonical (src, dst) order; src/dst
-        are int64 positions into labels.  Derived anew on every call."""
-        flat = np.flatnonzero(self._codes != 0)
+        """(labels, src, dst, weights m / alpha) in canonical (src, dst) order;
+        src/dst are int64 positions into labels.  Derived anew on every call."""
+        flat = np.flatnonzero(self._counts != 0)
         src, dst = np.divmod(flat, max(len(self._labels), 1))
-        return self._labels, src, dst, self._levels[self._codes.ravel()[flat] - 1]
+        return self._labels, src, dst, self._counts.ravel()[flat] / self._alpha
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
@@ -275,13 +270,13 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     return UndirectedGraph._from_csr(labels[keep], *_induced_csr(indptr, indices, rows, keep))
 
 
-def _level_counts(codes: np.ndarray, n_levels: int) -> np.ndarray:
-    """Edges per weight level (entry k counts code k + 1), counted 256 rows
-    at a time: `np.bincount` widens its input to intp, 8 bytes per entry."""
-    counts = np.zeros(n_levels + 1, dtype=np.intp)
-    for lo in range(0, len(codes), 256):
-        counts += np.bincount(codes[lo:lo + 256].ravel(), minlength=n_levels + 1)
-    return counts[1:]
+def _level_counts(counts: np.ndarray, alpha: int) -> np.ndarray:
+    """Edges per count (entry m - 1 counts the edges of count m), counted 256
+    rows at a time: `np.bincount` widens its input to intp, 8 bytes per entry."""
+    tally = np.zeros(alpha + 1, dtype=np.intp)
+    for lo in range(0, len(counts), 256):
+        tally += np.bincount(counts[lo:lo + 256].ravel(), minlength=alpha + 1)
+    return tally[1:]
 
 
 def _source_rounds(edge: np.ndarray,
@@ -315,7 +310,7 @@ def _unpeeled(dg: WeightedDigraph) -> np.ndarray:
     """Mask of the positions of dg the source peel never reaches; cached, so
     a caller asking after `is_acyclic` said no does not peel twice."""
     if dg._left is None:
-        dg._left = _source_rounds(dg._codes != 0)[1]
+        dg._left = _source_rounds(dg._counts != 0)[1]
         dg._left.setflags(write=False)
     return dg._left
 

@@ -8,11 +8,11 @@ survive a round trip; a file has at most one.
 Chronology: one vertex label per line, in arrival order.
 
 Readers reject a malformed line with an `InputFormatError` naming
-path:line: a wrong number of fields, a token that is not a non-negative
-decimal integer, a label or a vertex count above the int64 maximum
-(graphs store labels as int64), in an edge list a second "# vertices: N"
-header or, after one, a label of N or more, and in a chronology a label
-listed twice.
+path:line: a wrong number of fields, a label or a "# vertices:" count
+that is not a non-negative ASCII decimal integer, a label or a vertex
+count above the int64 maximum (graphs store labels as int64), in an edge
+list a second "# vertices: N" header or, after one, a label of N or
+more, and in a chronology a label listed twice.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputFormatError
 from .graph import Chronology, UndirectedGraph, from_edge_list
 
-_VERTICES_HEADER = re.compile(r"#\s*vertices:\s*(\d+)\s*$")
+_VERTICES_HEADER = re.compile(r"#\s*vertices:(.*)$")
 _LABEL_MAX = 2**63 - 1
 
 
@@ -85,7 +85,12 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
                         raise InputFormatError(
                             f"{path}:{lineno}: a second vertices header "
                             f"(one already declared {declared})")
-                    declared = _bounded(m.group(1), "vertex count", path, lineno)
+                    count = m.group(1).strip()
+                    if not (count.isascii() and count.isdecimal()):
+                        raise InputFormatError(
+                            f"{path}:{lineno}: vertex count {count!r} "
+                            "is not a non-negative integer")
+                    declared = _bounded(count, "vertex count", path, lineno)
                     if top >= declared:
                         raise InputFormatError(
                             f"{path}:{lineno}: header declares {declared} vertices, "

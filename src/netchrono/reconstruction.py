@@ -134,10 +134,10 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
     `labels` are the vertices, ascending; `positions` is an (alpha x n)
     integer array whose row a is one prediction list, read as positions:
     positions[a, i] is the place of labels[i] in list a, so each row is a
-    permutation of 0..n-1.  P(u, v) is the fraction of lists placing u
-    before v.  Each unordered pair contributes exactly one edge, oriented
-    toward the more probable order and weighted by its probability; exact
-    0.5 ties orient min-label to max-label so the result is independent of
+    permutation of 0..n-1.  Each unordered pair contributes exactly one
+    edge, oriented toward the order more lists agree on and stored as the
+    count m of those lists, so its probability is m / alpha; exact alpha/2
+    ties orient min-label to max-label so the result is independent of
     pair iteration order.
     """
     labels = np.array(labels, dtype=np.int64)  # a copy: the digraph makes it read-only
@@ -161,25 +161,20 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
         raise SizeMismatchError("a row of positions is not a permutation of 0..n-1")
 
     # A pair i < j whose lists place labels[i] first k times is the edge
-    # i -> j when 2k >= alpha, else j -> i.  Its weight is k/alpha when
-    # 2k > alpha, else 1 - k/alpha, formed exactly so, since (alpha - k)/alpha
-    # can differ in the last bit: two counts can give weights one ulp apart,
-    # so the codes follow the order of the floats, not of k.
+    # i -> j of count k when 2k >= alpha, else the edge j -> i of count alpha - k.
+    dtype = np.min_scalar_type(alpha)
     k = np.arange(alpha + 1)
-    weight_of = np.where(2 * k > alpha, k / alpha, 1.0 - k / alpha)
-    levels, code_of = np.unique(weight_of, return_inverse=True)
-    code_of = (code_of + 1).astype(np.min_scalar_type(len(levels)))
-    upper = np.where(2 * k >= alpha, code_of, 0)  # code at [i, j]
-    lower = np.where(2 * k >= alpha, 0, code_of)  # code at [j, i]
+    upper = np.where(2 * k >= alpha, k, 0).astype(dtype)  # count at [i, j]
+    lower = np.where(2 * k >= alpha, 0, alpha - k).astype(dtype)  # count at [j, i]
 
-    codes = np.zeros((n, n), dtype=code_of.dtype)
-    counts = np.empty((_ROW_BLOCK, n), dtype=np.min_scalar_type(alpha))
+    counts = np.zeros((n, n), dtype=dtype)
+    agree = np.empty((_ROW_BLOCK, n), dtype=dtype)
     before = np.empty((_ROW_BLOCK, n), dtype=bool)
     on_or_below = np.tri(_ROW_BLOCK, dtype=bool)
     for lo in range(0, n, _ROW_BLOCK):
         # rows lo..hi against columns lo..n: the pairs i < j with i in the block
         hi = min(lo + _ROW_BLOCK, n)
-        block, less = counts[:hi - lo, :n - lo], before[:hi - lo, :n - lo]
+        block, less = agree[:hi - lo, :n - lo], before[:hi - lo, :n - lo]
         block.fill(0)
         for p in pos:
             np.less(p[lo:hi, None], p[lo:], out=less)
@@ -189,27 +184,27 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
         not_pairs = on_or_below[:hi - lo, :hi - lo]
         up[:, :hi - lo][not_pairs] = 0
         down[:, :hi - lo][not_pairs] = 0
-        codes[lo:hi, lo:] = up
-        codes[lo:, lo:hi] += down.T
-    return WeightedDigraph._from_codes(labels, codes, levels)
+        counts[lo:hi, lo:] = up
+        counts[lo:, lo:hi] += down.T
+    return WeightedDigraph._from_counts(labels, counts, alpha)
 
 
 def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     """Delete minimum-weight edges until the digraph is acyclic.
 
     Loop semantics: while a directed cycle exists, remove the remaining
-    edge of least weight, ties by smallest (source, target) label pair.
-    Deletion never creates cycles, so the removed set is exactly the
-    shortest prefix of the ascending (weight, source, target) edge order
+    edge of least weight m / alpha, ties by smallest (source, target) label
+    pair.  Deletion never creates cycles, so the removed set is exactly the
+    shortest prefix of the ascending (count, source, target) edge order
     whose removal leaves the graph acyclic.  That prefix is found in two
     binary searches with a source-peel acyclicity probe per step: first
-    over the level codes 1..len(levels), then over the row-major order of
-    the edges at the one threshold level.
+    over the counts ceil(alpha/2)..alpha, then over the row-major order of
+    the edges of the one threshold count.
     """
     # is_acyclic: perfbench/spans.py counts its calls by name (ROADMAP item 1)
     if is_acyclic(dg):
         return dg
-    labels, codes, levels = dg.matrix()
+    labels, counts, alpha = dg.matrix()
     n = len(labels)
 
     # Every probe is a subgraph of the last probe found cyclic (a binary
@@ -227,35 +222,35 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
         cyclic = cyclic[left]
         return False
 
-    # smallest code whose removal, with every lighter one, leaves a DAG; it
-    # carries an edge, else its probe would be that of the code below it.
-    # Removing nothing leaves a cycle, removing every edge does not.
-    top = _first_true(0, len(levels), lambda floor: acyclic(codes.take(cyclic, 0) > floor))
+    # smallest count whose removal, with every lighter one, leaves a DAG; it
+    # carries an edge, else its probe would be that of the count below it.
+    # Removing nothing (every count exceeds (alpha-1)//2) leaves a cycle, removing all does not.
+    top = _first_true((alpha - 1) // 2, alpha, lambda m: acyclic(counts.take(cyclic, 0) > m))
 
     # Cycles left once every lighter edge goes lie among `cyclic`, so only
     # the tied edges inside its principal submatrix decide the cut; (row,
     # col) lists them in row-major order.
     inside = np.zeros(n, dtype=bool)
     inside[cyclic] = True
-    at, col = np.nonzero((codes.take(cyclic, 0) == top) & inside)
+    at, col = np.nonzero((counts.take(cyclic, 0) == top) & inside)
     row = cyclic[at]
 
     def without_through(k: int) -> bool:
         """Acyclic once every lighter edge goes, and every tied edge up to
         the k-th tied edge inside."""
-        return acyclic(_outlast(codes.take(cyclic, 0), cyclic, top, row[k - 1], col[k - 1]))
+        return acyclic(_outlast(counts.take(cyclic, 0), cyclic, top, row[k - 1], col[k - 1]))
 
     # removing none of the tied edges leaves a cycle, removing all of them does not
     k = _first_true(0, len(row), without_through)
-    kept = codes * _outlast(codes, np.arange(n), top, row[k - 1], col[k - 1])
-    return WeightedDigraph._from_codes(labels, kept, levels)
+    kept = counts * _outlast(counts, np.arange(n), top, row[k - 1], col[k - 1])
+    return WeightedDigraph._from_counts(labels, kept, alpha)
 
 
 def _outlast(sub: np.ndarray, rows: np.ndarray, top: int, cut_row: int,
              cut_col: int) -> np.ndarray:
-    """Mask of the edges of `sub`, the rows `rows` (ascending) of a code
-    matrix, that outlast a cut: those of code above `top`, and those of code
-    `top` after (cut_row, cut_col) in row-major order."""
+    """Mask of the edges of `sub`, the rows `rows` (ascending) of a count
+    matrix, that outlast a cut: those of count above `top`, and those of
+    count `top` after (cut_row, cut_col) in row-major order."""
     keep = sub > np.where(rows < cut_row, top, top - 1).astype(sub.dtype)[:, None]
     r = int(np.searchsorted(rows, cut_row))
     if r < len(rows) and rows[r] == cut_row:
@@ -283,8 +278,8 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
     minimum is 0 in every round and the bins are the rounds of the source
     peel; a vertex the peel never reaches is the cycle check.
     """
-    labels, codes, _ = dag.matrix()
-    rounds, left = _source_rounds(codes != 0)
+    labels, counts, _ = dag.matrix()
+    rounds, left = _source_rounds(counts != 0)
     if left.any():
         raise CyclicInputError("binning requires an acyclic digraph")
     return BinOrdering(tuple(frozenset(labels[r].tolist()) for r in rounds))

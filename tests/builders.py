@@ -3,8 +3,9 @@
 `UndirectedGraph` has one builder, `_from_csr`; `graph` reaches it
 through `from_edge_list` and pads in the isolated vertices, and
 `adjacency` reads a graph back from `csr_arrays`.  `WeightedDigraph` has
-one builder, `_from_codes`, which takes its stored form; `digraph` writes
-that form from an edge map, and `edge_map` reads it back.
+one builder, `_from_counts`, which takes its stored form; `digraph` writes
+that form from a map of majority counts, and `edge_map` reads it back as
+weights.
 """
 from __future__ import annotations
 
@@ -37,15 +38,17 @@ def adjacency(g: UndirectedGraph) -> dict[int, frozenset[int]]:
             for v, lo, hi in zip(labels.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())}
 
 
-def digraph(labels, edges: dict[tuple[int, int], float]) -> WeightedDigraph:
-    """The digraph on `labels` with an edge u -> v of weight w for each
-    (u, v): w in `edges`; self-loops and opposite pairs are allowed."""
+def digraph(labels, edges: dict[tuple[int, int], int], alpha: int) -> WeightedDigraph:
+    """The digraph on `labels` with an edge u -> v of weight m / alpha for
+    each (u, v): m in `edges`; self-loops and opposite pairs are allowed,
+    but every m must be a majority count, ceil(alpha/2) <= m <= alpha."""
     labels = np.unique(np.fromiter(labels, dtype=np.int64))
-    levels, level_of = np.unique(np.fromiter(edges.values(), dtype=np.float64), return_inverse=True)
+    m = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+    assert np.all((2 * m >= alpha) & (m <= alpha)), f"counts {m} are not majorities of {alpha}"
     ends = np.searchsorted(labels, np.array(list(edges), dtype=np.int64).reshape(-1, 2))
-    codes = np.zeros((len(labels), len(labels)), dtype=np.min_scalar_type(len(levels)))
-    codes[ends[:, 0], ends[:, 1]] = level_of + 1
-    return WeightedDigraph._from_codes(labels, codes, levels)
+    counts = np.zeros((len(labels), len(labels)), dtype=np.min_scalar_type(alpha))
+    counts[ends[:, 0], ends[:, 1]] = m
+    return WeightedDigraph._from_counts(labels, counts, alpha)
 
 
 def edge_map(dg: WeightedDigraph) -> dict[tuple[int, int], float]:

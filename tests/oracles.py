@@ -237,7 +237,7 @@ def oracle_pairwise_digraph(orders: list[list[int]], alpha: int):
     edges = []
     for i, j in itertools.combinations(range(n), 2):
         cnt = before[i][j]  # lists placing labels[i] first; ties orient i -> j
-        w = cnt / alpha if 2 * cnt > alpha else 1.0 - cnt / alpha
+        w = max(cnt, alpha - cnt) / alpha
         edges.append((j, i, w) if 2 * cnt < alpha else (i, j, w))
     edges.sort()
     src = np.array([e[0] for e in edges], dtype=np.int64)

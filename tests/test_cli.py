@@ -121,7 +121,7 @@ def test_reconstruct_result_schema_and_roundtrip(tmp_path):
 
 
 def test_reconstruct_weight_summary_matches_edge_arrays(tmp_path, monkeypatch):
-    # alpha 50 gives many weight levels; the summary is counted per level
+    # alpha 50 gives many distinct counts; the summary is counted per count
     edges = tmp_path / "g.edges"
     run("generate", "--nodes", 60, "--connections", 3, "--seed", 2,
         "--out", edges, "--chronology", tmp_path / "g.chron")
@@ -349,8 +349,9 @@ def test_bad_jobs_env_is_rejected_before_any_input(tmp_path, capsys, monkeypatch
 
 def test_weight_summary_counts_levels_without_widening():
     # bincount over the whole 3000 x 3000 uint8 matrix widened it to 72 MB of intp
-    codes = np.random.default_rng(3).integers(0, 51, size=(3000, 3000), dtype=np.uint8)
-    dg = WeightedDigraph._from_codes(np.arange(3000), codes, np.linspace(0.5, 1.0, 50))
+    counts = np.random.default_rng(3).integers(24, 51, size=(3000, 3000), dtype=np.uint8)
+    counts[counts < 25] = 0  # no edge; every other entry a majority count of 50
+    dg = WeightedDigraph._from_counts(np.arange(3000), counts, 50)
     tracemalloc.start()
     try:
         cli._weight_summary(dg)

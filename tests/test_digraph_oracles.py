@@ -1,8 +1,8 @@
 """Pairwise digraph, cycle break and in-degree binning against the oracles.
 
-The oracles in `oracles.py` work on raw position arrays and share no code
-with `netchrono.graph`; every comparison here is exact: same edges, same
-weights bit for bit, same bins.
+The oracles in `oracles.py` work on raw position arrays and exact weights
+max(k, alpha - k) / alpha, and share no code with `netchrono.graph`; every
+comparison here is exact: same edges, same weights bit for bit, same bins.
 """
 from __future__ import annotations
 
@@ -36,35 +36,42 @@ from oracles import (
     oracle_pairwise_digraph,
 )
 
-# a few shared levels make weight ties common; floats make them rare
-weights = st.one_of(st.sampled_from([0.5, 0.52, 0.6, 0.76, 1.0]),
-                    st.floats(min_value=0.5, max_value=1.0))
+# a small alpha makes count ties common, a large one makes them rare; above
+# 255 the counts are stored as uint16
+alphas = st.one_of(st.integers(1, 12), st.integers(250, 300))
+
+
+def majorities(alpha: int):
+    """The counts an edge can carry: ceil(alpha/2)..alpha."""
+    return st.integers((alpha + 1) // 2, alpha)
 
 
 @st.composite
 def digraphs(draw):
     """Digraphs on spread-out labels with self-loops and opposite pairs allowed."""
     n = draw(st.integers(min_value=1, max_value=10))
+    alpha = draw(alphas)
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges = draw(st.dictionaries(pairs, weights, max_size=3 * n))
+    edges = draw(st.dictionaries(pairs, majorities(alpha), max_size=3 * n))
     labels = [3 * i + 1 for i in range(n)]
-    return digraph(labels, {(labels[u], labels[v]): w for (u, v), w in edges.items()})
+    return digraph(labels, {(labels[u], labels[v]): m for (u, v), m in edges.items()}, alpha)
 
 
 @st.composite
 def tournaments(draw):
     """The pipeline's digraph shape: one edge per vertex pair, oriented at
-    random, its weight one of 2-4 shared levels, so ties span rows and columns."""
+    random, its count one of 1-4 shared counts, so ties span rows and columns."""
     n = draw(st.integers(min_value=1, max_value=30))
-    shared = draw(st.lists(weights, min_size=2, max_size=4, unique=True))
+    alpha = draw(alphas)
+    shared = draw(st.lists(majorities(alpha), min_size=1, max_size=4, unique=True))
     pairs = list(combinations(range(n), 2))
     picks = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(shared)),
                           min_size=len(pairs), max_size=len(pairs)))
     labels = [3 * i + 1 for i in range(n)]
     edges = {}
-    for (u, v), (forward, w) in zip(pairs, picks):
-        edges[(labels[u], labels[v]) if forward else (labels[v], labels[u])] = w
-    return digraph(labels, edges)
+    for (u, v), (forward, m) in zip(pairs, picks):
+        edges[(labels[u], labels[v]) if forward else (labels[v], labels[u])] = m
+    return digraph(labels, edges, alpha)
 
 
 def assert_matches_oracles(dg: WeightedDigraph) -> list[frozenset[int]]:
@@ -88,10 +95,10 @@ def assert_matches_oracles(dg: WeightedDigraph) -> list[frozenset[int]]:
 @given(st.one_of(digraphs(), tournaments()))
 # a cycle upstream of a DAG tail that feeds a second cycle: the source peel
 # leaves the tail, which lies on no cycle, among a probe's vertices
-@example(digraph(range(7), {(0, 1): 0.6, (1, 0): 0.9, (1, 2): 1.0, (2, 3): 1.0,
-                             (3, 4): 0.7, (4, 5): 0.8, (5, 3): 0.76, (5, 6): 1.0}))
-@example(digraph(range(7), {(0, 1): 0.6, (1, 0): 0.6, (1, 2): 0.6, (2, 3): 0.6,
-                             (3, 4): 0.6, (4, 5): 0.6, (5, 3): 0.6, (5, 6): 0.5}))
+@example(digraph(range(7), {(0, 1): 30, (1, 0): 45, (1, 2): 50, (2, 3): 50,
+                             (3, 4): 35, (4, 5): 40, (5, 3): 38, (5, 6): 50}, 50))
+@example(digraph(range(7), {(0, 1): 6, (1, 0): 6, (1, 2): 6, (2, 3): 6,
+                             (3, 4): 6, (4, 5): 6, (5, 3): 6, (5, 6): 5}, 10))
 def test_break_and_bin_match_oracles(dg):
     assert_matches_oracles(dg)
 

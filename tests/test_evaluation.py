@@ -115,8 +115,8 @@ def test_bqm_in_unit_interval():
 
 def test_bucket_table_unanimous_tournament():
     labels = [0, 1, 2, 3]
-    edges = {(u, v): 1.0 for u in labels for v in labels if u < v}
-    dg = digraph(labels, edges)
+    edges = {(u, v): 10 for u in labels for v in labels if u < v}
+    dg = digraph(labels, edges, 10)
     rows = probability_bucket_table(dg, Chronology(labels))
     assert sum(r.edge_count for r in rows) == 6
     top = rows[-1]
@@ -127,7 +127,7 @@ def test_bucket_table_unanimous_tournament():
 
 
 def test_bucket_table_tie_weight_goes_lowest():
-    dg = digraph([0, 1], {(0, 1): 0.5})
+    dg = digraph([0, 1], {(0, 1): 5}, 10)
     rows = probability_bucket_table(dg, Chronology([1, 0]))
     assert rows[0].edge_count == 1
     assert rows[0].correct_fraction == 0.0
@@ -135,7 +135,7 @@ def test_bucket_table_tie_weight_goes_lowest():
 
 
 def test_bucket_table_boundaries_and_width():
-    dg = digraph([0, 1, 2], {(0, 1): 0.6, (1, 2): 0.7})
+    dg = digraph([0, 1, 2], {(0, 1): 6, (1, 2): 7}, 10)
     rows = probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.1)
     assert [r.edge_count for r in rows] == [1, 1, 0, 0, 0]
     for width in (0.15, 0.0, -0.1, float("nan"), float("inf")):
@@ -144,6 +144,6 @@ def test_bucket_table_boundaries_and_width():
 
 
 def test_bucket_table_truth_mismatch():
-    dg = digraph([0, 1], {(0, 1): 0.8})
+    dg = digraph([0, 1], {(0, 1): 8}, 10)
     with pytest.raises(SizeMismatchError):
         probability_bucket_table(dg, Chronology([0, 5]))

@@ -30,16 +30,16 @@ SEED, N, C, ALPHA = 11, 200, 3, 50
 
 GOLDEN = {
     CentralityKind.DEGREE: (
-        "9d0a0d8c5a0aafcdf541fd5e5156bfc3f690fdfbab492169c6a472a270277105",
-        "2e8428abf2613e11f54f9111afbaf1fab02f891736f02a71123a47ec37b755b2",
+        "54268af2e40fb7cc4b92d8eab6a825d14d8d3766923516fa12ef4ae38332552a",
+        "1920e78b5ebe4412183dc66bbeed3b1e24232157efc6c132b2f1df1c74cff9d8",
         "c04ac63c6bb87d75516931be0a784f9cdef50485f1d45f2eefe867f517399142"),
     CentralityKind.BETWEENNESS: (
-        "4db5a7fea40a2589bc053f28f9e1b569ddfc95e1f25490edf0b4b5c23a2fc274",
-        "0fc41036c3c684820c24ace5567797f88b1707e404fa2ab39664f1698815fd43",
+        "9a343be30420ffa387d8021c0bd83eaa6d2df8a5a72ce473049ab89d74fd68c7",
+        "3766afac79fcd0701199d3587de4769df5be7c62c87f52947937bf26fd29da58",
         "240e79dd653842431420c63980c700d6be2a1362847c34e93c6e75a1668e962e"),
     CentralityKind.EIGENVECTOR: (
         "43a07dc16b03ef42008a252309decbb0c2a204c86ae245bcfe9914313470d54a",
-        "1a3592524c9d93aff2f22376ff766824c938df2c53e7c35200664c50d04eca68",
+        "cebbb5df0c5c4248fe519be733a1fbadfc5455fc5ea9eee1dd1af5f78699c7ea",
         "92cf1779ae04452bf27db570bd1d7ed8f8bb8d2858b00be036ecd463e897ab6d"),
 }
 

@@ -113,24 +113,24 @@ def test_remove_vertices_induced_subgraph_property():
 
 
 def test_is_acyclic_examples():
-    chain = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
+    chain = digraph([0, 1, 2], {(0, 1): 9, (1, 2): 8}, 10)
     assert is_acyclic(chain)
-    two_cycle = digraph([0, 1], {(0, 1): 0.9, (1, 0): 0.8})
+    two_cycle = digraph([0, 1], {(0, 1): 9, (1, 0): 8}, 10)
     assert not is_acyclic(two_cycle)
     # a source feeding a 2-cycle, and a self-loop reached from a source:
     # the peel takes the source and stops
-    fed_cycle = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8, (2, 1): 0.7})
+    fed_cycle = digraph([0, 1, 2], {(0, 1): 9, (1, 2): 8, (2, 1): 7}, 10)
     assert not is_acyclic(fed_cycle)
-    fed_loop = digraph([0, 1], {(0, 1): 0.9, (1, 1): 0.6})
+    fed_loop = digraph([0, 1], {(0, 1): 9, (1, 1): 6}, 10)
     assert not is_acyclic(fed_loop)
-    assert is_acyclic(digraph([], {}))
+    assert is_acyclic(digraph([], {}, 10))
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
 def test_level_counts_match_bincount(n):
     # 256 rows are counted at a time: an empty matrix, one row, and block edges
-    codes = np.random.default_rng(n).integers(0, 7, size=(n, n), dtype=np.uint8)
-    assert np.array_equal(_level_counts(codes, 6), np.bincount(codes.ravel(), minlength=7)[1:])
+    counts = np.random.default_rng(n).integers(0, 7, size=(n, n), dtype=np.uint8)
+    assert np.array_equal(_level_counts(counts, 6), np.bincount(counts.ravel(), minlength=7)[1:])
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,22 +158,24 @@ def test_is_acyclic_iff_singleton_sccs():
         for u in range(n):
             for v in range(n):
                 if u != v and rng.random() < 0.2:
-                    edges[(u, v)] = 0.75
-        dg = digraph(range(n), edges)
+                    edges[(u, v)] = 3
+        dg = digraph(range(n), edges, 4)
         assert is_acyclic(dg) == nx.is_directed_acyclic_graph(nx.DiGraph(list(edges)))
 
 
 def test_weighted_digraph_accessors():
-    dg = digraph([3, 1, 2], {(1, 3): 0.6, (2, 1): 1.0})
+    dg = digraph([3, 1, 2], {(1, 3): 3, (2, 1): 5}, 5)
     assert dg.vertices == {1, 2, 3}
     assert dg.edge_count == 2
     labels, src, dst, w = dg.arrays()
     assert labels.tolist() == [1, 2, 3]
     assert (src.tolist(), dst.tolist(), w.tolist()) == ([0, 1], [2, 0], [0.6, 1.0])
+    assert dg.matrix()[1].tolist() == [[0, 0, 3], [5, 0, 0], [0, 0, 0]]
+    assert dg.matrix()[2] == 5
 
 
 def test_weighted_digraph_has_no_edge_map_constructor():
-    # `_from_codes` is the one builder: the pipeline writes the code matrix
+    # `_from_counts` is the one builder: the pipeline writes the count matrix
     with pytest.raises(TypeError):
         WeightedDigraph([0, 1], {(0, 1): 0.9})
 

@@ -127,10 +127,11 @@ def test_chronology_repeat_names_label_and_first_line(tmp_path):
     ("# vertices: 3\n0 1\n# vertices: 5\n3 4\n", 3),  # a second header
     ("# vertices: 3\n# vertices: 3\n", 2),            # a second header, even an equal one
     ("# vertices: 9223372036854775808\n", 1),        # a vertex count above the int64 maximum
+    ("# vertices: \u0663\n0 1\n", 1),                 # a count in Arabic-Indic digits, not ASCII
 ])
 def test_edge_list_rejects_labels_the_graph_cannot_hold(tmp_path, text, lineno):
     path = tmp_path / "bad.edges"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(InputFormatError, match="^" + re.escape(f"{path}:{lineno}: ")):
         read_edge_list(path)
 

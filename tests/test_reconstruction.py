@@ -188,32 +188,33 @@ def test_digraph_stages_keep_their_invariants(n, alpha, same, seed):
 
 
 def test_break_cycles_triangle():
-    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8, (2, 0): 0.55})
+    dg = digraph([0, 1, 2], {(0, 1): 90, (1, 2): 80, (2, 0): 55}, 100)
     out = break_cycles(dg)
     assert sorted(edge_map(out).items()) == [((0, 1), 0.9), ((1, 2), 0.8)]
 
 
 def test_break_cycles_acyclic_unchanged():
-    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
+    dg = digraph([0, 1, 2], {(0, 1): 90, (1, 2): 80}, 100)
     assert break_cycles(dg) == dg
 
 
 def test_break_cycles_two_disjoint_cycles():
     dg = digraph(
-        [0, 1, 2, 3], {(0, 1): 0.6, (1, 0): 0.7, (2, 3): 0.55, (3, 2): 0.9})
+        [0, 1, 2, 3], {(0, 1): 60, (1, 0): 70, (2, 3): 55, (3, 2): 90}, 100)
     out = break_cycles(dg)
     assert sorted(edge_map(out).items()) == [((1, 0), 0.7), ((3, 2), 0.9)]
 
 
-def test_break_cycles_orders_split_weights_by_float_value():
-    # Count 33 of 50 on every edge of the 3-cycle 0 -> 1 -> 2 -> 0, but the
-    # pair (0, 2) has its min label second, so its weight is formed as
-    # 1 - 17/50, one ulp below 33/50: that edge, not (0, 1), is the lightest.
+def test_break_cycles_cuts_equal_counts_in_label_order():
+    # Count 33 of 50 on every edge of the 3-cycle 0 -> 1 -> 2 -> 0, although
+    # the pair (0, 2) has its min label second: equal probabilities tie
+    # exactly, so the cut is the first edge in (source, target) order.
     orders = [[0, 1, 2]] * 16 + [[1, 2, 0]] * 17 + [[2, 0, 1]] * 16 + [[0, 2, 1]]
     dg = pairwise_digraph(*list_positions(orders))
-    assert sorted(edge_map(dg).items()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.6599999999999999)]
+    assert dg.matrix()[1].tolist() == [[0, 33, 0], [0, 0, 33], [33, 0, 0]]
+    assert sorted(edge_map(dg).items()) == [((0, 1), 0.66), ((1, 2), 0.66), ((2, 0), 0.66)]
     out = break_cycles(dg)
-    assert sorted(edge_map(out).items()) == [((0, 1), 0.66), ((1, 2), 0.66)]
+    assert sorted(edge_map(out).items()) == [((1, 2), 0.66), ((2, 0), 0.66)]
     labels, src, dst, w = dg.arrays()
     keep = oracle_break_cycles(len(labels), src, dst, w)
     assert np.array_equal(out.arrays()[1], src[keep])
@@ -221,7 +222,7 @@ def test_break_cycles_orders_split_weights_by_float_value():
 
 
 def brute_break_cycles(vertices, edges):
-    """Literal loop: while a cycle exists, delete the min-(weight, src, dst) edge."""
+    """Literal loop: while a cycle exists, delete the min-(count, src, dst) edge."""
     edges = dict(edges)
 
     def has_cycle():
@@ -266,15 +267,15 @@ def test_break_cycles_matches_literal_loop():
         edges = {}
         for u, v in itertools.combinations(vertices, 2):
             if rng.random() < 0.7:
-                w = rng.choice([0.5, 0.52, 0.6, 0.7, 0.8, 0.9, 1.0])
+                m = rng.choice([25, 26, 30, 35, 40, 45, 50])
                 if rng.random() < 0.5:
-                    edges[(u, v)] = w
+                    edges[(u, v)] = m
                 else:
-                    edges[(v, u)] = w
+                    edges[(v, u)] = m
                 if rng.random() < 0.25:
                     a, b = (v, u) if (u, v) in edges else (u, v)
-                    edges[(a, b)] = rng.choice([0.5, 0.6, 0.75, 0.95])
-        dg = digraph(vertices, edges)
+                    edges[(a, b)] = rng.choice([25, 30, 37, 47])
+        dg = digraph(vertices, edges, 50)
         out = break_cycles(dg)
         assert is_acyclic(out)
         assert set(edge_map(out)) == brute_break_cycles(vertices, edges)
@@ -286,15 +287,15 @@ def test_break_cycles_removed_edges_are_weakest():
         n = rng.randint(3, 10)
         edges = {}
         for u, v in itertools.combinations(range(n), 2):
-            w = rng.choice([0.52, 0.6, 0.7, 0.8, 0.9, 1.0])
+            m = rng.choice([26, 30, 35, 40, 45, 50])
             if rng.random() < 0.5:
-                edges[(u, v)] = w
+                edges[(u, v)] = m
             else:
-                edges[(v, u)] = w
-        dg = digraph(range(n), edges)
+                edges[(v, u)] = m
+        dg = digraph(range(n), edges, 50)
         out = break_cycles(dg)
         kept = edge_map(out)
-        removed = {e: w for e, w in edges.items() if e not in kept}
+        removed = {e: m / 50 for e, m in edges.items() if e not in kept}
         if removed and kept:
             # removals follow ascending (weight, src, dst); every removed edge
             # precedes every kept edge in that order
@@ -302,29 +303,29 @@ def test_break_cycles_removed_edges_are_weakest():
 
 
 def test_bin_by_indegree_chain():
-    dg = digraph([0, 1, 2], {(0, 1): 0.9, (1, 2): 0.8})
+    dg = digraph([0, 1, 2], {(0, 1): 9, (1, 2): 8}, 10)
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{0}, {1}, {2}]
 
 
 def test_bin_by_indegree_diamond():
     dg = digraph(
-        [0, 1, 2, 3], {(0, 1): 0.9, (0, 2): 0.9, (1, 3): 0.9, (2, 3): 0.9})
+        [0, 1, 2, 3], {(0, 1): 9, (0, 2): 9, (1, 3): 9, (2, 3): 9}, 10)
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{0}, {1, 2}, {3}]
 
 
 def test_bin_by_indegree_edgeless():
-    dg = digraph([5, 7, 9], {})
+    dg = digraph([5, 7, 9], {}, 10)
     assert [set(b) for b in bin_by_indegree(dg).bins] == [{5, 7, 9}]
 
 
 def test_bin_by_indegree_rejects_cycles():
     for vertices, edges in (
-        ([0, 1], {(0, 1): 0.9, (1, 0): 0.8}),  # no source: the peel takes no round
-        ([0, 1, 2], {(2, 0): 0.9, (0, 1): 0.9, (1, 0): 0.8}),  # a source feeding a 2-cycle
-        ([0, 2], {(2, 0): 0.9, (0, 0): 0.6}),  # a self-loop reached from a source
+        ([0, 1], {(0, 1): 9, (1, 0): 8}),  # no source: the peel takes no round
+        ([0, 1, 2], {(2, 0): 9, (0, 1): 9, (1, 0): 8}),  # a source feeding a 2-cycle
+        ([0, 2], {(2, 0): 9, (0, 0): 6}),  # a self-loop reached from a source
     ):
         with pytest.raises(CyclicInputError):
-            bin_by_indegree(digraph(vertices, edges))
+            bin_by_indegree(digraph(vertices, edges, 10))
 
 
 def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
@@ -336,8 +337,8 @@ def test_bin_by_indegree_partitions_and_first_bin_holds_sources():
         edges = {}
         for i, j in itertools.combinations(range(n), 2):
             if rng.random() < 0.4:
-                edges[(order[i], order[j])] = rng.choice([0.6, 0.8, 1.0])
-        dag = digraph(range(n), edges)
+                edges[(order[i], order[j])] = rng.choice([3, 4, 5])
+        dag = digraph(range(n), edges, 5)
         bins = bin_by_indegree(dag)
         assert set().union(*bins.bins) == dag.vertices
         assert sum(len(b) for b in bins.bins) == n
