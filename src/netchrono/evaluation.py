@@ -116,27 +116,24 @@ def probability_bucket_table(
     if missing:
         raise SizeMismatchError(f"truth is missing {len(missing)} digraph vertices")
 
-    # edges per count m = 1..alpha; the correct ones, from an earlier to a
-    # later arrival, lie above the diagonal once rows and columns follow the truth
-    arrival = np.argsort(np.array([pos[int(v)] for v in labels], dtype=np.int64))
-    total = _level_counts(counts, alpha)
-    correct = _level_counts(np.triu(counts.take(arrival, 0).take(arrival, 1), 1), alpha)
-    m = int(total.sum())
-    weights = np.arange(1, alpha + 1) / alpha
-    idx = np.ceil((weights - 0.5) / bucket_width - 1e-9).astype(np.int64) - 1
-    idx = np.clip(idx, 0, n_buckets - 1)
-
-    rows: list[BucketRow] = []
-    for b in range(n_buckets):
-        in_bucket = idx == b
-        count = int(total[in_bucket].sum())
-        rows.append(
-            BucketRow(
-                range_low=0.5 + b * bucket_width,
-                range_high=0.5 + (b + 1) * bucket_width,
-                edge_fraction=count / m if m else 0.0,
-                correct_fraction=int(correct[in_bucket].sum()) / count if count else 0.0,
-                edge_count=count,
-            )
-        )
-    return rows
+    # edges per count m = 1..alpha, and the correct ones, from an earlier to
+    # a later arrival, tallied 256 rows at a time
+    rank = np.array([pos[int(v)] for v in labels], dtype=np.int64)
+    correct = np.zeros(alpha + 1, dtype=np.intp)
+    for lo in range(0, len(labels), 256):
+        correct += np.bincount(counts[lo:lo + 256][rank[lo:lo + 256, None] < rank],
+                               minlength=alpha + 1)
+    # count m lands in bucket ceil((m/alpha - 0.5) / bucket_width) - 1, clipped; in
+    # integers, as bucket_width is 0.5 / n_buckets: ceil(n_buckets (2m - alpha) / alpha) - 1
+    m = np.arange(1, alpha + 1)
+    bucket = np.clip(-(n_buckets * (alpha - 2 * m) // alpha) - 1, 0, n_buckets - 1)
+    # (edges, correct edges) per bucket, an integer product with the bucket membership
+    sums = (bucket == np.arange(n_buckets)[:, None]) @ np.stack(
+        [_level_counts(counts, alpha), correct[1:]], axis=1)
+    total = int(sums[:, 0].sum())
+    return [BucketRow(range_low=0.5 + b * bucket_width,
+                      range_high=0.5 + (b + 1) * bucket_width,
+                      edge_fraction=count / total if total else 0.0,
+                      correct_fraction=good / count if count else 0.0,
+                      edge_count=count)
+            for b, (count, good) in enumerate(sums.tolist())]

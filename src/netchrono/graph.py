@@ -5,8 +5,8 @@ reference network and its peeled remnants), `WeightedDigraph` (the
 pairwise arrival-probability digraph and its acyclic transform) and
 `Chronology` (a recorded or predicted vertex arrival order).
 
-All types are immutable after construction; structural operations return
-new objects, which makes them safe to share across worker processes.
+All types are immutable after construction (read-only arrays, no caches);
+structural operations return new objects, safe to share across processes.
 
 The one cycle test is Kahn's source peel (`_source_rounds`), read by
 `is_acyclic`, the probes of `break_cycles` and `bin_by_indegree`.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain
 from numbers import Integral
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -121,18 +121,18 @@ def _induced_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
 
 
 class Chronology:
-    """An ordered sequence of distinct vertex labels (an arrival order)."""
+    """An ordered sequence of distinct integer vertex labels (an arrival order)."""
 
     __slots__ = ("_order",)
 
     def __init__(self, order: Iterable[int]):
-        if isinstance(order, range):  # distinct integers by construction
-            order = tuple(order)
-        else:
-            order = tuple(int(v) for v in order)
-            if len(set(order)) != len(order):
+        labels = tuple(order)  # materialised once: callers pass generators
+        if not isinstance(order, range):  # a range holds distinct integers by construction
+            _require_integral(labels)
+            labels = tuple(map(int, labels))
+            if len(set(labels)) != len(labels):
                 raise ValueError("chronology contains duplicate labels")
-        self._order = order
+        self._order = labels
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -173,12 +173,13 @@ class WeightedDigraph:
     is stored dense: `counts` is an n x n matrix over the sorted labels in
     which 0 means no edge and m an edge of weight m / alpha, the share of
     the alpha prediction lists agreeing with it: ceil(alpha/2) <= m <= alpha.
-    The stored form itself admits self-loops and opposite pairs, so cycle
-    detection can be exercised on arbitrary digraphs.  Edge arrays in
-    canonical (source, target) order are derived on demand, see `arrays`.
+    It admits self-loops and opposite pairs, so cycle detection can be
+    exercised on arbitrary digraphs.  Digraphs are equal iff their stored
+    forms are (equal weights under another alpha differ); edge arrays
+    in (source, target) order are derived on demand, see `arrays`.
     """
 
-    __slots__ = ("_labels", "_counts", "_alpha", "_left")
+    __slots__ = ("_labels", "_counts", "_alpha")
 
     @classmethod
     def _from_counts(cls, labels: np.ndarray, counts: np.ndarray,
@@ -187,7 +188,6 @@ class WeightedDigraph:
         # every nonzero count in ceil(alpha/2)..alpha; the arrays become read-only
         dg = cls()
         dg._labels, dg._counts, dg._alpha = labels, counts, int(alpha)
-        dg._left = None  # the source peel's leftover mask, computed on first use
         for a in (labels, counts):
             a.setflags(write=False)
         return dg
@@ -218,10 +218,30 @@ class WeightedDigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
+        return (self._alpha == other._alpha and np.array_equal(self._labels, other._labels)
+                and np.array_equal(self._counts, other._counts))
 
     def __repr__(self) -> str:
         return f"WeightedDigraph(|V|={self.vertex_count}, |E|={self.edge_count})"
+
+
+def _require_integral(labels: Sequence) -> None:
+    """NetchronoError naming the first label that is not an integer (a cast
+    would truncate 1.9 to 1); the types are collected in one C-level pass."""
+    if not all(issubclass(t, Integral) for t in set(map(type, labels))):
+        bad = next(x for x in labels if not isinstance(x, Integral))
+        raise NetchronoError(f"label {bad!r} is not an integer")
+
+
+def _int64_labels(labels: Sequence) -> np.ndarray:
+    """The labels as a new int64 array; NetchronoError for a label that is
+    not an integer or lies outside the int64 range."""
+    _require_integral(labels)
+    try:
+        return np.array(labels, dtype=np.int64)
+    except OverflowError:
+        bad = next(x for x in labels if not -2**63 <= x < 2**63)
+        raise NetchronoError(f"label {bad} is outside the int64 range") from None
 
 
 def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
@@ -237,16 +257,7 @@ def from_edge_list(pairs: Iterable[tuple[int, int]]) -> UndirectedGraph:
     sizes = np.fromiter(map(len, pairs), dtype=np.int64, count=len(pairs))
     if np.any(sizes != 2):
         raise NetchronoError(f"edge {pairs[np.argmax(sizes != 2)]!r} is not a pair of labels")
-    flat = chain.from_iterable
-    # the label types, collected in one C-level pass: `np.fromiter` would truncate 1.9 to 1
-    if not all(issubclass(t, Integral) for t in set(map(type, flat(pairs)))):
-        bad = next(x for x in flat(pairs) if not isinstance(x, Integral))
-        raise NetchronoError(f"label {bad!r} is not an integer")
-    try:
-        ends = np.fromiter(flat(pairs), dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        bad = next(x for x in flat(pairs) if not -2**63 <= x < 2**63)
-        raise NetchronoError(f"label {bad} is outside the int64 range") from None
+    ends = _int64_labels(list(chain.from_iterable(pairs))).reshape(-1, 2)
     loops = ends[:, 0] == ends[:, 1]
     if loops.any():
         raise SelfLoopError(int(ends[np.argmax(loops), 0]))
@@ -306,16 +317,7 @@ def _source_rounds(edge: np.ndarray,
     return rounds, indeg != 0
 
 
-def _unpeeled(dg: WeightedDigraph) -> np.ndarray:
-    """Mask of the positions of dg the source peel never reaches; cached, so
-    a caller asking after `is_acyclic` said no does not peel twice."""
-    if dg._left is None:
-        dg._left = _source_rounds(dg._counts != 0)[1]
-        dg._left.setflags(write=False)
-    return dg._left
-
-
 def is_acyclic(dg: WeightedDigraph) -> bool:
     """True iff the digraph has no directed cycle (self-loops included):
     iff the source peel reaches every vertex."""
-    return not _unpeeled(dg).any()
+    return not _source_rounds(dg._counts != 0)[1].any()

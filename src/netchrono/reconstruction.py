@@ -37,8 +37,8 @@ from .graph import (
     Chronology,
     UndirectedGraph,
     WeightedDigraph,
+    _int64_labels,
     _source_rounds,
-    _unpeeled,
     is_acyclic,
 )
 
@@ -131,16 +131,16 @@ _ROW_BLOCK = 128
 def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigraph:
     """Arrival-probability digraph over all vertex pairs.
 
-    `labels` are the vertices, ascending; `positions` is an (alpha x n)
-    integer array whose row a is one prediction list, read as positions:
-    positions[a, i] is the place of labels[i] in list a, so each row is a
-    permutation of 0..n-1.  Each unordered pair contributes exactly one
-    edge, oriented toward the order more lists agree on and stored as the
-    count m of those lists, so its probability is m / alpha; exact alpha/2
-    ties orient min-label to max-label so the result is independent of
-    pair iteration order.
+    `labels` are the vertices, ascending int64 integers (else NetchronoError);
+    `positions` is an (alpha x n) integer array whose row a is one
+    prediction list, read as positions: positions[a, i] is the place of
+    labels[i] in list a, so each row is a permutation of 0..n-1.  Each
+    unordered pair contributes exactly one edge, oriented toward the order
+    more lists agree on and stored as the count m of those lists, so its
+    probability is m / alpha; exact alpha/2 ties orient min-label to
+    max-label so the result is independent of pair iteration order.
     """
-    labels = np.array(labels, dtype=np.int64)  # a copy: the digraph makes it read-only
+    labels = _int64_labels(list(labels))  # a copy: the digraph makes it read-only
     positions = np.asarray(positions)
     if positions.ndim != 2 or positions.shape[1] != len(labels) \
             or not np.issubdtype(positions.dtype, np.integer):
@@ -150,7 +150,7 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
     alpha, n = positions.shape
     if alpha == 0:
         raise EmptyBatchError("need at least one prediction list")
-    if labels.ndim != 1 or np.any(labels[1:] <= labels[:-1]):
+    if np.any(labels[1:] <= labels[:-1]):
         raise ValueError("labels must be distinct and ascending")
     if positions.size and (positions.min() < 0 or positions.max() >= n):
         raise SizeMismatchError(f"positions must lie in 0..{n - 1}")
@@ -208,11 +208,11 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     n = len(labels)
 
     # Every probe is a subgraph of the last probe found cyclic (a binary
-    # search only narrows), so its cycles lie among the vertices that
-    # probe's source peel never reached: a probe takes only their rows,
-    # the cycle vertices and what lies downstream of them, and peels the
-    # principal submatrix over them.  Sorted, they keep the row-major order.
-    cyclic = np.flatnonzero(_unpeeled(dg))
+    # search only narrows; the first takes every row), so its cycles lie among
+    # the vertices that probe's source peel never reached: a probe takes only
+    # their rows, the cycle vertices and what lies downstream of them, and
+    # peels the principal submatrix over them.  Sorted, they keep row-major order.
+    cyclic = np.arange(n)
 
     def acyclic(edge: np.ndarray) -> bool:
         nonlocal cyclic

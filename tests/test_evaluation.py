@@ -1,6 +1,7 @@
 import itertools
 import random
-from math import comb
+from fractions import Fraction
+from math import ceil, comb
 
 import pytest
 
@@ -147,3 +148,29 @@ def test_bucket_table_truth_mismatch():
     dg = digraph([0, 1], {(0, 1): 8}, 10)
     with pytest.raises(SizeMismatchError):
         probability_bucket_table(dg, Chronology([0, 5]))
+
+
+@pytest.mark.parametrize("alphas", [range(1, 301), [1000, 4096, 65535]])
+def test_bucket_index_matches_exact_fractions(alphas):
+    """Each majority count m out of alpha lands in bucket ceil((m/alpha - 1/2) / width) - 1,
+    clipped to the table, as exact rationals say; every other edge points the right way."""
+    for alpha in alphas:
+        majorities = range((alpha + 1) // 2, alpha + 1)
+        n = next(n for n in itertools.count(2) if comb(n, 2) >= len(majorities))
+        pairs = itertools.combinations(range(n), 2)
+        # edge t runs forward (earlier to later arrival) when t is even
+        edges = {(u, v) if t % 2 == 0 else (v, u): m
+                 for t, ((u, v), m) in enumerate(zip(pairs, majorities))}
+        dg = digraph(range(n), edges, alpha)
+        truth = Chronology(range(n))
+        for k in (1, 2, 4, 5, 10, 20, 25, 50):
+            width = Fraction(1, 2 * k)
+            want_total, want_correct = [0] * k, [0] * k
+            for t, m in enumerate(majorities):
+                b = min(max(ceil((Fraction(m, alpha) - Fraction(1, 2)) / width) - 1, 0), k - 1)
+                want_total[b] += 1
+                want_correct[b] += t % 2 == 0
+            rows = probability_bucket_table(dg, truth, bucket_width=0.5 / k)
+            assert [r.edge_count for r in rows] == want_total, (alpha, k)
+            assert [r.correct_fraction for r in rows] == [
+                c / t if t else 0.0 for c, t in zip(want_correct, want_total)], (alpha, k)

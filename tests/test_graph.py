@@ -174,6 +174,30 @@ def test_weighted_digraph_accessors():
     assert dg.matrix()[2] == 5
 
 
+def test_weighted_digraph_equality_compares_the_stored_form():
+    dg = digraph([0, 1, 2], {(0, 1): 6, (2, 1): 10}, 10)
+    assert dg == digraph([2, 1, 0], {(2, 1): 10, (0, 1): 6}, 10)
+    assert dg != digraph([0, 1, 2], {(0, 1): 6, (2, 1): 9}, 10)
+    assert dg != digraph([0, 1, 3], {(0, 1): 6, (3, 1): 10}, 10)
+    # the same labels and counts under another alpha are another digraph,
+    # and so are equal weights: 3 lists of 5 are not 6 of 10
+    labels, counts, _ = dg.matrix()
+    assert dg != WeightedDigraph._from_counts(labels.copy(), counts.copy(), 11)
+    half = digraph([0, 1], {(0, 1): 3}, 5)
+    assert half.arrays()[3].tolist() == digraph([0, 1], {(0, 1): 6}, 10).arrays()[3].tolist()
+    assert half != digraph([0, 1], {(0, 1): 6}, 10)
+
+
+def test_is_acyclic_sets_no_attribute():
+    dg = digraph([0, 1, 2], {(0, 1): 9, (1, 2): 8, (2, 0): 7}, 10)
+    assert WeightedDigraph.__slots__ == ("_labels", "_counts", "_alpha")
+    assert not hasattr(dg, "__dict__")
+    before = [getattr(dg, name) for name in WeightedDigraph.__slots__]
+    assert not is_acyclic(dg)
+    assert all(a is b for a, b in zip(before, (getattr(dg, n) for n in WeightedDigraph.__slots__)))
+    assert not any(a.flags.writeable for a in dg.matrix()[:2])
+
+
 def test_weighted_digraph_has_no_edge_map_constructor():
     # `_from_counts` is the one builder: the pipeline writes the count matrix
     with pytest.raises(TypeError):
@@ -206,6 +230,21 @@ def test_csr_arrays_match_per_row_build():
 def test_chronology_rejects_duplicates():
     with pytest.raises(ValueError):
         Chronology([1, 2, 1])
+
+
+@pytest.mark.parametrize("order", [[0.5, 1.5], [1.0, 2.0], ["3", "4"], [1, None],
+                                   np.array([0.0, 1.0])])
+def test_chronology_rejects_labels_that_are_not_integers(order):
+    # int() would read 0.5 as 0 and "3" as 3
+    with pytest.raises(NetchronoError, match="not an integer"):
+        Chronology(order)
+
+
+def test_chronology_reads_integral_labels_from_any_iterable():
+    assert Chronology(v for v in [4, 2, 7]).order == (4, 2, 7)
+    got = Chronology(np.array([4, 2, 7], dtype=np.uint64)).order
+    assert got == (4, 2, 7) and all(type(v) is int for v in got)
+    assert Chronology(range(3, 0, -1)).order == (3, 2, 1)
 
 
 def test_chronology_positions():

@@ -15,6 +15,7 @@ from netchrono import (
     bin_by_indegree,
     break_cycles,
     child_seed,
+    from_edge_list,
     generate_ba,
     is_acyclic,
     map_and_predict,
@@ -25,6 +26,7 @@ from netchrono.errors import (
     CyclicInputError,
     EmptyBatchError,
     InvalidConfigError,
+    NetchronoError,
     SizeMismatchError,
 )
 from netchrono.centrality import ScoreTable
@@ -159,6 +161,30 @@ def test_pairwise_digraph_errors():
 def test_pairwise_digraph_rejects_bad_position_arrays(labels, positions, error):
     with pytest.raises(error):
         pairwise_digraph(labels, np.array(positions))
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.5, 1.7], "label 0.5 is not an integer"),               # an int64 cast reads 0 and 1
+    (np.array([0.0, 1.0]), "not an integer"),
+    (["0", "1"], "label '0' is not an integer"),
+    ([0, 2**64], "label 18446744073709551616 is outside the int64 range"),
+    ([-2**63 - 1, 0], "outside the int64 range"),
+    (np.array([0, 2**64 - 1], dtype=np.uint64), "outside the int64 range"),  # wraps to -1 as int64
+])
+def test_pairwise_digraph_rejects_labels_that_are_not_int64(labels, message):
+    with pytest.raises(NetchronoError, match=message):
+        pairwise_digraph(labels, np.array([[0, 1], [1, 0]]))
+
+
+def test_pairwise_digraph_reads_int64_labels_of_any_integer_type():
+    positions = np.array([[0, 1], [0, 1], [1, 0]])
+    want = pairwise_digraph([-2**63, 2**63 - 1], positions).matrix()
+    got = pairwise_digraph(np.array([-2**63, 2**63 - 1], dtype=object), positions).matrix()
+    assert got[0].dtype == np.int64 and got[0].tolist() == want[0].tolist() == [-2**63, 2**63 - 1]
+    assert np.array_equal(got[1], want[1])
+    labels = np.array([3, 2**63 - 1], dtype=np.uint64)
+    assert pairwise_digraph(labels, positions).matrix()[0].tolist() == [3, 2**63 - 1]
+    assert labels.flags.writeable  # the digraph freezes its own copy
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,6 +401,39 @@ def test_reconstruct_deterministic_across_jobs():
     assert serial_bins == parallel_bins
     assert serial_dg == parallel_dg
     assert serial_rank == parallel_rank
+
+
+def _check_reconstruction(g, cfg):
+    """The bins partition the vertex set, the cut digraph is acyclic by
+    networkx, and the bins are the same at jobs 1 and 2."""
+    bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=1)
+    assert all(bins.bins) and sum(len(b) for b in bins.bins) == g.vertex_count
+    assert set().union(*bins.bins) == g.vertices
+    cut = nx.DiGraph(list(edge_map(break_cycles(dg))))
+    cut.add_nodes_from(g.vertices)
+    assert nx.is_directed_acyclic_graph(cut)
+    assert reconstruct_with_ranking(g, cfg, jobs=2)[0] == bins
+    return bins
+
+
+@pytest.mark.parametrize("kind", list(CentralityKind))
+def test_reconstruct_disconnected_reference(kind):
+    # two BA networks side by side, the second's labels shifted past the first's;
+    # each DCR peeling level of the reference is disconnected
+    first, _ = generate_ba(BAConfig(100, 3, 1))
+    second, _ = generate_ba(BAConfig(120, 3, 2))
+    g = from_edge_list(list(first.edges()) + [(u + 1000, v + 1000) for u, v in second.edges()])
+    cfg = PipelineConfig(alpha=10, connections=3, kind=kind, master_seed=1)
+    assert _check_reconstruction(g, cfg).delta >= 2
+
+
+@pytest.mark.parametrize("kind", list(CentralityKind))
+@pytest.mark.parametrize("connections", [1, 3, 5])
+def test_reconstruct_reference_of_another_connection_count(connections, kind):
+    # BA(200, 2) rebuilt from synthetic networks with C = 1, 3 and 5 edges per arrival
+    g, _ = generate_ba(BAConfig(200, 2, 3))
+    cfg = PipelineConfig(alpha=10, connections=connections, kind=kind, master_seed=1)
+    assert _check_reconstruction(g, cfg).delta >= 2
 
 
 @pytest.mark.parametrize("jobs", [0, -3])
