@@ -131,7 +131,7 @@ _ROW_BLOCK = 128
 def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigraph:
     """Arrival-probability digraph over all vertex pairs.
 
-    `labels` are the vertices, ascending int64 integers (else NetchronoError);
+    `labels` are the vertices, ascending integers in int64 (else NetchronoError);
     `positions` is an (alpha x n) integer array whose row a is one
     prediction list, read as positions: positions[a, i] is the place of
     labels[i] in list a, so each row is a permutation of 0..n-1.  Each

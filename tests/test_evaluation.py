@@ -153,23 +153,25 @@ def test_bucket_table_truth_mismatch():
 @pytest.mark.parametrize("alphas", [range(1, 301), [1000, 4096, 65535]])
 def test_bucket_index_matches_exact_fractions(alphas):
     """Each majority count m out of alpha lands in bucket ceil((m/alpha - 1/2) / width) - 1,
-    clipped to the table, as exact rationals say; every other edge points the right way."""
+    clipped to the table, as exact rationals say; every other edge points the right way,
+    in rows on both sides of the 256-row tally blocks when alpha is 65535."""
     for alpha in alphas:
         majorities = range((alpha + 1) // 2, alpha + 1)
         n = next(n for n in itertools.count(2) if comb(n, 2) >= len(majorities))
         pairs = itertools.combinations(range(n), 2)
-        # edge t runs forward (earlier to later arrival) when t is even
+        # the truth lists labels descending, so edge t points the right way, from an
+        # earlier to a later arrival, iff it runs from the larger label: iff t is odd
         edges = {(u, v) if t % 2 == 0 else (v, u): m
                  for t, ((u, v), m) in enumerate(zip(pairs, majorities))}
         dg = digraph(range(n), edges, alpha)
-        truth = Chronology(range(n))
+        truth = Chronology(range(n - 1, -1, -1))
         for k in (1, 2, 4, 5, 10, 20, 25, 50):
             width = Fraction(1, 2 * k)
             want_total, want_correct = [0] * k, [0] * k
             for t, m in enumerate(majorities):
                 b = min(max(ceil((Fraction(m, alpha) - Fraction(1, 2)) / width) - 1, 0), k - 1)
                 want_total[b] += 1
-                want_correct[b] += t % 2 == 0
+                want_correct[b] += t % 2 == 1
             rows = probability_bucket_table(dg, truth, bucket_width=0.5 / k)
             assert [r.edge_count for r in rows] == want_total, (alpha, k)
             assert [r.correct_fraction for r in rows] == [
