@@ -1,13 +1,6 @@
 """netchrono: predict node arrival order in preferential-attachment networks."""
-from .ba import (
-    BAConfig,
-    DegreeDistribution,
-    degree_histogram,
-    estimate_power_law_exponent,
-    generate_ba,
-    shuffle_vertex_labels,
-)
-from .baselines import BinOrdering, centrality_bins, degree_bins, ranking_to_chronology
+from .ba import BAConfig, generate_ba, shuffle_vertex_labels
+from .baselines import BinOrdering, centrality_bins, degree_bins
 from .centrality import CentralityKind, ScoreTable, compute
 from .dcr import differential_core_ranking, rank_descending
 from .evaluation import BucketRow, bqm, eta_pairs, probability_bucket_table
@@ -38,7 +31,6 @@ __all__ = [
     "BucketRow",
     "CentralityKind",
     "Chronology",
-    "DegreeDistribution",
     "PipelineConfig",
     "ScoreTable",
     "UndirectedGraph",
@@ -50,9 +42,7 @@ __all__ = [
     "child_seed",
     "compute",
     "degree_bins",
-    "degree_histogram",
     "differential_core_ranking",
-    "estimate_power_law_exponent",
     "eta_pairs",
     "from_edge_list",
     "generate_ba",
@@ -61,7 +51,6 @@ __all__ = [
     "pairwise_digraph",
     "probability_bucket_table",
     "rank_descending",
-    "ranking_to_chronology",
     "read_chronology",
     "read_edge_list",
     "reconstruct_with_ranking",

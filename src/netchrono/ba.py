@@ -8,12 +8,12 @@ the arrival completes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
+from .errors import InvalidConfigError, SizeMismatchError
 from .graph import Chronology, UndirectedGraph, _csr_layout
 
 _SEED_MAX = 2**64
@@ -46,15 +46,6 @@ def _require_integers(cfg, *fields: str) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Degree histogram with an optional fitted power-law exponent."""
-
-    histogram: dict[int, int]
-    gamma_estimate: float | None = None
-    normalization: float | None = None
 
 
 def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
@@ -191,33 +182,3 @@ def shuffle_vertex_labels(
         len(labels), np.repeat(perm, np.diff(indptr)), perm[indices]))
     return relabeled, Chronology(labels[perm[np.searchsorted(labels, order)]].tolist())
 
-
-def degree_histogram(g: UndirectedGraph) -> DegreeDistribution:
-    """Exact degree -> count histogram; no exponent fitted."""
-    degrees, counts = np.unique(np.diff(g.csr_arrays()[1]), return_counts=True)
-    return DegreeDistribution(histogram=dict(zip(degrees.tolist(), counts.tolist())))
-
-
-def estimate_power_law_exponent(d: DegreeDistribution, k_min: int) -> DegreeDistribution:
-    """Fit count_fraction(k) ~ normalization * k**(-gamma) by log-log least squares.
-
-    Only degrees >= k_min with nonzero count enter the fit; at least three
-    distinct such degrees are required.  Points are weighted by
-    sqrt(count), the inverse-variance weighting for log-transformed
-    Poisson counts; without it the long run of single-count tail degrees
-    flattens the slope badly (unweighted fits report ~2.0 on BA networks
-    whose true exponent is 3).  Diagnostic-quality, not MLE.
-    """
-    total = sum(d.histogram.values())
-    support = sorted(k for k, cnt in d.histogram.items() if k >= k_min and cnt > 0)
-    if len(support) < 3:
-        raise InsufficientSupportError(
-            f"need >= 3 distinct degrees >= {k_min} with nonzero count, have {len(support)}"
-        )
-    if min(support) < 1:
-        raise InsufficientSupportError("power-law fit requires positive degrees")
-    log_k = np.log(np.array(support, dtype=np.float64))
-    log_p = np.log(np.array([d.histogram[k] / total for k in support]))
-    weights = np.sqrt(np.array([d.histogram[k] for k in support], dtype=np.float64))
-    slope, intercept = np.polyfit(log_k, log_p, 1, w=weights)
-    return replace(d, gamma_estimate=float(abs(slope)), normalization=float(np.exp(intercept)))

@@ -8,7 +8,7 @@ import numpy as np
 from .centrality import CentralityKind, compute
 from .dcr import rank_descending
 from .errors import InvalidDeltaError
-from .graph import Chronology, UndirectedGraph
+from .graph import UndirectedGraph
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
     n = g.vertex_count
     if not (1 <= delta <= n):
         raise InvalidDeltaError(f"delta must satisfy 1 <= delta <= |V|={n}, got {delta}")
-    order = rank_descending(compute(g, kind))
+    order = rank_descending(compute(g, kind)).tolist()
     q, r = divmod(n, delta)
     bins: list[frozenset[int]] = []
     at = 0
@@ -70,9 +70,3 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
         at += size
     return BinOrdering(tuple(bins))
 
-
-def ranking_to_chronology(g: UndirectedGraph, kind: CentralityKind) -> Chronology:
-    """Full vertex list in centrality-descending order (ties by label)."""
-    if g.vertex_count == 0:
-        raise ValueError("ranking requires a nonempty graph")
-    return Chronology(rank_descending(compute(g, kind)))

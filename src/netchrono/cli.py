@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: `generate` (BA network + chronology files), `reconstruct`
-(full pipeline to a result JSON), `sweep` (plain-vs-differential eta
-curves to CSV) and `compare-bins` (equal-bin-count baseline comparison).
+Subcommands: `generate` (BA network + chronology files, and a one-line
+degree summary), `reconstruct` (full pipeline to a result JSON), `sweep`
+(plain-vs-differential eta curves to CSV) and `compare-bins` (pipeline
+bins against equal-bin-count centrality baselines).  `reconstruct` and
+`compare-bins` share one pipeline body, `_run_pipeline`, so they write
+the same `config` block and the same bins for the same flags.
 All randomness hangs off --seed, so every invocation is reproducible;
 sweep points/repeats and the per-synthetic pipeline work fan out over
 --jobs worker processes (NETCHRONO_JOBS overrides the default).
@@ -18,15 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .ba import (
-    BAConfig,
-    degree_histogram,
-    estimate_power_law_exponent,
-    generate_ba,
-    shuffle_vertex_labels,
-)
-from .baselines import centrality_bins, degree_bins, ranking_to_chronology
-from .centrality import CentralityKind
+from .ba import BAConfig, generate_ba, shuffle_vertex_labels
+from .baselines import BinOrdering, centrality_bins, degree_bins
+from .centrality import CentralityKind, compute
 from .dcr import differential_core_ranking, rank_descending
 from .errors import NetchronoError, SizeMismatchError
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
@@ -55,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", type=Path, required=True, help="edge-list output path")
     g.add_argument("--chronology", type=Path, required=True, help="chronology output path")
-    g.add_argument("--gamma", action="store_true",
-                   help="fit and report the power-law degree exponent")
-    g.add_argument("--gamma-kmin", type=int, default=None,
-                   help="smallest degree used by the --gamma fit (default: --connections)")
     g.add_argument("--shuffle-labels", action="store_true",
                    help="randomly relabel vertices so labels carry no arrival "
                         "information (chronology is rewritten to match)")
@@ -116,45 +109,58 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if args.gamma_kmin is not None and not args.gamma:
-        raise NetchronoError("--gamma-kmin needs --gamma")
-    if args.gamma_kmin is not None and args.gamma_kmin < 1:
-        raise NetchronoError(f"--gamma-kmin must be >= 1, got {args.gamma_kmin}")
     g, chron = generate_ba(BAConfig(args.nodes, args.connections, args.seed))
     if args.shuffle_labels:
         g, chron = shuffle_vertex_labels(g, chron, child_seed(args.seed, 0))
-    dist = degree_histogram(g)
-    if args.gamma:  # fit before writing, so a failed fit leaves no files
-        k_min = args.gamma_kmin if args.gamma_kmin is not None else args.connections
-        fitted = estimate_power_law_exponent(dist, k_min)
     nio.write_edge_list(g, args.out)
     nio.write_chronology(chron, args.chronology)
-    degrees = sorted(dist.histogram)
+    degrees = np.diff(g.csr_arrays()[1])
     mean_deg = 2 * g.edge_count / g.vertex_count
     print(f"vertices={g.vertex_count} edges={g.edge_count}")
-    print(f"degree min={degrees[0]} max={degrees[-1]} mean={mean_deg:.3f} "
-          f"distinct={len(degrees)}")
-    if args.gamma:
-        print(f"gamma={fitted.gamma_estimate:.4f} normalization={fitted.normalization:.6g} "
-              f"k_min={k_min}")
+    print(f"degree min={degrees.min()} max={degrees.max()} mean={mean_deg:.3f} "
+          f"distinct={len(np.unique(degrees))}")
     return 0
 
 
-def _load_reference(graph_path: Path, truth_path: Path | None) -> tuple[UndirectedGraph, Chronology | None]:
-    """The reference network and, if given, its true chronology, which must
-    list exactly the network's vertices (checked before any pipeline work)."""
-    g = nio.read_edge_list(graph_path)
-    if truth_path is None:
-        return g, None
-    truth = nio.read_chronology(truth_path)
-    labels = set(truth.order)
-    if labels != g.vertices:
-        raise SizeMismatchError(
-            f"{truth_path} lists {len(labels)} vertices, {len(labels - g.vertices)} of them "
-            f"not in {graph_path}, which has {g.vertex_count} vertices, "
-            f"{len(g.vertices - labels)} of them missing from the chronology"
-        )
-    return g, truth
+def _run_pipeline(args: argparse.Namespace) -> tuple[UndirectedGraph, Chronology | None,
+                                                     BinOrdering, WeightedDigraph, list[int], dict]:
+    """The pipeline on --graph: the network, its --truth if given, the bins,
+    the digraph, the reference ranking and the result's `config` block.
+    The config and the truth, which must list exactly the network's
+    vertices, are checked before any pipeline work."""
+    cfg = PipelineConfig(
+        alpha=args.alpha,
+        connections=args.connections,
+        kind=CentralityKind(args.centrality),
+        master_seed=args.seed,
+    )
+    g = nio.read_edge_list(args.graph)
+    truth = None
+    if args.truth is not None:
+        truth = nio.read_chronology(args.truth)
+        labels = set(truth.order)
+        if labels != g.vertices:
+            raise SizeMismatchError(
+                f"{args.truth} lists {len(labels)} vertices, {len(labels - g.vertices)} of them "
+                f"not in {args.graph}, which has {g.vertex_count} vertices, "
+                f"{len(g.vertices - labels)} of them missing from the chronology"
+            )
+    bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
+    config = {
+        "graph": str(args.graph),
+        "nodes": g.vertex_count,
+        "connections": args.connections,
+        "alpha": args.alpha,
+        "centrality": args.centrality,
+        "seed": args.seed,
+    }
+    return g, truth, bins, dg, ref_rank, config
+
+
+def _write_json(result: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=2)
+        fh.write("\n")
 
 
 def _bucket_rows_json(rows) -> list[dict]:
@@ -168,15 +174,6 @@ def _bucket_rows_json(rows) -> list[dict]:
         }
         for r in rows
     ]
-
-
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    return PipelineConfig(
-        alpha=args.alpha,
-        connections=args.connections,
-        kind=CentralityKind(args.centrality),
-        master_seed=args.seed,
-    )
 
 
 def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
@@ -194,20 +191,10 @@ def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    bucket_count(args.bucket_width)  # reject a bad width or config before any work
-    cfg = _pipeline_config(args)
-    g, truth = _load_reference(args.graph, args.truth)
-    bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
-
+    bucket_count(args.bucket_width)  # reject a bad width before any work
+    _, truth, bins, dg, ref_rank, config = _run_pipeline(args)
     result = {
-        "config": {
-            "graph": str(args.graph),
-            "nodes": g.vertex_count,
-            "connections": args.connections,
-            "alpha": args.alpha,
-            "centrality": args.centrality,
-            "seed": args.seed,
-        },
+        "config": config,
         "bins": [sorted(b) for b in bins.bins],
         "delta": bins.delta,
         "digraph_summary": {
@@ -224,9 +211,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         result["bucket_table"] = _bucket_rows_json(
             probability_bucket_table(dg, truth, args.bucket_width)
         )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(result, args.out)
     print(f"bins={bins.delta} edges={dg.edge_count}", end="")
     if truth is not None:
         print(f" bqm={result['metrics']['bqm']:.6f} eta={result['metrics']['eta_pairs']:.6f}")
@@ -241,8 +226,8 @@ def _sweep_point(task: tuple) -> tuple[float, float]:
     g, truth = generate_ba(BAConfig(n, c, seed))
     # relabel so neither ranking can read arrival order out of the labels
     g, truth = shuffle_vertex_labels(g, truth, child_seed(seed, 0))
-    plain = ranking_to_chronology(g, kind)
-    differential = Chronology(rank_descending(differential_core_ranking(g, kind)))
+    plain = Chronology(rank_descending(compute(g, kind)).tolist())
+    differential = Chronology(rank_descending(differential_core_ranking(g, kind)).tolist())
     return eta_pairs(truth, plain), eta_pairs(truth, differential)
 
 
@@ -282,9 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_bins(args: argparse.Namespace) -> int:
-    cfg = _pipeline_config(args)
-    g, truth = _load_reference(args.graph, args.truth)
-    bins, _, _ = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
+    g, truth, bins, _, _, config = _run_pipeline(args)
     delta = bins.delta
 
     metrics = {"bqm_dcr": bqm(truth, bins)}
@@ -294,21 +277,12 @@ def cmd_compare_bins(args: argparse.Namespace) -> int:
     metrics["bqm_degree_bins"] = bqm(truth, by_degree)
 
     result = {
-        "config": {
-            "graph": str(args.graph),
-            "nodes": g.vertex_count,
-            "connections": args.connections,
-            "alpha": args.alpha,
-            "centrality": args.centrality,
-            "seed": args.seed,
-        },
+        "config": config,
         "delta": delta,
         "degree_bins_delta": by_degree.delta,
         "metrics": metrics,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
-        fh.write("\n")
+    _write_json(result, args.out)
     print(f"delta={delta}")
     for key, value in metrics.items():
         print(f"{key}={value:.6f}")

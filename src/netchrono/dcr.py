@@ -93,8 +93,23 @@ def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> Score
     return ScoreTable.from_rows(labels, dcm)
 
 
-def rank_descending(t: ScoreTable) -> list[int]:
-    """Vertices by score descending; equal scores break by ascending label."""
-    labels = np.fromiter(t.scores, dtype=np.int64, count=len(t.scores))
-    scores = np.fromiter(t.scores.values(), dtype=np.float64, count=len(t.scores))
-    return labels[np.lexsort((labels, -scores))].tolist()
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on uint64 arrays: cheap, well-dispersed 64-bit hash."""
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def rank_descending(table: ScoreTable, seed: int | None = None) -> np.ndarray:
+    """Labels by score descending, as int64.  Equal scores break by ascending
+    label, or, given a seed, by the hash of label ^ _mix64(seed): the pipeline
+    salts each network's ties apart, the baselines pass no seed."""
+    labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
+    scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
+    if seed is None:
+        return labels[np.lexsort((labels, -scores))]
+    salt = _mix64(np.array([seed], dtype=np.uint64))
+    # the hash reads a label's 64-bit two's complement, as Python's masking does
+    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]

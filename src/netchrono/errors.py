@@ -26,10 +26,6 @@ class NoConvergenceError(NetchronoError):
     pass
 
 
-class InsufficientSupportError(NetchronoError):
-    pass
-
-
 class InvalidDeltaError(NetchronoError):
     pass
 

@@ -227,9 +227,10 @@ class WeightedDigraph:
 
 def _require_integral(labels: Sequence) -> None:
     """NetchronoError naming the first label that is not an integer (a cast
-    would truncate 1.9 to 1); the types are collected in one C-level pass."""
-    if not all(issubclass(t, Integral) for t in set(map(type, labels))):
-        bad = next(x for x in labels if not isinstance(x, Integral))
+    would truncate 1.9 to 1) or is a bool (an Integral, but surely a
+    mistake); the types are collected in one C-level pass."""
+    if not all(issubclass(t, Integral) and t is not bool for t in set(map(type, labels))):
+        bad = next(x for x in labels if isinstance(x, bool) or not isinstance(x, Integral))
         raise NetchronoError(f"label {bad!r} is not an integer")
 
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .ba import BAConfig, _require_integers, generate_ba
 from .baselines import BinOrdering
-from .centrality import CentralityKind, ScoreTable
-from .dcr import differential_core_ranking
+from .centrality import CentralityKind
+from .dcr import differential_core_ranking, rank_descending
 from .errors import (
     CyclicInputError,
     EmptyBatchError,
@@ -81,24 +81,6 @@ def child_seed(master_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays: cheap, well-dispersed 64-bit hash."""
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(0xBF58476D1CE4E5B9)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-def _salted_rank(table: ScoreTable, seed: int) -> np.ndarray:
-    """Score-descending int64 labels, ties by the hash of label ^ _mix64(seed)."""
-    salt = _mix64(np.array([seed], dtype=np.uint64))
-    labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
-    scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
-    # the hash reads a label's 64-bit two's complement, as Python's masking does
-    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]
-
-
 def map_and_predict(
     ref_rank: list[int],
     syn_rank: list[int],
@@ -140,7 +122,11 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
     probability is m / alpha; exact alpha/2 ties orient min-label to
     max-label so the result is independent of pair iteration order.
     """
-    labels = _int64_labels(list(labels))  # a copy: the digraph makes it read-only
+    try:
+        labels = list(labels)
+    except TypeError:
+        raise SizeMismatchError(f"labels must be a sequence, got {labels!r}") from None
+    labels = _int64_labels(labels)  # a copy: the digraph makes it read-only
     positions = np.asarray(positions)
     if positions.ndim != 2 or positions.shape[1] != len(labels) \
             or not np.issubdtype(positions.dtype, np.integer):
@@ -222,23 +208,27 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
         cyclic = cyclic[left]
         return False
 
+    def rows() -> np.ndarray:
+        """The rows of `cyclic`: `counts` itself, not a copy, while that is every row."""
+        return counts if len(cyclic) == n else counts.take(cyclic, 0)
+
     # smallest count whose removal, with every lighter one, leaves a DAG; it
     # carries an edge, else its probe would be that of the count below it.
     # Removing nothing (every count exceeds (alpha-1)//2) leaves a cycle, removing all does not.
-    top = _first_true((alpha - 1) // 2, alpha, lambda m: acyclic(counts.take(cyclic, 0) > m))
+    top = _first_true((alpha - 1) // 2, alpha, lambda m: acyclic(rows() > m))
 
     # Cycles left once every lighter edge goes lie among `cyclic`, so only
     # the tied edges inside its principal submatrix decide the cut; (row,
     # col) lists them in row-major order.
     inside = np.zeros(n, dtype=bool)
     inside[cyclic] = True
-    at, col = np.nonzero((counts.take(cyclic, 0) == top) & inside)
+    at, col = np.nonzero((rows() == top) & inside)
     row = cyclic[at]
 
     def without_through(k: int) -> bool:
         """Acyclic once every lighter edge goes, and every tied edge up to
         the k-th tied edge inside."""
-        return acyclic(_outlast(counts.take(cyclic, 0), cyclic, top, row[k - 1], col[k - 1]))
+        return acyclic(_outlast(rows(), cyclic, top, row[k - 1], col[k - 1]))
 
     # removing none of the tied edges leaves a cycle, removing all of them does not
     k = _first_true(0, len(row), without_through)
@@ -305,7 +295,7 @@ def _synthetic_prediction(task: tuple) -> np.ndarray:
     n, connections, seed, kind_value = task
     g, _ = generate_ba(BAConfig(n, connections, seed))
     table = differential_core_ranking(g, CentralityKind(kind_value))
-    return _salted_rank(table, seed).astype(np.int32)
+    return rank_descending(table, seed).astype(np.int32)
 
 
 def reconstruct_with_ranking(
@@ -330,7 +320,7 @@ def reconstruct_with_ranking(
     if n <= cfg.connections:
         raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
     ref_table = differential_core_ranking(g_m, cfg.kind)
-    ref_rank = _salted_rank(ref_table, child_seed(cfg.master_seed, 0))
+    ref_rank = rank_descending(ref_table, child_seed(cfg.master_seed, 0))
     tasks = [(n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value)
              for i in range(1, cfg.alpha + 1)]
     syn_ranks = fan_out(_synthetic_prediction, tasks, jobs)

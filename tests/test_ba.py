@@ -6,16 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netchrono import (
-    BAConfig,
-    Chronology,
-    degree_histogram,
-    estimate_power_law_exponent,
-    generate_ba,
-    shuffle_vertex_labels,
-)
-from netchrono.ba import DegreeDistribution, _lemire, _words
-from netchrono.errors import InsufficientSupportError, InvalidConfigError, SizeMismatchError
+from netchrono import BAConfig, Chronology, generate_ba, shuffle_vertex_labels
+from netchrono.ba import _lemire, _words
+from netchrono.errors import InvalidConfigError, SizeMismatchError
 
 from builders import adjacency, graph
 from oracles import oracle_csr_arrays, oracle_generate_ba
@@ -92,37 +85,20 @@ def test_early_vertices_outdegree_late_ones():
     assert np.mean(early) > np.mean(late)
 
 
-def test_degree_histogram_examples():
-    triangle = graph({0: [1, 2], 1: [0, 2], 2: [0, 1]})
-    assert degree_histogram(triangle).histogram == {2: 3}
-    star = graph({0: [1, 2, 3], 1: [0], 2: [0], 3: [0]})
-    assert degree_histogram(star).histogram == {1: 3, 3: 1}
-    empty = graph({0: [], 1: []})
-    assert degree_histogram(empty).histogram == {0: 2}
-
-
-def test_gamma_fit_on_exact_power_law():
-    hist = {k: round(1e6 * k ** -3.0) for k in range(3, 51)}
-    fitted = estimate_power_law_exponent(DegreeDistribution(hist), 3)
-    assert fitted.gamma_estimate == pytest.approx(3.0, abs=0.05)
-    assert fitted.normalization > 0
-
-
-def test_gamma_fit_insufficient_support():
-    with pytest.raises(InsufficientSupportError):
-        estimate_power_law_exponent(DegreeDistribution({2: 5}), 2)
-    with pytest.raises(InsufficientSupportError):
-        estimate_power_law_exponent(DegreeDistribution({2: 5, 3: 4}), 2)
-
-
 def test_gamma_fit_on_generated_networks():
-    # BA theory predicts an exponent of 3; the weighted log-log fit lands
-    # in a window around it (averaged over seeds to damp tail noise)
+    # BA theory predicts a degree exponent of 3.  A log-log least-squares fit
+    # of the degree fractions (every degree is >= c = 3) lands in a window
+    # around it, averaged over seeds to damp tail noise.  Each point is
+    # weighted by sqrt(count), the inverse-variance weight of a log Poisson
+    # count: unweighted, the long run of single-count tail degrees flattens
+    # the slope to about 2.
     vals = []
     for seed in range(5):
         g, _ = generate_ba(BAConfig(10000, 3, 100 + seed))
-        fitted = estimate_power_law_exponent(degree_histogram(g), 3)
-        vals.append(fitted.gamma_estimate)
+        degrees, counts = np.unique(np.diff(g.csr_arrays()[1]), return_counts=True)
+        slope, _ = np.polyfit(np.log(degrees), np.log(counts / counts.sum()), 1,
+                              w=np.sqrt(counts))
+        vals.append(abs(slope))
     assert 2.5 <= np.mean(vals) <= 3.5
 
 

@@ -17,6 +17,8 @@ from netchrono import (
 from netchrono import cli
 from netchrono.cli import main
 
+from builders import adjacency
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -33,6 +35,9 @@ def test_generate_writes_files(tmp_path, capsys):
     assert list(read_chronology(chron)) == list(range(9))
     out = capsys.readouterr().out
     assert "edges=21" in out
+    degrees = [len(nbrs) for nbrs in adjacency(g).values()]
+    assert (f"degree min={min(degrees)} max={max(degrees)} mean={2 * 21 / 9:.3f} "
+            f"distinct={len(set(degrees))}") in out.splitlines()
 
 
 def test_generate_invalid_config_fails(tmp_path, capsys):
@@ -42,38 +47,14 @@ def test_generate_invalid_config_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_generate_gamma_reports_exponent(tmp_path, capsys):
-    code = run("generate", "--nodes", 3000, "--connections", 3, "--seed", 11,
-               "--out", tmp_path / "g.edges", "--chronology", tmp_path / "g.chron",
-               "--gamma")
-    assert code == 0
-    out = capsys.readouterr().out
-    gamma_line = [l for l in out.splitlines() if l.startswith("gamma=")][0]
-    gamma = float(gamma_line.split()[0].split("=")[1])
-    assert 1.5 <= gamma <= 4.5
-
-
-@pytest.mark.parametrize("k_min", [0, -3, 100])
-def test_generate_bad_gamma_kmin_fails_without_files(tmp_path, capsys, k_min):
-    # 0 and -3 are rejected before generating; no degree of BA(50, 3) reaches
-    # 100, so that fit fails, and it runs before either file is written
+@pytest.mark.parametrize("flags", [["--gamma"], ["--gamma-kmin", 3]])
+def test_generate_has_no_power_law_fit(tmp_path, capsys, flags):
     edges, chron = tmp_path / "g.edges", tmp_path / "g.chron"
-    code = run("generate", "--nodes", 50, "--connections", 3, "--seed", 7,
-               "--out", edges, "--chronology", chron, "--gamma", "--gamma-kmin", k_min)
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.out == ""
-    assert not edges.exists() and not chron.exists()
-
-
-def test_generate_gamma_kmin_without_gamma_fails_without_files(tmp_path, capsys):
-    edges, chron = tmp_path / "g.edges", tmp_path / "g.chron"
-    code = run("generate", "--nodes", 20, "--connections", 3, "--seed", 1,
-               "--out", edges, "--chronology", chron, "--gamma-kmin", 5)
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and "--gamma" in captured.err
-    assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--nodes", 50, "--connections", 3, "--seed", 7,
+            "--out", edges, "--chronology", chron, *flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not edges.exists() and not chron.exists()
 
 
@@ -236,6 +217,22 @@ def test_compare_bins_output(tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in metrics.values())
     assert result["delta"] >= 1
     assert "bqm_dcr=" in capsys.readouterr().out
+
+
+def test_reconstruct_and_compare_bins_agree(tmp_path):
+    # one pipeline body: equal config blocks, deltas and pipeline BQM on the same flags
+    edges, chron = tmp_path / "g.edges", tmp_path / "g.chron"
+    run("generate", "--nodes", 50, "--connections", 3, "--seed", 19,
+        "--out", edges, "--chronology", chron, "--shuffle-labels")
+    flags = ["--graph", edges, "--truth", chron, "--connections", 3, "--alpha", 4,
+             "--centrality", "degree", "--seed", 7, "--jobs", 1]
+    assert run("reconstruct", *flags, "--out", tmp_path / "r.json") == 0
+    assert run("compare-bins", *flags, "--out", tmp_path / "c.json") == 0
+    rec = json.loads((tmp_path / "r.json").read_text())
+    cmp = json.loads((tmp_path / "c.json").read_text())
+    assert rec["config"] == cmp["config"]
+    assert rec["delta"] == cmp["delta"]
+    assert cmp["metrics"]["bqm_dcr"] == rec["metrics"]["bqm"]
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "compare-bins"])

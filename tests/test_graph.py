@@ -16,6 +16,7 @@ from netchrono import (
 )
 from netchrono.errors import NetchronoError, SelfLoopError, UnknownVertexError
 from netchrono.graph import _level_counts, _source_rounds
+from netchrono.reconstruction import pairwise_digraph
 
 from builders import adjacency, digraph, graph
 from oracles import oracle_csr_arrays, random_graph
@@ -238,6 +239,18 @@ def test_chronology_rejects_labels_that_are_not_integers(order):
     # int() would read 0.5 as 0 and "3" as 3
     with pytest.raises(NetchronoError, match="not an integer"):
         Chronology(order)
+
+
+@pytest.mark.parametrize("build", [
+    lambda labels: Chronology(labels),
+    lambda labels: from_edge_list([labels]),
+    lambda labels: pairwise_digraph(labels, np.array([[0, 1], [1, 0]])),
+], ids=["Chronology", "from_edge_list", "pairwise_digraph"])
+@pytest.mark.parametrize("labels", [[True, 2], [False, True]])
+def test_bool_labels_are_rejected(build, labels):
+    # bool is an Integral, so a type check alone reads True as label 1
+    with pytest.raises(NetchronoError, match="is not an integer"):
+        build(labels)
 
 
 def test_chronology_reads_integral_labels_from_any_iterable():

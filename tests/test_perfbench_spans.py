@@ -4,12 +4,16 @@ One N = 40 reconstruction runs under `perfbench/spans.installed`, the way
 a traced benchmark call does.  The spans must yield every per-layer
 metric that BENCHMARK.json declares (three of them the benchmark derives
 from more than one call, see below), and tracing must leave the bins
-unchanged.  The test only imports from `perfbench/`.
+unchanged.  The test only imports from `perfbench/`.  A second test runs
+`perfbench/selftest.py`, so that a library change which removes a name
+the benchmark looks up fails here and not only in a benchmark run.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +85,11 @@ def test_traced_reconstruction_yields_declared_layers(spans, tmp_path):
     assert metrics["reconstruction.break_probes"] >= 1
     dag = netchrono.reconstruction.break_cycles(dg)
     assert metrics["reconstruction.edges_removed"] == dg.edge_count - dag.edge_count
+
+
+def test_benchmark_selftest_passes():
+    # every workload shrunk to N = 40, traced and untraced, against BENCHMARK.json
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # no bytecode cache in perfbench/
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -30,7 +30,8 @@ from netchrono.errors import (
     SizeMismatchError,
 )
 from netchrono.centrality import ScoreTable
-from netchrono.reconstruction import _salted_rank, default_jobs, fan_out
+from netchrono.dcr import rank_descending
+from netchrono.reconstruction import default_jobs, fan_out
 
 from builders import digraph, edge_map
 from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
@@ -174,6 +175,13 @@ def test_pairwise_digraph_rejects_bad_position_arrays(labels, positions, error):
 def test_pairwise_digraph_rejects_labels_that_are_not_int64(labels, message):
     with pytest.raises(NetchronoError, match=message):
         pairwise_digraph(labels, np.array([[0, 1], [1, 0]]))
+
+
+@pytest.mark.parametrize("labels", [5, np.int64(5), np.array(5)])
+def test_pairwise_digraph_rejects_scalar_labels(labels):
+    # iterating a scalar raised a bare TypeError
+    with pytest.raises(SizeMismatchError, match="labels must be a sequence"):
+        pairwise_digraph(labels, np.array([[0]]))
 
 
 def test_pairwise_digraph_reads_int64_labels_of_any_integer_type():
@@ -467,11 +475,11 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
     scores = data.draw(st.lists(st.sampled_from(pool), min_size=len(labels),
                                 max_size=len(labels)))
     table = ScoreTable(dict(zip(labels, scores)))
-    assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
+    assert rank_descending(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
 
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
     labels = [0, 1, 2**63 - 1, 2**62 + 5, 12, 2**40, -3]
     table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])))
     for seed in (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
-        assert _salted_rank(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
+        assert rank_descending(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
