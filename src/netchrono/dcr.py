@@ -12,6 +12,7 @@ read them from its induced CSR structure.
 """
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ from .centrality import (
     degree_scores,
     eigenvector_scores,
 )
+from .errors import InvalidConfigError
 from .graph import UndirectedGraph, _induced_csr
 
 # (alive mask, degrees within the alive subgraph) -> one score per alive
@@ -105,11 +107,14 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 def rank_descending(table: ScoreTable, seed: int | None = None) -> np.ndarray:
     """Labels by score descending, as int64.  Equal scores break by ascending
     label, or, given a seed, by the hash of label ^ _mix64(seed): the pipeline
-    salts each network's ties apart, the baselines pass no seed."""
+    salts each network's ties apart, the baselines pass no seed.  A seed
+    that is not an unsigned 64-bit integer is an InvalidConfigError."""
     labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
     scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
     if seed is None:
         return labels[np.lexsort((labels, -scores))]
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     salt = _mix64(np.array([seed], dtype=np.uint64))
     # the hash reads a label's 64-bit two's complement, as Python's masking does
     return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]

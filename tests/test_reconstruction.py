@@ -171,17 +171,13 @@ def test_pairwise_digraph_rejects_bad_position_arrays(labels, positions, error):
     ([0, 2**64], "label 18446744073709551616 is outside the int64 range"),
     ([-2**63 - 1, 0], "outside the int64 range"),
     (np.array([0, 2**64 - 1], dtype=np.uint64), "outside the int64 range"),  # wraps to -1 as int64
+    (5, "labels must be a sequence"),  # iterating a scalar raised a bare TypeError
+    (np.int64(5), "labels must be a sequence"),
+    (np.array(5), "labels must be a sequence"),
 ])
 def test_pairwise_digraph_rejects_labels_that_are_not_int64(labels, message):
     with pytest.raises(NetchronoError, match=message):
         pairwise_digraph(labels, np.array([[0, 1], [1, 0]]))
-
-
-@pytest.mark.parametrize("labels", [5, np.int64(5), np.array(5)])
-def test_pairwise_digraph_rejects_scalar_labels(labels):
-    # iterating a scalar raised a bare TypeError
-    with pytest.raises(SizeMismatchError, match="labels must be a sequence"):
-        pairwise_digraph(labels, np.array([[0]]))
 
 
 def test_pairwise_digraph_reads_int64_labels_of_any_integer_type():
@@ -476,6 +472,13 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
                                 max_size=len(labels)))
     table = ScoreTable(dict(zip(labels, scores)))
     assert rank_descending(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+def test_salted_rank_rejects_a_seed_that_is_not_uint64(seed):
+    # numpy raised a bare OverflowError, or cast 1.5 to 1 without a word
+    with pytest.raises(InvalidConfigError, match="unsigned 64-bit"):
+        rank_descending(ScoreTable({1: 0.5, 2: 0.5}), seed)
 
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
