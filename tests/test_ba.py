@@ -10,7 +10,7 @@ from netchrono import BAConfig, Chronology, generate_ba, shuffle_vertex_labels
 from netchrono.ba import _lemire, _words
 from netchrono.errors import InvalidConfigError, SizeMismatchError
 
-from builders import adjacency, graph
+from builders import adjacency
 from oracles import oracle_csr_arrays, oracle_generate_ba
 
 
