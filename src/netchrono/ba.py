@@ -16,9 +16,6 @@ import numpy as np
 from .errors import InvalidConfigError, SizeMismatchError
 from .graph import Chronology, UndirectedGraph, _csr_layout
 
-_SEED_MAX = 2**64
-
-
 @dataclass(frozen=True)
 class BAConfig:
     """Generation parameters: final node count, connections per arrival, RNG seed."""
@@ -28,11 +25,10 @@ class BAConfig:
     seed: int
 
     def __post_init__(self):
-        _require_integers(self, "n", "c", "seed")
+        _require_integers(self, "n", "c")
+        _require_seed(self.seed)
         if self.c < 1 or self.n <= self.c:
             raise InvalidConfigError(f"require n > c >= 1, got n={self.n} c={self.c}")
-        if not (0 <= self.seed < _SEED_MAX):
-            raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         # the draws replay numpy's 32-bit bounded-integer rule (`_lemire`); the
         # bound is taken on Python ints, where numpy integers would wrap
         n, c = int(self.n), int(self.c)
@@ -46,6 +42,13 @@ def _require_integers(cfg, *fields: str) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_seed(seed, name: str = "seed") -> None:
+    """Reject a seed that is not an unsigned 64-bit integer; numpy integers pass, bools do not."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidConfigError(
+            f"{name} must be an integer in the unsigned 64-bit range, got {seed!r}")
 
 
 def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
@@ -171,6 +174,7 @@ def shuffle_vertex_labels(
     set is preserved, only the assignment changes, and the chronology,
     which must list exactly g's vertices, is rewritten to stay consistent.
     """
+    _require_seed(seed)
     labels, indptr, indices = g.csr_arrays()
     if set(chronology) != set(labels.tolist()):
         raise SizeMismatchError("the chronology does not list exactly the graph's vertices")

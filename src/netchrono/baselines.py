@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .centrality import CentralityKind, compute
 from .dcr import rank_descending
-from .errors import InvalidDeltaError
+from .errors import InvalidDeltaError, TooSmallError
 from .graph import UndirectedGraph
 
 
@@ -44,7 +45,7 @@ class BinOrdering:
 def degree_bins(g: UndirectedGraph) -> BinOrdering:
     """One bin per distinct degree value, highest degree first."""
     if g.vertex_count == 0:
-        raise ValueError("degree binning requires a nonempty graph")
+        raise TooSmallError("degree binning requires a nonempty graph")
     labels, indptr, _ = g.csr_arrays()
     degrees = np.diff(indptr)
     return BinOrdering(tuple(frozenset(labels[degrees == d].tolist())
@@ -58,7 +59,7 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
     (higher-confidence) bins are never the smaller ones.
     """
     n = g.vertex_count
-    if not (1 <= delta <= n):
+    if isinstance(delta, bool) or not isinstance(delta, Integral) or not 1 <= delta <= n:
         raise InvalidDeltaError(f"delta must satisfy 1 <= delta <= |V|={n}, got {delta}")
     order = rank_descending(compute(g, kind)).tolist()
     q, r = divmod(n, delta)

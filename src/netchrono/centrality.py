@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NoConvergenceError
+from .errors import InvalidConfigError, NoConvergenceError
 from .graph import UndirectedGraph
 
 # power-iteration stopping rule of `eigenvector_scores`, read at each call
@@ -151,46 +151,69 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     return total
 
 
-def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Entrywise non-negative dominant eigenvector of A per CSR row.
+def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Entrywise non-negative dominant eigenvector of each diagonal block of A, per CSR row.
 
-    Power iteration from the uniform positive vector, applied to A + I so
-    that bipartite graphs (paired +/- eigenvalues) still converge; the
-    shift leaves eigenvectors untouched.  The result has unit Euclidean
-    length.  Iteration stops once a step moves no entry by more than
-    TOLERANCE and the residual |A x - lam x|, lam the Rayleigh quotient
-    of A at x, is within 10 * TOLERANCE; NoConvergenceError if no step
-    gets within TOLERANCE in MAX_ITERATIONS.  No edges: all zeros.
+    `sizes` cuts the rows into consecutive blocks with no edge between
+    them: a whole graph is one block, and differential core ranking passes
+    one block per peeling level.  Each block is its own power iteration
+    from the uniform positive vector, applied to A + I so that bipartite
+    graphs (paired +/- eigenvalues) still converge; the shift leaves
+    eigenvectors untouched.  Each block has unit Euclidean length.  A block
+    stops once a step moves none of its entries by more than TOLERANCE and
+    its residual |A x - lam x|, lam the Rayleigh quotient of A at x, is
+    within 10 * TOLERANCE; it is then frozen while the others go on.
+    NoConvergenceError if, after MAX_ITERATIONS steps, an open block's last
+    step moved more than TOLERANCE; an open block within it keeps its last
+    iterate.  A block with no edges scores all zeros.
 
-    Each product A x is one weighted `bincount` over the row id of every
-    CSR entry.  It adds a row's neighbours in index order, starting from
-    0.0, as scipy's CSR product does, and the norm is `np.linalg.norm`'s
-    own sqrt(z . z); so every iterate, and the step that stops, is the
-    scipy form's bit for bit, without its per-call dispatch.
+    Each step is one weighted `bincount` over the row id of every CSR
+    entry.  It adds a row's neighbours in index order, starting from 0.0,
+    as scipy's CSR product does, and each block's norm is
+    `np.linalg.norm`'s own sqrt(z . z), one dot product on the block's
+    slice; so every block's iterates, and the step at which it stops, are
+    those of the scipy form run on the block alone, bit for bit.
     """
     n = len(indptr) - 1
     if len(indices) == 0:
         return np.zeros(n)
+    sizes = np.asarray(sizes, dtype=np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-
-    x = np.full(n, 1.0 / np.sqrt(n))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    slices = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+    done = indptr[ends] == indptr[starts]  # no edges: all zeros, frozen from the start
+    frozen = np.repeat(done, sizes)
+    x = np.repeat(np.where(done, 0.0, 1.0 / np.sqrt(sizes)), sizes)
     z, x_next, step = np.empty(n), np.empty(n), np.empty(n)
-    diff = np.inf
+    norms, lam = np.ones(len(sizes)), np.zeros(len(sizes))
+    diff = np.full(len(sizes), np.inf)
+    active = np.flatnonzero(~done)
+    z_blocks = [z[s] for s in slices]  # views: each step writes z in place
     for _ in range(MAX_ITERATIONS):
         np.add(np.bincount(rows, x[indices], n), x, out=z)
-        np.divide(z, np.sqrt(z.dot(z)), out=x_next)
-        diff = float(np.abs(np.subtract(x_next, x, out=step), out=step).max())
+        norms[active] = np.sqrt([z_blocks[b].dot(z_blocks[b]) for b in active.tolist()])
+        np.divide(z, np.repeat(norms, sizes), out=x_next)
+        np.copyto(x_next, x, where=frozen)
+        diff = np.maximum.reduceat(np.abs(np.subtract(x_next, x, out=step), out=step), starts)
         x, x_next = x_next, x
-        if diff <= TOLERANCE:
+        near = ~done & (diff <= TOLERANCE)
+        if near.any():
             ax = np.bincount(rows, x[indices], n)
-            lam = float(x @ ax)
-            if np.max(np.abs(ax - lam * x)) <= 10.0 * TOLERANCE:
+            for b in np.flatnonzero(near).tolist():
+                lam[b] = x[slices[b]].dot(ax[slices[b]])
+            residual = np.maximum.reduceat(np.abs(ax - np.repeat(lam, sizes) * x), starts)
+            done |= near & (residual <= 10.0 * TOLERANCE)
+            if done.all():
                 break
+            frozen = np.repeat(done, sizes)
+            active = np.flatnonzero(~done)
     else:
-        if diff > TOLERANCE:
+        worst = float(diff[~done].max())
+        if worst > TOLERANCE:
             raise NoConvergenceError(
                 f"power iteration did not converge within {MAX_ITERATIONS} iterations "
-                f"(last step moved {diff:.3e} > {TOLERANCE:.3e})"
+                f"(last step moved {worst:.3e} > {TOLERANCE:.3e})"
             )
     return x
 
@@ -210,7 +233,7 @@ def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     elif kind is CentralityKind.BETWEENNESS:
         scores = betweenness_scores(indptr, indices)
     elif kind is CentralityKind.EIGENVECTOR:
-        scores = eigenvector_scores(indptr, indices)
+        scores = eigenvector_scores(indptr, indices, [len(labels)])
     else:
-        raise ValueError(f"unknown centrality kind: {kind!r}")
+        raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
     return ScoreTable.from_rows(labels, scores)

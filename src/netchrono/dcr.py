@@ -5,18 +5,18 @@ minimum degree) and charge each vertex the absolute change of its base
 centrality between consecutive levels; removed vertices are charged their
 full last value.  The accumulated total is the vertex's DCM score.
 
-Peeling runs on the graph's CSR arrays with an alive mask: a level's
-removal lowers the survivors' degrees by one `bincount` over the removed
-vertices' neighbour lists, and the measures that need a level's edges
-read them from its induced CSR structure.
+The peel reads degrees only, so it lists every level before any is
+scored: it runs on the graph's CSR arrays, and a level's removal lowers
+the survivors' degrees by one `bincount` over the removed vertices'
+neighbour lists.  Degree scores a level from its degrees; betweenness
+scores each level's induced CSR structure on its own; eigenvector scores
+all of them in one block power iteration over their union.
 """
 from __future__ import annotations
 
-from numbers import Integral
-from typing import Callable
-
 import numpy as np
 
+from .ba import _require_seed
 from .centrality import (
     CentralityKind,
     ScoreTable,
@@ -24,16 +24,38 @@ from .centrality import (
     degree_scores,
     eigenvector_scores,
 )
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, TooSmallError
 from .graph import UndirectedGraph, _induced_csr
 
-# (alive mask, degrees within the alive subgraph) -> one score per alive
-# vertex, in position order
-LevelScores = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# a peeling level: its alive CSR rows, ascending, and their degrees within it
+Level = tuple[np.ndarray, np.ndarray]
 
 
-def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray) -> LevelScores:
-    """Base centrality of one peeling level, on a size-independent scale.
+def _levels(indptr: np.ndarray, indices: np.ndarray) -> list[Level]:
+    """Every peeling level of a CSR graph, the whole graph first."""
+    n = len(indptr) - 1
+    degrees = np.diff(indptr)
+    live = np.arange(n)
+    levels = []
+    while True:
+        level_degrees = degrees[live]
+        levels.append((live, level_degrees))
+        peeled = level_degrees == level_degrees.min()
+        if peeled.all():
+            return levels
+        gone = live[peeled]
+        live = live[~peeled]
+        # the CSR positions of the removed rows only: each row's start, repeated, plus an offset
+        starts = indptr[gone]
+        counts = indptr[gone + 1] - starts
+        ends = np.cumsum(counts)
+        at = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        degrees = degrees - np.bincount(indices[at], minlength=n)
+
+
+def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray,
+                  levels: list[Level]) -> list[np.ndarray]:
+    """Base centrality of each peeling level, in row order, on a size-independent scale.
 
     Peeled levels shrink, so the summands |change| must be comparable
     across levels.  Degree (divided by |V|-1) and eigenvector (unit norm)
@@ -42,55 +64,45 @@ def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray)
     leaves every within-level ranking untouched.
     """
     if kind is CentralityKind.DEGREE:
-        return lambda alive, degrees: degree_scores(degrees[alive])
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-    def score(alive: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        level = _induced_csr(indptr, indices, rows, alive)
-        if kind is CentralityKind.EIGENVECTOR:
-            return eigenvector_scores(*level)
-        scores = betweenness_scores(*level)
-        n = len(scores)
-        return scores * (2.0 / ((n - 1) * (n - 2))) if n >= 3 else scores
-
-    return score
-
-
-def _peel(indptr: np.ndarray, indices: np.ndarray, level_scores: LevelScores) -> np.ndarray:
-    """DCM per CSR row.  Each peeling level is scored exactly once: a
-    level's scores are reused as the previous-level scores of the next."""
+        return [degree_scores(degrees) for _, degrees in levels]
     n = len(indptr) - 1
-    degrees = np.diff(indptr)
-    alive = np.ones(n, dtype=bool)
-    live = np.arange(n)  # the alive positions, ascending
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    csrs = []
+    for live, _ in levels:
+        keep = np.zeros(n, dtype=bool)
+        keep[live] = True
+        csrs.append(_induced_csr(indptr, indices, rows, keep))
+    if kind is CentralityKind.BETWEENNESS:
+        scores = [betweenness_scores(*level) for level in csrs]
+        return [s * (2.0 / ((len(s) - 1) * (len(s) - 2))) if len(s) >= 3 else s for s in scores]
+    # eigenvector: the block-diagonal union, each level shifted past the levels before it
+    sizes = np.array([len(live) for live, _ in levels])
+    ends = np.cumsum(sizes)
+    union_indptr = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(p) for p, _ in csrs]))])
+    union_indices = np.concatenate([sub + shift for (_, sub), shift in zip(csrs, ends - sizes)])
+    return np.split(eigenvector_scores(union_indptr, union_indices, sizes), ends[:-1])
+
+
+def _dcm(n: int, levels: list[Level], scores: list[np.ndarray]) -> np.ndarray:
+    """DCM per CSR row, adding up each vertex's charges in level order."""
     dcm = np.zeros(n)
-    current = level_scores(alive, degrees)
-    while True:
-        level_degrees = degrees[live]
-        peeled = level_degrees == level_degrees.min()
-        gone = live[peeled]
-        dcm[gone] += np.abs(current[peeled])
-        if gone.size == live.size:
-            return dcm
-        alive[gone] = False
-        live = live[~peeled]
-        # the CSR positions of the removed rows only: each row's start, repeated, plus an offset
-        starts = indptr[gone]
-        counts = indptr[gone + 1] - starts
-        ends = np.cumsum(counts)
-        at = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
-        degrees = degrees - np.bincount(indices[at], minlength=n)
-        nxt = level_scores(alive, degrees)
-        dcm[live] += np.abs(nxt - current[~peeled])
-        current = nxt
+    for k, (live, degrees) in enumerate(levels):
+        peeled = degrees == degrees.min()
+        dcm[live[peeled]] += np.abs(scores[k][peeled])
+        if k + 1 < len(levels):
+            dcm[levels[k + 1][0]] += np.abs(scores[k + 1] - scores[k][~peeled])
+    return dcm
 
 
 def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     """DCM score per vertex of g, keyed by label."""
+    if not isinstance(kind, CentralityKind):
+        raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
     if g.vertex_count == 0:
-        raise ValueError("differential core ranking requires a nonempty graph")
+        raise TooSmallError("differential core ranking requires a nonempty graph")
     labels, indptr, indices = g.csr_arrays()
-    dcm = _peel(indptr, indices, _level_scores(kind, indptr, indices))
+    levels = _levels(indptr, indices)
+    dcm = _dcm(len(labels), levels, _level_scores(kind, indptr, indices, levels))
     # a ScoreTable, not arrays: perfbench/spans.py reads `.scores` (ROADMAP item 1)
     return ScoreTable.from_rows(labels, dcm)
 
@@ -113,8 +125,7 @@ def rank_descending(table: ScoreTable, seed: int | None = None) -> np.ndarray:
     scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
     if seed is None:
         return labels[np.lexsort((labels, -scores))]
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    _require_seed(seed)
     salt = _mix64(np.array([seed], dtype=np.uint64))
     # the hash reads a label's 64-bit two's complement, as Python's masking does
     return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]

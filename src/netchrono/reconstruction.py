@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import BAConfig, _require_integers, generate_ba
+from .ba import BAConfig, _require_integers, _require_seed, generate_ba
 from .baselines import BinOrdering
 from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
@@ -32,6 +32,7 @@ from .errors import (
     EmptyBatchError,
     InvalidConfigError,
     SizeMismatchError,
+    TooSmallError,
 )
 from .graph import (
     Chronology,
@@ -58,15 +59,14 @@ class PipelineConfig:
     master_seed: int
 
     def __post_init__(self):
-        _require_integers(self, "alpha", "connections", "master_seed")
+        _require_integers(self, "alpha", "connections")
+        _require_seed(self.master_seed, "master_seed")
         if not isinstance(self.kind, CentralityKind):
             raise InvalidConfigError(f"kind must be a CentralityKind, got {self.kind!r}")
         if self.alpha < 1:
             raise InvalidConfigError(f"alpha must be >= 1, got {self.alpha}")
         if self.connections < 1:
             raise InvalidConfigError(f"connections must be >= 1, got {self.connections}")
-        if self.master_seed < 0:
-            raise InvalidConfigError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 def child_seed(master_seed: int, *key: int) -> int:
@@ -77,6 +77,7 @@ def child_seed(master_seed: int, *key: int) -> int:
     collision-resistant across keys, so batches stay reproducible under
     any parallel schedule.
     """
+    _require_seed(master_seed, "master_seed")
     ss = np.random.SeedSequence(master_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -316,7 +317,7 @@ def reconstruct_with_ranking(
     """
     n = g_m.vertex_count
     if n == 0:
-        raise ValueError("reconstruction requires a nonempty reference network")
+        raise TooSmallError("reconstruction requires a nonempty reference network")
     if n <= cfg.connections:
         raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
     ref_table = differential_core_ranking(g_m, cfg.kind)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from netchrono import (
@@ -11,7 +12,7 @@ from netchrono import (
     from_edge_list,
     rank_descending,
 )
-from netchrono.errors import InvalidDeltaError
+from netchrono.errors import InvalidDeltaError, TooSmallError
 
 from builders import adjacency
 from oracles import random_connected_graph, random_graph
@@ -80,6 +81,16 @@ def test_centrality_bins_invalid_delta():
         centrality_bins(g, CentralityKind.DEGREE, 0)
     with pytest.raises(InvalidDeltaError):
         centrality_bins(g, CentralityKind.DEGREE, 11)
+    # range() raised a bare TypeError on 2.5, and True was read as one bin
+    for delta in (2.5, 2.0, True, np.float64(2)):
+        with pytest.raises(InvalidDeltaError):
+            centrality_bins(g, CentralityKind.DEGREE, delta)
+    assert centrality_bins(g, CentralityKind.DEGREE, np.int64(3)) == centrality_bins(g, CentralityKind.DEGREE, 3)
+
+
+def test_degree_bins_empty_graph_is_too_small():
+    with pytest.raises(TooSmallError):
+        degree_bins(from_edge_list([]))
 
 
 def test_centrality_bins_monotone_scores():

@@ -27,7 +27,7 @@ from netchrono import (
     remove_vertices,
 )
 from netchrono.centrality import betweenness_scores
-from netchrono.dcr import _peel
+from netchrono.dcr import _levels
 from netchrono.graph import _induced_csr
 
 from builders import adjacency, graph
@@ -88,13 +88,10 @@ def test_every_peeling_level_matches_first_kernel():
     _, indptr, indices = g.csr_arrays()
     rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     levels = []
-
-    def record(alive, degrees):
-        level = _induced_csr(indptr, indices, rows, alive)
-        levels.append(level)
-        return betweenness_scores(*level)
-
-    _peel(indptr, indices, record)
+    for live, _ in _levels(indptr, indices):
+        keep = np.zeros(len(indptr) - 1, dtype=bool)
+        keep[live] = True
+        levels.append(_induced_csr(indptr, indices, rows, keep))
     assert len(levels) > 10
     for level in levels:
         assert_kernel_bit_identical(*level)

@@ -6,7 +6,7 @@ import pytest
 
 import netchrono.centrality
 from netchrono import CentralityKind, compute, from_edge_list
-from netchrono.errors import NoConvergenceError
+from netchrono.errors import InvalidConfigError, NoConvergenceError
 
 from builders import adjacency, graph
 from oracles import brute_betweenness, dense_dominant_eigenvector, random_connected_graph, random_graph
@@ -142,3 +142,8 @@ def test_compute_dispatch():
     for v in range(4):
         assert eig[v] == pytest.approx(0.5, abs=1e-9)
 
+
+@pytest.mark.parametrize("kind", ["degree", None, 1])
+def test_compute_rejects_a_kind_that_is_not_a_centrality_kind(kind):
+    with pytest.raises(InvalidConfigError, match="CentralityKind"):
+        compute(TRIANGLE, kind)

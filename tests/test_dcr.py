@@ -17,7 +17,8 @@ from netchrono import (
     rank_descending,
 )
 from netchrono.centrality import degree_scores
-from netchrono.dcr import _peel
+from netchrono.errors import InvalidConfigError, TooSmallError
+from netchrono.dcr import _dcm, _levels
 from netchrono.graph import _induced_csr
 
 from builders import adjacency, graph
@@ -46,8 +47,14 @@ def test_single_vertex():
 
 
 def test_empty_graph_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(TooSmallError):
         differential_core_ranking(graph({}), CentralityKind.DEGREE)
+
+
+def test_kind_that_is_not_a_centrality_kind_rejected():
+    # a kind string fell through to betweenness
+    with pytest.raises(InvalidConfigError, match="CentralityKind"):
+        differential_core_ranking(TRIANGLE, "degree")
 
 
 def test_nonnegative_and_covers_all_vertices():
@@ -61,9 +68,12 @@ def test_nonnegative_and_covers_all_vertices():
 
 
 def _peel_table(g, level_scores) -> ScoreTable:
-    """DCM of g through the array-level entry with an injected level measure."""
+    """DCM of g from its level list, each level scored by an injected measure
+    of (alive positions, their degrees within the level)."""
     labels, indptr, indices = g.csr_arrays()
-    return ScoreTable.from_rows(labels, _peel(indptr, indices, level_scores))
+    levels = _levels(indptr, indices)
+    scores = [level_scores(live, degrees) for live, degrees in levels]
+    return ScoreTable.from_rows(labels, _dcm(len(labels), levels, scores))
 
 
 def test_removal_term_lower_bound():
@@ -76,9 +86,9 @@ def test_removal_term_lower_bound():
         labels = g.csr_arrays()[0]
         seen_levels = []
 
-        def spy(alive, degrees):
-            scores = degree_scores(degrees[alive])
-            level = labels[alive].tolist()
+        def spy(live, degrees):
+            scores = degree_scores(degrees)
+            level = labels[live].tolist()
             seen_levels.append((frozenset(level), dict(zip(level, scores.tolist()))))
             return scores
 
@@ -101,8 +111,8 @@ def test_positive_scaling_preserves_ranking():
                 continue
             base = differential_core_ranking(g, CentralityKind.DEGREE)
 
-            def scaled(alive, degrees, _a=alpha):
-                return _a * degree_scores(degrees[alive])
+            def scaled(live, degrees, _a=alpha):
+                return _a * degree_scores(degrees)
 
             other = _peel_table(g, scaled)
             for v in g.vertices:

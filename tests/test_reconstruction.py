@@ -21,6 +21,7 @@ from netchrono import (
     map_and_predict,
     pairwise_digraph,
     reconstruct_with_ranking,
+    shuffle_vertex_labels,
 )
 from netchrono.errors import (
     CyclicInputError,
@@ -28,6 +29,7 @@ from netchrono.errors import (
     InvalidConfigError,
     NetchronoError,
     SizeMismatchError,
+    TooSmallError,
 )
 from netchrono.centrality import ScoreTable
 from netchrono.dcr import rank_descending
@@ -479,6 +481,36 @@ def test_salted_rank_rejects_a_seed_that_is_not_uint64(seed):
     # numpy raised a bare OverflowError, or cast 1.5 to 1 without a word
     with pytest.raises(InvalidConfigError, match="unsigned 64-bit"):
         rank_descending(ScoreTable({1: 0.5, 2: 0.5}), seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64])
+def test_every_seeded_entry_rejects_a_seed_that_is_not_uint64(seed):
+    # numpy raised a bare ValueError or TypeError from child_seed and shuffle_vertex_labels;
+    # rank_descending is checked above
+    g, chronology = generate_ba(BAConfig(6, 2, 1))
+    calls = [
+        lambda: child_seed(seed, 1),
+        lambda: shuffle_vertex_labels(g, chronology, seed),
+        lambda: BAConfig(6, 2, seed),
+        lambda: PipelineConfig(alpha=1, connections=2, kind=CentralityKind.DEGREE, master_seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidConfigError, match="unsigned 64-bit"):
+            call()
+
+
+def test_seeded_entries_take_numpy_integers():
+    g, chronology = generate_ba(BAConfig(6, 2, np.uint64(1)))
+    assert child_seed(np.uint64(2**64 - 1), 1) == child_seed(2**64 - 1, 1)
+    assert shuffle_vertex_labels(g, chronology, np.int64(4)) == shuffle_vertex_labels(g, chronology, 4)
+    table = ScoreTable({1: 0.5, 2: 0.5, 3: 0.5})
+    assert rank_descending(table, np.uint32(9)).tolist() == rank_descending(table, 9).tolist()
+
+
+def test_empty_reference_is_too_small():
+    cfg = PipelineConfig(alpha=1, connections=1, kind=CentralityKind.DEGREE, master_seed=1)
+    with pytest.raises(TooSmallError):
+        reconstruct_with_ranking(from_edge_list([]), cfg, jobs=1)
 
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
