@@ -47,8 +47,7 @@ def _require_integers(cfg, *fields: str) -> None:
 def _require_seed(seed, name: str = "seed") -> None:
     """Reject a seed that is not an unsigned 64-bit integer; numpy integers pass, bools do not."""
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise InvalidConfigError(
-            f"{name} must be an integer in the unsigned 64-bit range, got {seed!r}")
+        raise InvalidConfigError(f"{name} must be an integer, unsigned 64-bit, got {seed!r}")
 
 
 def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:

@@ -3,8 +3,8 @@
 Each measure is an array kernel on a CSR structure (`degree_scores`,
 `betweenness_scores`, `eigenvector_scores`), scores in row order.
 `compute` runs one of them on a graph's `csr_arrays` and keys the scores
-by label; differential core ranking calls the kernels on each peeling
-level directly.
+by label; differential core ranking calls them on its peeling levels,
+eigenvector once on all of them as diagonal blocks.
 
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
@@ -155,40 +155,35 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarra
     """Entrywise non-negative dominant eigenvector of each diagonal block of A, per CSR row.
 
     `sizes` cuts the rows into consecutive blocks with no edge between
-    them: a whole graph is one block, and differential core ranking passes
-    one block per peeling level.  Each block is its own power iteration
-    from the uniform positive vector, applied to A + I so that bipartite
-    graphs (paired +/- eigenvalues) still converge; the shift leaves
-    eigenvectors untouched.  Each block has unit Euclidean length.  A block
-    stops once a step moves none of its entries by more than TOLERANCE and
-    its residual |A x - lam x|, lam the Rayleigh quotient of A at x, is
-    within 10 * TOLERANCE; it is then frozen while the others go on.
-    NoConvergenceError if, after MAX_ITERATIONS steps, an open block's last
-    step moved more than TOLERANCE; an open block within it keeps its last
-    iterate.  A block with no edges scores all zeros.
+    them: a graph is one block; differential core ranking passes one per
+    peeling level.  Each block runs its own power iteration from the
+    uniform positive vector, on A + I so that bipartite graphs (paired
+    +/- eigenvalues) still converge; the shift leaves eigenvectors
+    untouched.  A block stops with unit length, frozen while the others go
+    on, once a step moves none of its entries by more than TOLERANCE and
+    its residual |A x - lam x| (lam the Rayleigh quotient) is within
+    10 * TOLERANCE.  After MAX_ITERATIONS steps, NoConvergenceError if an
+    open block's last step moved more than TOLERANCE; other open blocks
+    keep their last iterate.  A block with no edges: all zeros.
 
-    Each step is one weighted `bincount` over the row id of every CSR
-    entry.  It adds a row's neighbours in index order, starting from 0.0,
-    as scipy's CSR product does, and each block's norm is
-    `np.linalg.norm`'s own sqrt(z . z), one dot product on the block's
-    slice; so every block's iterates, and the step at which it stops, are
-    those of the scipy form run on the block alone, bit for bit.
+    Each product A x is one weighted `bincount` over the row id of every
+    CSR entry, adding a row's neighbours in index order from 0.0 as
+    scipy's CSR product does, and a block's norm is `np.linalg.norm`'s
+    sqrt(z . z) on its slice: each block's iterates and stopping step are
+    the scipy form's on the block alone, bit for bit.
     """
     n = len(indptr) - 1
     if len(indices) == 0:
         return np.zeros(n)
-    sizes = np.asarray(sizes, dtype=np.int64)
     rows = np.repeat(np.arange(n), np.diff(indptr))
     ends = np.cumsum(sizes)
     starts = ends - sizes
     slices = [slice(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
     done = indptr[ends] == indptr[starts]  # no edges: all zeros, frozen from the start
-    frozen = np.repeat(done, sizes)
+    frozen, active = np.repeat(done, sizes), np.flatnonzero(~done)
     x = np.repeat(np.where(done, 0.0, 1.0 / np.sqrt(sizes)), sizes)
     z, x_next, step = np.empty(n), np.empty(n), np.empty(n)
-    norms, lam = np.ones(len(sizes)), np.zeros(len(sizes))
-    diff = np.full(len(sizes), np.inf)
-    active = np.flatnonzero(~done)
+    norms, lam, diff = np.ones(len(sizes)), np.zeros(len(sizes)), np.full(len(sizes), np.inf)
     z_blocks = [z[s] for s in slices]  # views: each step writes z in place
     for _ in range(MAX_ITERATIONS):
         np.add(np.bincount(rows, x[indices], n), x, out=z)
@@ -206,8 +201,7 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarra
             done |= near & (residual <= 10.0 * TOLERANCE)
             if done.all():
                 break
-            frozen = np.repeat(done, sizes)
-            active = np.flatnonzero(~done)
+            frozen, active = np.repeat(done, sizes), np.flatnonzero(~done)
     else:
         worst = float(diff[~done].max())
         if worst > TOLERANCE:

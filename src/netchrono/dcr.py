@@ -5,12 +5,10 @@ minimum degree) and charge each vertex the absolute change of its base
 centrality between consecutive levels; removed vertices are charged their
 full last value.  The accumulated total is the vertex's DCM score.
 
-The peel reads degrees only, so it lists every level before any is
-scored: it runs on the graph's CSR arrays, and a level's removal lowers
-the survivors' degrees by one `bincount` over the removed vertices'
-neighbour lists.  Degree scores a level from its degrees; betweenness
-scores each level's induced CSR structure on its own; eigenvector scores
-all of them in one block power iteration over their union.
+The peel reads only degrees, which a removal lowers by one `bincount`
+over the removed CSR rows, so every level is listed before any is scored.
+Degree scores each level's degrees, betweenness each level's induced CSR,
+eigenvector all of them in one block power iteration over their union.
 """
 from __future__ import annotations
 
@@ -25,10 +23,9 @@ from .centrality import (
     eigenvector_scores,
 )
 from .errors import InvalidConfigError, TooSmallError
-from .graph import UndirectedGraph, _induced_csr
+from .graph import UndirectedGraph
 
-# a peeling level: its alive CSR rows, ascending, and their degrees within it
-Level = tuple[np.ndarray, np.ndarray]
+Level = tuple[np.ndarray, np.ndarray]  # alive CSR rows, ascending; their degrees in the level
 
 
 def _levels(indptr: np.ndarray, indices: np.ndarray) -> list[Level]:
@@ -53,6 +50,22 @@ def _levels(indptr: np.ndarray, indices: np.ndarray) -> list[Level]:
         degrees = degrees - np.bincount(indices[at], minlength=n)
 
 
+def _union_csr(indptr: np.ndarray, indices: np.ndarray,
+               levels: list[Level]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels' induced CSR structures as one block-diagonal CSR, and the block sizes.
+    An entry is in each level below the lesser depth (levels holding it) of its ends;
+    numbering (level, vertex) pairs in that order keeps each row's neighbours sorted."""
+    n = len(indptr) - 1
+    depth = np.bincount(np.concatenate([live for live, _ in levels]), minlength=n)
+    level = np.arange(len(levels))[:, None]
+    union_row = np.cumsum(depth > level).reshape(len(levels), n) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    k, at = np.nonzero(np.minimum(depth[rows], depth[indices]) > level)
+    counts = np.bincount(union_row[k, rows[at]], minlength=union_row[-1, -1] + 1)
+    sizes = np.array([len(live) for live, _ in levels])
+    return np.concatenate([[0], np.cumsum(counts)]), union_row[k, indices[at]], sizes
+
+
 def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray,
                   levels: list[Level]) -> list[np.ndarray]:
     """Base centrality of each peeling level, in row order, on a size-independent scale.
@@ -65,22 +78,16 @@ def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray,
     """
     if kind is CentralityKind.DEGREE:
         return [degree_scores(degrees) for _, degrees in levels]
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    csrs = []
-    for live, _ in levels:
-        keep = np.zeros(n, dtype=bool)
-        keep[live] = True
-        csrs.append(_induced_csr(indptr, indices, rows, keep))
-    if kind is CentralityKind.BETWEENNESS:
-        scores = [betweenness_scores(*level) for level in csrs]
-        return [s * (2.0 / ((len(s) - 1) * (len(s) - 2))) if len(s) >= 3 else s for s in scores]
-    # eigenvector: the block-diagonal union, each level shifted past the levels before it
-    sizes = np.array([len(live) for live, _ in levels])
+    union_indptr, union_indices, sizes = _union_csr(indptr, indices, levels)
     ends = np.cumsum(sizes)
-    union_indptr = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(p) for p, _ in csrs]))])
-    union_indices = np.concatenate([sub + shift for (_, sub), shift in zip(csrs, ends - sizes)])
-    return np.split(eigenvector_scores(union_indptr, union_indices, sizes), ends[:-1])
+    if kind is CentralityKind.EIGENVECTOR:
+        return np.split(eigenvector_scores(union_indptr, union_indices, sizes), ends[:-1])
+    out = []
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        start, stop = union_indptr[lo], union_indptr[hi]
+        scores = betweenness_scores(union_indptr[lo:hi + 1] - start, union_indices[start:stop] - lo)
+        out.append(scores * (2.0 / ((hi - lo - 1) * (hi - lo - 2))) if hi - lo >= 3 else scores)
+    return out
 
 
 def _dcm(n: int, levels: list[Level], scores: list[np.ndarray]) -> np.ndarray:

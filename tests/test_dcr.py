@@ -18,7 +18,7 @@ from netchrono import (
 )
 from netchrono.centrality import degree_scores
 from netchrono.errors import InvalidConfigError, TooSmallError
-from netchrono.dcr import _dcm, _levels
+from netchrono.dcr import _dcm, _levels, _union_csr
 from netchrono.graph import _induced_csr
 
 from builders import adjacency, graph
@@ -208,3 +208,25 @@ def test_induced_csr_equals_csr_of_copied_subgraph():
             got_indptr, got_indices = _induced_csr(indptr, indices, rows, keep)
             for got, expected in ((got_indptr, want.indptr), (got_indices, want.indices)):
                 assert got.dtype == np.int64 and np.array_equal(got, expected)
+
+
+def test_union_csr_blocks_are_the_levels_induced_csr():
+    rng = random.Random(67)
+    graphs = [generate_ba(BAConfig(300, 3, 2))[0], PATH3, graph({5: []})]
+    graphs += [_scattered(rng, random_graph(rng, rng.randint(1, 30), 0.2)) for _ in range(20)]
+    for g in graphs:
+        _, indptr, indices = g.csr_arrays()
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        levels = _levels(indptr, indices)
+        union_indptr, union_indices, sizes = _union_csr(indptr, indices, levels)
+        lo = 0
+        for (live, _), size in zip(levels, sizes.tolist(), strict=True):
+            keep = np.zeros(len(indptr) - 1, dtype=bool)
+            keep[live] = True
+            want_indptr, want_indices = _induced_csr(indptr, indices, rows, keep)
+            start, stop = union_indptr[lo], union_indptr[lo + size]
+            assert size == len(live)
+            assert np.array_equal(union_indptr[lo:lo + size + 1] - start, want_indptr)
+            assert np.array_equal(union_indices[start:stop] - lo, want_indices)
+            lo += size
+        assert lo == len(union_indptr) - 1 and union_indices.dtype == np.int64
