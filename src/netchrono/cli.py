@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .ba import BAConfig, generate_ba, shuffle_vertex_labels
+from .ba import BAConfig, _require_seed, generate_ba, shuffle_vertex_labels
 from .baselines import BinOrdering, centrality_bins, degree_bins
 from .centrality import CentralityKind, compute
 from .dcr import differential_core_ranking, rank_descending
@@ -238,8 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise NetchronoError("--step must be >= 1")
     if args.repeats < 1:
         raise NetchronoError("--repeats must be >= 1")
-    if args.seed < 0:
-        raise NetchronoError(f"--seed must be >= 0, got {args.seed}")
+    _require_seed(args.seed, "--seed")
     xs = list(range(args.start, args.stop + 1, args.step))
     tasks = []
     for pi, x in enumerate(xs):

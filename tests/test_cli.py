@@ -187,6 +187,15 @@ def test_sweep_bad_range_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sweep_rejects_a_seed_outside_uint64(tmp_path, capsys, seed):
+    # one rule for every seed: -1 was refused with another message, 2**64 was taken
+    code = run("sweep", "--mode", "nodes", "--from", 20, "--to", 20, "--connections", 3,
+               "--centrality", "degree", "--repeats", 1, "--seed", seed, "--out", tmp_path / "s.csv")
+    assert code == 1
+    assert "--seed must be an integer, unsigned 64-bit" in capsys.readouterr().err
+
+
 # sha256 of the sweep CSV below; pins the (point, repeat) seeds of every sweep task
 SWEEP_DIGEST = "af3e1b5a4ec752a5a6240b26a5aa0597971aa433f3f0018e4e1cf0ad8128a052"
 
