@@ -8,7 +8,7 @@ import numpy as np
 
 from .centrality import CentralityKind, compute
 from .dcr import rank_descending
-from .errors import InvalidDeltaError, TooSmallError
+from .errors import InvalidDeltaError, NotAPartitionError, TooSmallError
 from .graph import UndirectedGraph
 
 
@@ -23,23 +23,17 @@ class BinOrdering:
     bins: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for b in self.bins:
-            if not b:
-                raise ValueError("bins must be nonempty")
-            if seen & b:
-                raise ValueError("bins must be pairwise disjoint")
-            seen |= b
+        if not all(self.bins):
+            raise NotAPartitionError("bins must be nonempty")
+        if sum(map(len, self.bins)) != len(self.covered()):
+            raise NotAPartitionError("bins must be pairwise disjoint")
 
     @property
     def delta(self) -> int:
         return len(self.bins)
 
     def covered(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b in self.bins:
-            out |= b
-        return frozenset(out)
+        return frozenset().union(*self.bins)
 
 
 def degree_bins(g: UndirectedGraph) -> BinOrdering:

@@ -2,9 +2,9 @@
 
 Each measure is an array kernel on a CSR structure (`degree_scores`,
 `betweenness_scores`, `eigenvector_scores`), scores in row order.
-`compute` runs one of them on a graph's `csr_arrays` and keys the scores
-by label; differential core ranking calls them on its peeling levels,
-eigenvector once on all of them as diagonal blocks.
+`compute` runs one of them on a graph's `csr_arrays` and returns the
+labels and scores as a `ScoreTable`; differential core ranking calls them
+on its peeling levels, eigenvector once on all of them as diagonal blocks.
 
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidConfigError, NoConvergenceError
+from .errors import InvalidConfigError, NoConvergenceError, SizeMismatchError
 from .graph import UndirectedGraph
 
 # power-iteration stopping rule of `eigenvector_scores`, read at each call
@@ -39,16 +39,28 @@ class CentralityKind(Enum):
     EIGENVECTOR = "eigenvector"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """Per-vertex real scores, keyed by vertex label."""
+    """Per-vertex real scores: `values[i]` (float64) is the score of `labels[i]` (int64)."""
 
-    scores: dict[int, float]
+    labels: np.ndarray
+    values: np.ndarray
 
-    @classmethod
-    def from_rows(cls, labels: np.ndarray, scores: np.ndarray) -> ScoreTable:
-        """The table of scores[i] for labels[i]."""
-        return cls(dict(zip(labels.tolist(), scores.tolist())))
+    def __post_init__(self):
+        labels, values = self.labels, self.values
+        if not (isinstance(labels, np.ndarray) and isinstance(values, np.ndarray)
+                and labels.ndim == values.ndim == 1 and len(labels) == len(values)
+                and labels.dtype.kind in "iu" and np.can_cast(labels.dtype, np.int64)
+                and values.dtype.kind in "iuf"):
+            raise SizeMismatchError("a ScoreTable needs two 1-D arrays of one length: "
+                                    "integer labels within int64 and real values")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
+        object.__setattr__(self, "values", values.astype(np.float64, copy=False))
+
+    @property
+    def scores(self) -> dict[int, float]:
+        """{label: score}, built anew on every read."""
+        return dict(zip(self.labels.tolist(), self.values.tolist()))
 
 
 def degree_scores(degrees: np.ndarray) -> np.ndarray:
@@ -213,7 +225,7 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarra
 
 
 def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
-    """Base centrality of every vertex of g, keyed by label.
+    """Base centrality of every vertex of g, in the row order of its labels.
 
     Degree is deg(v) / (|V| - 1), 0 on a single vertex; betweenness is
     unnormalized, over unordered pairs (`betweenness_scores`); eigenvector
@@ -230,4 +242,4 @@ def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
         scores = eigenvector_scores(indptr, indices, [len(labels)])
     else:
         raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
-    return ScoreTable.from_rows(labels, scores)
+    return ScoreTable(labels, scores)

@@ -7,8 +7,11 @@ full last value.  The accumulated total is the vertex's DCM score.
 
 The peel reads only degrees, which a removal lowers by one `bincount`
 over the removed CSR rows, so every level is listed before any is scored.
-Degree scores each level's degrees, betweenness each level's induced CSR,
-eigenvector all of them in one block power iteration over their union.
+Degree scores each level's degrees.  The other two read the union of the
+levels' induced CSR structures as diagonal blocks: betweenness scores one
+block at a time, eigenvector all of them in one block power iteration.
+The DCM comes back as a `ScoreTable` of label and value arrays, which
+`rank_descending` sorts as they are.
 """
 from __future__ import annotations
 
@@ -102,7 +105,7 @@ def _dcm(n: int, levels: list[Level], scores: list[np.ndarray]) -> np.ndarray:
 
 
 def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
-    """DCM score per vertex of g, keyed by label."""
+    """DCM score per vertex of g, in the row order of its labels."""
     if not isinstance(kind, CentralityKind):
         raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
     if g.vertex_count == 0:
@@ -110,8 +113,7 @@ def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> Score
     labels, indptr, indices = g.csr_arrays()
     levels = _levels(indptr, indices)
     dcm = _dcm(len(labels), levels, _level_scores(kind, indptr, indices, levels))
-    # a ScoreTable, not arrays: perfbench/spans.py reads `.scores` (ROADMAP item 1)
-    return ScoreTable.from_rows(labels, dcm)
+    return ScoreTable(labels, dcm)
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -128,11 +130,10 @@ def rank_descending(table: ScoreTable, seed: int | None = None) -> np.ndarray:
     label, or, given a seed, by the hash of label ^ _mix64(seed): the pipeline
     salts each network's ties apart, the baselines pass no seed.  A seed
     that is not an unsigned 64-bit integer is an InvalidConfigError."""
-    labels = np.fromiter(table.scores, dtype=np.int64, count=len(table.scores))
-    scores = np.fromiter(table.scores.values(), dtype=np.float64, count=len(table.scores))
+    labels, values = table.labels, table.values
     if seed is None:
-        return labels[np.lexsort((labels, -scores))]
+        return labels[np.lexsort((labels, -values))]
     _require_seed(seed)
     salt = _mix64(np.array([seed], dtype=np.uint64))
     # the hash reads a label's 64-bit two's complement, as Python's masking does
-    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -scores))]
+    return labels[np.lexsort((_mix64(labels.view(np.uint64) ^ salt), -values))]

@@ -14,12 +14,8 @@ from math import comb
 import numpy as np
 
 from .baselines import BinOrdering
-from .errors import (
-    DegenerateBinsError,
-    NotAPartitionError,
-    SizeMismatchError,
-    TooSmallError,
-)
+from .errors import (DegenerateBinsError, InvalidConfigError, NotAPartitionError,
+                     SizeMismatchError, TooSmallError)
 from .graph import Chronology, WeightedDigraph, _level_counts
 
 
@@ -87,13 +83,13 @@ def bqm(truth: Chronology, bins: BinOrdering) -> float:
 
 
 def bucket_count(bucket_width: float) -> int:
-    """Number of buckets of width bucket_width over (0.5, 1.0]; ValueError
+    """Number of buckets of width bucket_width over (0.5, 1.0]; InvalidConfigError
     unless the width is positive and divides 0.5 evenly."""
     if not bucket_width > 0:
-        raise ValueError(f"bucket_width must be positive, got {bucket_width}")
+        raise InvalidConfigError(f"bucket_width must be positive, got {bucket_width}")
     n_buckets = round(0.5 / bucket_width)
     if n_buckets < 1 or abs(n_buckets * bucket_width - 0.5) > 1e-9:
-        raise ValueError(f"bucket_width {bucket_width} does not divide 0.5 evenly")
+        raise InvalidConfigError(f"bucket_width {bucket_width} does not divide 0.5 evenly")
     return n_buckets
 
 

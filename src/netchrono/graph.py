@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NetchronoError, SelfLoopError, UnknownVertexError
+from .errors import NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError
 
 
 class UndirectedGraph:
@@ -84,12 +84,6 @@ class UndirectedGraph:
         return f"UndirectedGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-def _position(labels: np.ndarray, v: int) -> int | None:
-    """Index of v in the ascending `labels`, or None when absent."""
-    i = int(np.searchsorted(labels, v))
-    return i if i < len(labels) and labels[i] == v else None
-
-
 def _csr_layout(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(indptr, indices) of the n-row structure holding the position pairs
     (rows[k], cols[k]), each once however often it is listed."""
@@ -104,22 +98,6 @@ def _csr_layout(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
     return indptr, indices
 
 
-def _induced_csr(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray,
-                 keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR of the subgraph induced by `keep`, rows renumbered in position order.
-
-    `rows` is the row of every entry of `indices`.  Renumbering is monotone,
-    so each row's neighbours stay sorted: the result is the `csr_arrays`
-    layout of the subgraph.
-    """
-    entries = keep[rows] & keep[indices]
-    position = np.cumsum(keep) - 1
-    sub_indices = position[indices[entries]]
-    sub_indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[entries], minlength=len(keep))[keep], out=sub_indptr[1:])
-    return sub_indptr, sub_indices
-
-
 class Chronology:
     """An ordered sequence of distinct integer vertex labels (an arrival order)."""
 
@@ -131,7 +109,7 @@ class Chronology:
             _require_integral(labels)
             labels = tuple(map(int, labels))
             if len(set(labels)) != len(labels):
-                raise ValueError("chronology contains duplicate labels")
+                raise NotAPartitionError("chronology contains duplicate labels")
         self._order = labels
 
     @property
@@ -274,12 +252,15 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     labels, indptr, indices = g.csr_arrays()
     keep = np.ones(len(labels), dtype=bool)
     for v in {int(v) for v in s}:
-        i = _position(labels, v)
-        if i is None:
+        i = int(np.searchsorted(labels, v))
+        if i == len(labels) or labels[i] != v:
             raise UnknownVertexError(v)
         keep[i] = False
     rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
-    return UndirectedGraph._from_csr(labels[keep], *_induced_csr(indptr, indices, rows, keep))
+    entries = keep[rows] & keep[indices]
+    position = np.cumsum(keep) - 1  # a kept row's row in the subgraph
+    return UndirectedGraph._from_csr(labels[keep], *_csr_layout(
+        np.count_nonzero(keep), position[rows[entries]], position[indices[entries]]))
 
 
 def _level_counts(counts: np.ndarray, alpha: int) -> np.ndarray:

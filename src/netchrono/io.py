@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError
-from .graph import Chronology, UndirectedGraph, from_edge_list
+from .errors import InputFormatError, NetchronoError
+from .graph import Chronology, UndirectedGraph, _csr_layout, from_edge_list
 
 _VERTICES_HEADER = re.compile(r"#\s*vertices:(.*)$")
 _LABEL_MAX = 2**63 - 1
@@ -58,7 +58,7 @@ def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
     labels, indptr, _ = g.csr_arrays()
     contiguous = np.array_equal(labels, np.arange(len(labels)))
     if np.any(np.diff(indptr) == 0) and not contiguous:
-        raise ValueError(
+        raise NetchronoError(
             "edge-list format cannot represent isolated vertices "
             "with non-contiguous labels"
         )
@@ -108,11 +108,8 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
         # pad the isolated vertices in: the labels become 0..declared-1, so
         # each label is its own row and a neighbour position is its label
         labels, indptr, indices = g.csr_arrays()
-        degrees = np.zeros(declared, dtype=np.int64)
-        degrees[labels] = np.diff(indptr)
-        indptr = np.zeros(declared + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        g = UndirectedGraph._from_csr(np.arange(declared, dtype=np.int64), indptr, labels[indices])
+        g = UndirectedGraph._from_csr(np.arange(declared, dtype=np.int64), *_csr_layout(
+            declared, np.repeat(labels, np.diff(indptr)), labels[indices]))
     return g
 
 

@@ -138,7 +138,7 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
     if alpha == 0:
         raise EmptyBatchError("need at least one prediction list")
     if np.any(labels[1:] <= labels[:-1]):
-        raise ValueError("labels must be distinct and ascending")
+        raise SizeMismatchError("labels must be distinct and ascending")
     if positions.size and (positions.min() < 0 or positions.max() >= n):
         raise SizeMismatchError(f"positions must lie in 0..{n - 1}")
     pos = positions.astype(np.min_scalar_type(max(n - 1, 0)))

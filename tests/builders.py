@@ -1,11 +1,12 @@
-"""Hand-written graphs and digraphs for tests.
+"""Hand-written graphs, digraphs and score tables for tests.
 
-`UndirectedGraph` has one builder, `_from_csr`; `graph` reaches it
-through `from_edge_list` and pads in the isolated vertices, and
-`adjacency` reads a graph back from `csr_arrays`.  `WeightedDigraph` has
+`UndirectedGraph` has one builder, `_from_csr`; `graph` reads the edges
+through `from_edge_list` and lays them out again with the isolated
+vertices padded in, and `adjacency` reads a graph back from `csr_arrays`.
+`level_csrs` cuts each peeling level out of a graph with `remove_vertices`.  `WeightedDigraph` has
 one builder, `_from_counts`, which takes its stored form; `digraph` writes
 that form from a map of majority counts, and `edge_map` reads it back as
-weights.
+weights.  `score_table` builds a `ScoreTable` from a map of scores.
 """
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from netchrono import UndirectedGraph, WeightedDigraph, from_edge_list
+from netchrono import ScoreTable, UndirectedGraph, WeightedDigraph, from_edge_list, remove_vertices
+from netchrono.dcr import _levels
+from netchrono.graph import _csr_layout
 
 
 def graph(adjacency: Mapping[int, Iterable[int]]) -> UndirectedGraph:
@@ -23,11 +26,8 @@ def graph(adjacency: Mapping[int, Iterable[int]]) -> UndirectedGraph:
         [(v, w) for v, nbrs in adjacency.items() for w in nbrs]).csr_arrays()
     every = np.union1d(np.fromiter(adjacency, dtype=np.int64, count=len(adjacency)), labels)
     row = np.searchsorted(every, labels)
-    degrees = np.zeros(len(every), dtype=np.int64)
-    degrees[row] = np.diff(indptr)
-    padded = np.zeros(len(every) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=padded[1:])
-    return UndirectedGraph._from_csr(every, padded, row[indices])
+    return UndirectedGraph._from_csr(every, *_csr_layout(
+        len(every), np.repeat(row, np.diff(indptr)), row[indices]))
 
 
 def adjacency(g: UndirectedGraph) -> dict[int, frozenset[int]]:
@@ -36,6 +36,24 @@ def adjacency(g: UndirectedGraph) -> dict[int, frozenset[int]]:
     nbrs = labels[indices].tolist()
     return {v: frozenset(nbrs[lo:hi])
             for v, lo, hi in zip(labels.tolist(), indptr[:-1].tolist(), indptr[1:].tolist())}
+
+
+def level_csrs(g: UndirectedGraph) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(indptr, indices) of each peeling level of g that `dcr._levels` lists,
+    each cut from g by `remove_vertices`, so independent of `dcr._union_csr`."""
+    labels, indptr, indices = g.csr_arrays()
+    out = []
+    for live, _ in _levels(indptr, indices):
+        gone = np.ones(len(labels), dtype=bool)
+        gone[live] = False
+        out.append(remove_vertices(g, labels[gone].tolist()).csr_arrays()[1:])
+    return out
+
+
+def score_table(scores: Mapping[int, float]) -> ScoreTable:
+    """The ScoreTable of each label's score in `scores`."""
+    return ScoreTable(np.fromiter(scores, dtype=np.int64, count=len(scores)),
+                      np.fromiter(scores.values(), dtype=np.float64, count=len(scores)))
 
 
 def digraph(labels, edges: dict[tuple[int, int], int], alpha: int) -> WeightedDigraph:

@@ -370,4 +370,5 @@ def oracle_mix64(x: int) -> int:
 
 def oracle_salted_rank(table: ScoreTable, salt: int) -> list[int]:
     """Score-descending labels, ties by the splitmix64 hash of label ^ salt."""
-    return sorted(table.scores, key=lambda v: (-table.scores[v], oracle_mix64(v ^ salt)))
+    scores = table.scores
+    return sorted(scores, key=lambda v: (-scores[v], oracle_mix64(v ^ salt)))

@@ -12,7 +12,7 @@ from netchrono import (
     from_edge_list,
     rank_descending,
 )
-from netchrono.errors import InvalidDeltaError, TooSmallError
+from netchrono.errors import InvalidDeltaError, NotAPartitionError, TooSmallError
 
 from builders import adjacency
 from oracles import random_connected_graph, random_graph
@@ -118,9 +118,9 @@ def test_ranking_to_chronology_triangle_all_tied():
     assert list(rank_descending(compute(TRIANGLE, CentralityKind.DEGREE))) == [0, 1, 2]
 
 def test_bin_ordering_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAPartitionError, match="nonempty"):
         BinOrdering((frozenset(), frozenset({1})))
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAPartitionError, match="disjoint"):
         BinOrdering((frozenset({1, 2}), frozenset({2})))
 
 

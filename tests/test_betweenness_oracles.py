@@ -27,10 +27,8 @@ from netchrono import (
     remove_vertices,
 )
 from netchrono.centrality import betweenness_scores
-from netchrono.dcr import _levels
-from netchrono.graph import _induced_csr
 
-from builders import adjacency, graph
+from builders import adjacency, graph, level_csrs
 from oracles import oracle_brandes_ordered_sums, oracle_csr_arrays
 
 
@@ -85,13 +83,7 @@ def test_ba_and_peeled_levels_match_first_kernel(n):
 
 def test_every_peeling_level_matches_first_kernel():
     g, _ = generate_ba(BAConfig(1000, 3, 1))
-    _, indptr, indices = g.csr_arrays()
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    levels = []
-    for live, _ in _levels(indptr, indices):
-        keep = np.zeros(len(indptr) - 1, dtype=bool)
-        keep[live] = True
-        levels.append(_induced_csr(indptr, indices, rows, keep))
+    levels = level_csrs(g)
     assert len(levels) > 10
     for level in levels:
         assert_kernel_bit_identical(*level)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import netchrono.centrality
-from netchrono import CentralityKind, compute, from_edge_list
-from netchrono.errors import InvalidConfigError, NoConvergenceError
+from netchrono import CentralityKind, ScoreTable, compute, from_edge_list
+from netchrono.errors import InvalidConfigError, NoConvergenceError, SizeMismatchError
 
 from builders import adjacency, graph
 from oracles import brute_betweenness, dense_dominant_eigenvector, random_connected_graph, random_graph
@@ -147,3 +147,27 @@ def test_compute_dispatch():
 def test_compute_rejects_a_kind_that_is_not_a_centrality_kind(kind):
     with pytest.raises(InvalidConfigError, match="CentralityKind"):
         compute(TRIANGLE, kind)
+
+
+def test_score_table_holds_int64_labels_and_float64_values():
+    table = ScoreTable(np.array([5, 2], dtype=np.int32), np.array([1, 0]))
+    assert table.labels.dtype == np.int64 and table.labels.tolist() == [5, 2]
+    assert table.values.dtype == np.float64 and table.values.tolist() == [1.0, 0.0]
+    assert table.scores == {5: 1.0, 2: 0.0}
+
+
+@pytest.mark.parametrize("labels, values", [
+    (np.array([0, 1]), np.array([0.5])),                       # lengths differ
+    (np.array([[0, 1]]), np.array([[0.5, 0.5]])),              # 2-D
+    (np.array(0), np.array(0.5)),                              # 0-D
+    (np.array([0.0, 1.0]), np.array([0.5, 0.5])),              # float labels
+    (np.array([True, False]), np.array([0.5, 0.5])),           # bool labels
+    (np.array([0, 2**64 - 1], dtype=np.uint64), np.array([0.5, 0.5])),  # above int64
+    (np.array([0, 1]), np.array(["a", "b"])),                  # values not real
+    ([0, 1], np.array([0.5, 0.5])),                            # not an array
+    (np.array([0, 1]), [0.5, 0.5]),
+])
+def test_score_table_rejects_arrays_that_do_not_pair_up(labels, values):
+    # a mismatch surfaced only in `rank_descending`, as a bare numpy error
+    with pytest.raises(SizeMismatchError, match="ScoreTable"):
+        ScoreTable(labels, values)

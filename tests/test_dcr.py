@@ -15,13 +15,13 @@ from netchrono import (
     from_edge_list,
     generate_ba,
     rank_descending,
+    remove_vertices,
 )
 from netchrono.centrality import degree_scores
 from netchrono.errors import InvalidConfigError, TooSmallError
 from netchrono.dcr import _dcm, _levels, _union_csr
-from netchrono.graph import _induced_csr
 
-from builders import adjacency, graph
+from builders import adjacency, graph, level_csrs, score_table
 from oracles import oracle_differential_core_ranking, random_graph
 
 PATH3 = from_edge_list([(0, 1), (1, 2)])
@@ -73,7 +73,7 @@ def _peel_table(g, level_scores) -> ScoreTable:
     labels, indptr, indices = g.csr_arrays()
     levels = _levels(indptr, indices)
     scores = [level_scores(live, degrees) for live, degrees in levels]
-    return ScoreTable.from_rows(labels, _dcm(len(labels), levels, scores))
+    return ScoreTable(labels, _dcm(len(labels), levels, scores))
 
 
 def test_removal_term_lower_bound():
@@ -121,10 +121,10 @@ def test_positive_scaling_preserves_ranking():
 
 
 def test_rank_descending_examples():
-    assert rank_descending(ScoreTable({0: 0.5, 1: 1.0, 2: 0.5})).tolist() == [1, 0, 2]
-    assert rank_descending(ScoreTable({3: 1.0, 1: 1.0, 2: 1.0})).tolist() == [1, 2, 3]
-    assert rank_descending(ScoreTable({})).tolist() == []
-    assert rank_descending(ScoreTable({3: 1.0})).dtype == np.int64
+    assert rank_descending(score_table({0: 0.5, 1: 1.0, 2: 0.5})).tolist() == [1, 0, 2]
+    assert rank_descending(score_table({3: 1.0, 1: 1.0, 2: 1.0})).tolist() == [1, 2, 3]
+    assert rank_descending(score_table({})).tolist() == []
+    assert rank_descending(score_table({3: 1.0})).dtype == np.int64
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,7 +137,7 @@ def test_rank_descending_examples():
 def test_rank_descending_matches_sorted_key(scores):
     # 0.0 and -0.0 tie, so they order by label
     want = sorted(scores, key=lambda v: (-scores[v], v))
-    assert rank_descending(ScoreTable(scores)).tolist() == want
+    assert rank_descending(score_table(scores)).tolist() == want
 
 
 def _assert_bit_equal_dcm(g, kind):
@@ -188,9 +188,8 @@ def test_tiny_graphs_match_copying_peel(kind):
         _assert_bit_equal_dcm(g, kind)
 
 
-def test_induced_csr_equals_csr_of_copied_subgraph():
-    # the expected subgraph is networkx's, so `remove_vertices`, which calls
-    # `_induced_csr` too, is no reference here
+def test_remove_vertices_equals_csr_of_copied_subgraph():
+    # the expected subgraph is networkx's
     rng = random.Random(61)
     graphs = [generate_ba(BAConfig(300, 3, 2))[0]]
     graphs += [_scattered(rng, random_graph(rng, rng.randint(1, 30), 0.2)) for _ in range(20)]
@@ -199,13 +198,13 @@ def test_induced_csr_equals_csr_of_copied_subgraph():
         nxg = nx.Graph()
         nxg.add_nodes_from(g.vertices)
         nxg.add_edges_from(g.edges())
-        rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
         for _ in range(4):
             keep = np.array([rng.random() < 0.6 for _ in labels], dtype=bool)
             kept = labels[keep].tolist()
             want = nx.to_scipy_sparse_array(nxg.subgraph(kept), nodelist=kept, format="csr")
             want.sort_indices()
-            got_indptr, got_indices = _induced_csr(indptr, indices, rows, keep)
+            got_labels, got_indptr, got_indices = remove_vertices(g, labels[~keep].tolist()).csr_arrays()
+            assert got_labels.tolist() == kept
             for got, expected in ((got_indptr, want.indptr), (got_indices, want.indices)):
                 assert got.dtype == np.int64 and np.array_equal(got, expected)
 
@@ -216,14 +215,11 @@ def test_union_csr_blocks_are_the_levels_induced_csr():
     graphs += [_scattered(rng, random_graph(rng, rng.randint(1, 30), 0.2)) for _ in range(20)]
     for g in graphs:
         _, indptr, indices = g.csr_arrays()
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         levels = _levels(indptr, indices)
         union_indptr, union_indices, sizes = _union_csr(indptr, indices, levels)
         lo = 0
-        for (live, _), size in zip(levels, sizes.tolist(), strict=True):
-            keep = np.zeros(len(indptr) - 1, dtype=bool)
-            keep[live] = True
-            want_indptr, want_indices = _induced_csr(indptr, indices, rows, keep)
+        for (live, _), size, (want_indptr, want_indices) in zip(
+                levels, sizes.tolist(), level_csrs(g), strict=True):
             start, stop = union_indptr[lo], union_indptr[lo + size]
             assert size == len(live)
             assert np.array_equal(union_indptr[lo:lo + size + 1] - start, want_indptr)

@@ -30,9 +30,8 @@ from netchrono import (
 from netchrono.centrality import eigenvector_scores
 from netchrono.dcr import _level_scores, _levels
 from netchrono.errors import NoConvergenceError
-from netchrono.graph import _induced_csr
 
-from builders import graph
+from builders import graph, level_csrs
 from oracles import oracle_eigenvector_scores
 
 
@@ -117,12 +116,7 @@ def test_tiny_graphs_match_first_kernel(g):
 def test_every_peeling_level_matches_first_kernel(n, seed):
     g, _ = generate_ba(BAConfig(n, 3, seed))
     _, indptr, indices = g.csr_arrays()
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    levels = []
-    for live, _ in _levels(indptr, indices):
-        keep = np.zeros(len(indptr) - 1, dtype=bool)
-        keep[live] = True
-        levels.append(_induced_csr(indptr, indices, rows, keep))
+    levels = level_csrs(g)
     assert len(levels) > 5
     for level in levels:
         assert_bit_identical(*level)

@@ -14,10 +14,13 @@ from netchrono import (
 )
 from netchrono.errors import (
     DegenerateBinsError,
+    InvalidConfigError,
     NotAPartitionError,
     SizeMismatchError,
     TooSmallError,
 )
+
+from netchrono.evaluation import bucket_count
 
 from builders import digraph
 
@@ -140,8 +143,10 @@ def test_bucket_table_boundaries_and_width():
     rows = probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.1)
     assert [r.edge_count for r in rows] == [1, 1, 0, 0, 0]
     for width in (0.15, 0.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfigError):
             probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=width)
+        with pytest.raises(InvalidConfigError):
+            bucket_count(width)
 
 
 def test_bucket_table_truth_mismatch():

@@ -14,7 +14,7 @@ from netchrono import (
     is_acyclic,
     remove_vertices,
 )
-from netchrono.errors import NetchronoError, SelfLoopError, UnknownVertexError
+from netchrono.errors import NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError
 from netchrono.graph import _level_counts, _source_rounds
 from netchrono.reconstruction import pairwise_digraph
 
@@ -229,7 +229,7 @@ def test_csr_arrays_match_per_row_build():
 
 
 def test_chronology_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotAPartitionError, match="duplicate"):
         Chronology([1, 2, 1])
 
 

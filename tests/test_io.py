@@ -12,7 +12,7 @@ from netchrono import (
     write_chronology,
     write_edge_list,
 )
-from netchrono.errors import InputFormatError
+from netchrono.errors import InputFormatError, NetchronoError
 
 from builders import graph
 
@@ -72,7 +72,7 @@ def test_edge_list_roundtrip_keeps_isolated_vertices(tmp_path_factory, n, data):
 
 def test_edge_list_isolated_noncontiguous_rejected(tmp_path):
     g = graph({0: [1], 1: [0], 7: []})
-    with pytest.raises(ValueError):
+    with pytest.raises(NetchronoError, match="isolated vertices"):
         write_edge_list(g, tmp_path / "g.edges")
 
 

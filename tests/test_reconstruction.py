@@ -31,11 +31,13 @@ from netchrono.errors import (
     SizeMismatchError,
     TooSmallError,
 )
+from netchrono import cli
+from netchrono.baselines import centrality_bins
 from netchrono.centrality import ScoreTable
 from netchrono.dcr import rank_descending
 from netchrono.reconstruction import default_jobs, fan_out
 
-from builders import digraph, edge_map
+from builders import digraph, edge_map, score_table
 from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
 
 
@@ -158,8 +160,8 @@ def test_pairwise_digraph_errors():
     ([0, 1, 2], [[0, -1, 2]], SizeMismatchError),              # out of range below
     ([0, 1, 2], [[0, 1, 2], [2, 2, 0]], SizeMismatchError),    # a repeat in the second row
     ([0, 1, 2], [[0, 2, 2], [1, 0, 1]], SizeMismatchError),    # repeats whose counts over both rows balance
-    ([0, 2, 1], [[0, 1, 2]], ValueError),                      # labels not ascending
-    ([0, 1, 1], [[0, 1, 2]], ValueError),                      # labels repeated
+    ([0, 2, 1], [[0, 1, 2]], SizeMismatchError),               # labels not ascending
+    ([0, 1, 1], [[0, 1, 2]], SizeMismatchError),               # labels repeated
 ])
 def test_pairwise_digraph_rejects_bad_position_arrays(labels, positions, error):
     with pytest.raises(error):
@@ -472,7 +474,7 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
     # few distinct scores, so most vertices tie, 0.0 and -0.0 among them
     scores = data.draw(st.lists(st.sampled_from(pool), min_size=len(labels),
                                 max_size=len(labels)))
-    table = ScoreTable(dict(zip(labels, scores)))
+    table = score_table(dict(zip(labels, scores)))
     assert rank_descending(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
 
 
@@ -480,7 +482,7 @@ def test_salted_rank_matches_sort_key(labels, pool, data, seed):
 def test_salted_rank_rejects_a_seed_that_is_not_uint64(seed):
     # numpy raised a bare OverflowError, or cast 1.5 to 1 without a word
     with pytest.raises(InvalidConfigError, match="unsigned 64-bit"):
-        rank_descending(ScoreTable({1: 0.5, 2: 0.5}), seed)
+        rank_descending(score_table({1: 0.5, 2: 0.5}), seed)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64])
@@ -503,7 +505,7 @@ def test_seeded_entries_take_numpy_integers():
     g, chronology = generate_ba(BAConfig(6, 2, np.uint64(1)))
     assert child_seed(np.uint64(2**64 - 1), 1) == child_seed(2**64 - 1, 1)
     assert shuffle_vertex_labels(g, chronology, np.int64(4)) == shuffle_vertex_labels(g, chronology, 4)
-    table = ScoreTable({1: 0.5, 2: 0.5, 3: 0.5})
+    table = score_table({1: 0.5, 2: 0.5, 3: 0.5})
     assert rank_descending(table, np.uint32(9)).tolist() == rank_descending(table, 9).tolist()
 
 
@@ -515,6 +517,24 @@ def test_empty_reference_is_too_small():
 
 def test_salted_rank_ties_zero_signs_and_extreme_labels():
     labels = [0, 1, 2**63 - 1, 2**62 + 5, 12, 2**40, -3]
-    table = ScoreTable(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])))
+    table = score_table(dict(zip(labels, [0.0, -0.0, 0.0, -0.0, 0.5, 0.5, 0.5])))
     for seed in (0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15):
         assert rank_descending(table, seed).tolist() == oracle_salted_rank(table, oracle_mix64(seed))
+
+
+def test_pipeline_ranks_on_arrays_without_the_score_mapping(monkeypatch):
+    # `rank_descending` read the {label: score} mapping back into two arrays.
+    # The setter drops a stored mapping, so a table that keeps one as its
+    # field is still built, and fails only where the mapping is read.
+    def unread(table):
+        raise AssertionError("ScoreTable.scores was read")
+
+    monkeypatch.setattr(ScoreTable, "scores", property(unread, lambda table, value: None),
+                        raising=False)
+    g, _ = generate_ba(BAConfig(60, 3, 1))
+    for kind in CentralityKind:
+        cfg = PipelineConfig(alpha=3, connections=3, kind=kind, master_seed=1)
+        bins, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
+        assert sorted(ref_rank) == sorted(g.vertices)
+        assert centrality_bins(g, kind, 4).covered() == g.vertices
+        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((60, 3, kind.value, 1)))
