@@ -1,12 +1,13 @@
 """Hand-written graphs, digraphs and score tables for tests.
 
 `UndirectedGraph` has one builder, `_from_csr`; `graph` reads the edges
-through `from_edge_list` and lays them out again with the isolated
-vertices padded in, and `adjacency` reads a graph back from `csr_arrays`.
-`level_csrs` cuts each peeling level out of a graph with `remove_vertices`.  `WeightedDigraph` has
-one builder, `_from_counts`, which takes its stored form; `digraph` writes
-that form from a map of majority counts, and `edge_map` reads it back as
-weights.  `score_table` builds a `ScoreTable` from a map of scores.
+through `from_edge_list` and lays them out again with `_csr_layout`, the
+isolated vertices padded in, `adjacency` reads a graph back from
+`csr_arrays`, and `level_csrs` cuts each peeling level out of a graph
+with `remove_vertices`.  `WeightedDigraph` has one builder,
+`_from_counts`, which takes its stored form; `digraph` writes that form
+from a map of majority counts, and `edge_map` reads it back as weights.
+`score_table` builds a `ScoreTable` from a map of scores.
 """
 from __future__ import annotations
 

@@ -534,7 +534,7 @@ def test_pipeline_ranks_on_arrays_without_the_score_mapping(monkeypatch):
     g, _ = generate_ba(BAConfig(60, 3, 1))
     for kind in CentralityKind:
         cfg = PipelineConfig(alpha=3, connections=3, kind=kind, master_seed=1)
-        bins, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
+        _, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
         assert sorted(ref_rank) == sorted(g.vertices)
         assert centrality_bins(g, kind, 4).covered() == g.vertices
         assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((60, 3, kind.value, 1)))
