@@ -188,7 +188,7 @@ def test_tiny_graphs_match_copying_peel(kind):
         _assert_bit_equal_dcm(g, kind)
 
 
-def test_remove_vertices_equals_csr_of_copied_subgraph():
+def test_induced_csr_equals_csr_of_copied_subgraph():
     # the expected subgraph is networkx's, which shares no code with `_csr_layout`
     rng = random.Random(61)
     graphs = [generate_ba(BAConfig(300, 3, 2))[0]]
