@@ -39,9 +39,13 @@ class BAConfig:
 def _require_integers(cfg, *fields: str) -> None:
     """Reject a config field that is not an integer; numpy integers pass, bools do not."""
     for name in fields:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
+        _require_integer(getattr(cfg, name), name)
+
+
+def _require_integer(value, name: str) -> None:
+    """Reject a value that is not an integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_seed(seed, name: str = "seed") -> None:

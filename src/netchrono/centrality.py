@@ -111,17 +111,28 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
     the block size nor on how the levels are stored or found.
     """
     # imported here, not at module level: no other stage needs scipy, half of a cold import
-    import scipy.sparse as sp
+    from scipy.sparse import _sparsetools
 
-    adj = sp.csr_array(
-        (np.ones(len(indices), dtype=np.float64), indices.astype(np.int64), indptr),
-        shape=(n, n),
-    )
+    # csr_matvecs takes one index type for both arrays
+    indptr, indices = indptr.astype(np.int64, copy=False), indices.astype(np.int64, copy=False)
+    ones = np.ones(len(indices), dtype=np.float64)
+    # One product buffer and one output for the whole call: a long-lived pool
+    # worker keeps the allocator state of its fork, and there a fresh 512 KB
+    # output per product (n = 1000) is mapped and faulted afresh.
+    buf_all = np.zeros(n * _SOURCE_BLOCK, dtype=np.float64)
+    out_all = np.empty(n * _SOURCE_BLOCK, dtype=np.float64)
+
+    def product(b: int) -> np.ndarray:
+        # adj @ buf, flat: scipy's `csr_array @ dense` adds into fresh zeros with this routine
+        out = out_all[:n * b]
+        out.fill(0.0)
+        _sparsetools.csr_matvecs(n, n, b, indptr, indices, ones, buf_all[:n * b], out)
+        return out
+
     total = np.zeros(n, dtype=np.float64)
     for lo in range(0, n, _SOURCE_BLOCK):
         b = min(_SOURCE_BLOCK, n - lo)
-        buf = np.zeros((n, b), dtype=np.float64)
-        flat_buf = buf.reshape(-1)
+        flat_buf = buf_all[:n * b]  # all zeros: each product's input is cleared after it
         start = np.arange(lo, lo + b) * b + np.arange(b)
         unseen = np.ones(n * b, dtype=bool)
         unseen[start] = False
@@ -131,7 +142,7 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
         while to_reach:
             frontier = levels[-1]
             flat_buf[frontier] = sigmas[-1]
-            paths = (adj @ buf).reshape(-1)
+            paths = product(b)
             flat_buf[frontier] = 0.0
             np.not_equal(paths, 0.0, out=mask)
             mask &= unseen
@@ -149,7 +160,7 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
         for k in range(len(levels) - 1, 1, -1):
             at, prev = levels[k], levels[k - 1]
             flat_buf[at] = (1.0 + dep) / sigmas[k]
-            contrib = (adj @ buf).reshape(-1)
+            contrib = product(b)
             flat_buf[at] = 0.0
             dep = contrib[prev] * sigmas[k - 1]
             delta[prev] = dep

@@ -18,12 +18,13 @@ salts derive from master_seed; results stay bit-reproducible.
 """
 from __future__ import annotations
 
+import atexit
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import BAConfig, _require_integers, _require_seed, generate_ba
+from .ba import BAConfig, _require_integer, _require_integers, _require_seed, generate_ba
 from .baselines import BinOrdering
 from .centrality import CentralityKind
 from .dcr import differential_core_ranking, rank_descending
@@ -276,19 +277,52 @@ def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:
     return BinOrdering(tuple(frozenset(labels[r].tolist()) for r in rounds))
 
 
+# the process's one worker pool, as (workers, executor); `fan_out` keeps it
+_pool = None
+
+
 def fan_out(fn, tasks: list, jobs: int | None) -> list:
     """[fn(t) for t in tasks], over min(jobs, len(tasks)) worker processes
     when jobs > 1, else serially (jobs None included); results keep task
-    order.  InvalidConfigError when jobs < 1."""
-    if jobs is not None and jobs < 1:
-        raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+    order.  InvalidConfigError unless jobs is None or an integer >= 1.
+
+    The workers are one pool kept for the life of the process, so that a
+    call pays no fork and no join.  They are forked at the first parallel
+    call and run the module code as it was at that fork: a monkeypatch made
+    after it does not reach them.  A call that needs another worker count
+    shuts the pool down and forks a new one.  A worker that dies makes its
+    call raise BrokenProcessPool and drops the pool, so the next call forks
+    a fresh one.  The pool is shut down at interpreter exit.
+    """
+    if jobs is not None:
+        _require_integer(jobs, "jobs")
+        if jobs < 1:
+            raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs is None or jobs == 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
     # imported here so that a serial run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+    global _pool
+    workers = min(int(jobs), len(tasks))
+    if _pool is None or _pool[0] != workers:
+        _shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_pool[1].map(fn, tasks))
+    except BrokenProcessPool:
+        _shutdown_pool()
+        raise
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """Shut the worker pool down, if there is one, and forget it."""
+    global _pool
+    if _pool is not None:
+        pool, _pool = _pool[1], None
+        pool.shutdown()
 
 
 def _synthetic_prediction(task: tuple) -> np.ndarray:
@@ -310,10 +344,13 @@ def reconstruct_with_ranking(
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
     child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
     regenerate it from its seed (`fan_out`), and results merge by index,
-    so output is identical for any `jobs` value.  The ranking drives the
-    synthetic mappings anyway; callers comparing it against a true
-    chronology can take it from here instead of paying for a second
-    differential core ranking.
+    so output is identical for any `jobs` value.  At jobs > 1 the workers
+    are the process's one pool, kept between calls: forked at the first
+    parallel call, so a monkeypatch made after it does not reach them,
+    replaced when the worker count changes and shut down at interpreter
+    exit.  The ranking drives the synthetic mappings anyway; callers
+    comparing it against a true chronology can take it from here instead
+    of paying for a second differential core ranking.
     """
     n = g_m.vertex_count
     if n == 0:

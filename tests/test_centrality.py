@@ -171,3 +171,23 @@ def test_score_table_rejects_arrays_that_do_not_pair_up(labels, values):
     # a mismatch surfaced only in `rank_descending`, as a bare numpy error
     with pytest.raises(SizeMismatchError, match="ScoreTable"):
         ScoreTable(labels, values)
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+def test_in_place_product_equals_scipy_csr_product(b):
+    # The Brandes kernel adds each product into a zero-filled output with scipy's
+    # private `csr_matvecs`, at int64 indices; this pins it to `csr_array @ X`.
+    import scipy.sparse as sp
+    from scipy.sparse import _sparsetools
+
+    rng = np.random.default_rng(b)
+    for _ in range(30):
+        n, m = (int(k) for k in rng.integers(1, 60, size=2))
+        dense = rng.standard_normal((n, m)) * (rng.random((n, m)) < 0.15)
+        dense[rng.random(n) < 0.2] = 0.0  # rows with no entries
+        a = sp.csr_array(dense)
+        x = rng.standard_normal((m, b))
+        out = np.zeros(n * b)
+        _sparsetools.csr_matvecs(n, m, b, a.indptr.astype(np.int64),
+                                 a.indices.astype(np.int64), a.data, x.reshape(-1), out)
+        assert out.tobytes() == (a @ x).tobytes()

@@ -1,5 +1,13 @@
 import itertools
+import multiprocessing
+import multiprocessing.connection
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import networkx as nx
 import numpy as np
@@ -31,6 +39,7 @@ from netchrono.errors import (
     SizeMismatchError,
     TooSmallError,
 )
+import netchrono
 from netchrono import cli
 from netchrono.baselines import centrality_bins
 from netchrono.centrality import ScoreTable
@@ -401,14 +410,81 @@ def test_reconstruct_smoke_small():
     assert dg.edge_count == 10
 
 
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
 def test_reconstruct_deterministic_across_jobs():
+    # one pool per process: reused while the worker count holds, replaced when it changes
     g, _ = generate_ba(BAConfig(60, 3, 8))
     cfg = PipelineConfig(alpha=6, connections=3, kind=CentralityKind.DEGREE, master_seed=21)
     serial_bins, serial_dg, serial_rank = reconstruct_with_ranking(g, cfg, jobs=1)
-    parallel_bins, parallel_dg, parallel_rank = reconstruct_with_ranking(g, cfg, jobs=3)
-    assert serial_bins == parallel_bins
-    assert serial_dg == parallel_dg
-    assert serial_rank == parallel_rank
+    workers = []
+    for jobs in (2, 2, 3, 2):
+        parallel_bins, parallel_dg, parallel_rank = reconstruct_with_ranking(g, cfg, jobs=jobs)
+        assert serial_bins == parallel_bins
+        assert serial_dg == parallel_dg
+        assert serial_rank == parallel_rank
+        workers.append(_worker_pids())
+    assert [len(w) for w in workers] == [2, 2, 3, 2]
+    assert workers[1] == workers[0]
+    assert not workers[2] & workers[1] and not workers[3] & workers[2]
+
+
+def test_task_error_in_a_worker_propagates_and_the_pool_is_kept():
+    with pytest.raises(TypeError, match="bad operand type for abs"):
+        fan_out(abs, [1, "x", -3], 2)
+    workers = _worker_pids()
+    assert fan_out(abs, [1, -2, 3], 2) == [1, 2, 3]
+    assert _worker_pids() == workers
+
+
+def test_a_killed_worker_breaks_its_call_and_the_next_call_forks_a_fresh_pool():
+    assert fan_out(abs, [1, -2], 2) == [1, 2]
+    victim = multiprocessing.active_children()[0]  # a worker of this process's pool
+    os.kill(victim.pid, signal.SIGKILL)
+    # waiting on the sentinel leaves the reaping to the pool
+    assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+    with pytest.raises(BrokenProcessPool):
+        fan_out(time.sleep, [0.05] * 4, 2)
+    assert fan_out(abs, [1, -2, 3], 2) == [1, 2, 3]
+    assert victim.pid not in _worker_pids()
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(netchrono.__file__))
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+_RECONSTRUCT = """
+import sys
+from netchrono import (BAConfig, CentralityKind, PipelineConfig, generate_ba,
+                       reconstruct_with_ranking)
+g, _ = generate_ba(BAConfig(60, 3, 8))
+cfg = PipelineConfig(alpha=4, connections=3, kind=CentralityKind.DEGREE, master_seed=1)
+reconstruct_with_ranking(g, cfg, jobs={jobs})
+loaded = sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent")))
+import multiprocessing
+"""
+
+
+def test_interpreter_exit_shuts_the_pool_down():
+    done = _python(_RECONSTRUCT.format(jobs=2)
+                   + "print(*[p.pid for p in multiprocessing.active_children()])")
+    assert (done.returncode, done.stderr) == (0, "")
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_serial_run_starts_no_pool():
+    # the README says that `--jobs 1` never loads multiprocessing
+    done = _python(_RECONSTRUCT.format(jobs=1)
+                   + "print(loaded, multiprocessing.active_children())")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[] []\n")
 
 
 def _check_reconstruction(g, cfg):
@@ -444,9 +520,10 @@ def test_reconstruct_reference_of_another_connection_count(connections, kind):
     assert _check_reconstruction(g, cfg).delta >= 2
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True])
 def test_jobs_below_one_are_rejected(jobs):
-    # as `--jobs` and NETCHRONO_JOBS are, rather than read as serial
+    # as `--jobs` and NETCHRONO_JOBS are, rather than read as serial; so is a
+    # jobs that is not an integer (a bool included)
     with pytest.raises(InvalidConfigError):
         fan_out(abs, [1, 2], jobs)
     g, _ = generate_ba(BAConfig(8, 2, 4))
