@@ -89,8 +89,9 @@ def _brandes_ordered_sums(indptr: np.ndarray, indices: np.ndarray, n: int) -> np
 
     Sources are taken in blocks of b = _SOURCE_BLOCK.  The product buffer
     and the dependencies of a block are (n x b) arrays, one column per
-    source, so `adj @ X` is a plain CSR product.  Each BFS level is kept
-    as flat indices into those arrays, with the path counts of its
+    source, so a product with the adjacency matrix is a plain CSR product
+    (`product`).  Each BFS level is kept as flat indices into those
+    arrays, with the path counts of its
     entries beside it in level order; only the frontier is loaded into
     the product buffer and only the entries of the next (or previous)
     level are written back.  The next level is found on two n*b bool
