@@ -25,7 +25,7 @@ from .ba import BAConfig, _require_seed, generate_ba, shuffle_vertex_labels
 from .baselines import BinOrdering, centrality_bins, degree_bins
 from .centrality import CentralityKind, compute
 from .dcr import differential_core_ranking, rank_descending
-from .errors import NetchronoError, SizeMismatchError
+from .errors import InvalidConfigError, NetchronoError, SizeMismatchError
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
 from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
@@ -221,11 +221,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _sweep_point(task: tuple) -> tuple[float, float]:
-    n, c, kind_value, seed = task
+    cfg, kind_value = task
     kind = CentralityKind(kind_value)
-    g, truth = generate_ba(BAConfig(n, c, seed))
+    g, truth = generate_ba(cfg)
     # relabel so neither ranking can read arrival order out of the labels
-    g, truth = shuffle_vertex_labels(g, truth, child_seed(seed, 0))
+    g, truth = shuffle_vertex_labels(g, truth, child_seed(cfg.seed, 0))
     plain = Chronology(rank_descending(compute(g, kind)).tolist())
     differential = Chronology(rank_descending(differential_core_ranking(g, kind)).tolist())
     return eta_pairs(truth, plain), eta_pairs(truth, differential)
@@ -243,10 +243,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = []
     for pi, x in enumerate(xs):
         n, c = (x, args.connections) if args.mode == "nodes" else (args.nodes, x)
-        if n <= c:
-            raise NetchronoError(f"sweep point x={x} gives nodes={n} <= connections={c}")
         for rep in range(args.repeats):
-            tasks.append((n, c, args.centrality, child_seed(args.seed, pi, rep)))
+            try:
+                cfg = BAConfig(n, c, child_seed(args.seed, pi, rep))
+            except InvalidConfigError as exc:
+                raise InvalidConfigError(f"sweep point x={x}: {exc}") from None
+            tasks.append((cfg, args.centrality))
     results = fan_out(_sweep_point, tasks, args.jobs)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

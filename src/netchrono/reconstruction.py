@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import atexit
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,12 @@ def child_seed(master_seed: int, *key: int) -> int:
 
     numpy's SeedSequence spawn-key mixing: deterministic, documented, and
     collision-resistant across keys, so batches stay reproducible under
-    any parallel schedule.
+    any parallel schedule.  Each key is an unsigned 64-bit integer, like
+    every seed.
     """
     _require_seed(master_seed, "master_seed")
+    for k in key:
+        _require_seed(k, "child_seed key")
     ss = np.random.SeedSequence(master_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -184,10 +188,10 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     edge of least weight m / alpha, ties by smallest (source, target) label
     pair.  Deletion never creates cycles, so the removed set is exactly the
     shortest prefix of the ascending (count, source, target) edge order
-    whose removal leaves the graph acyclic.  That prefix is found in two
-    binary searches with a source-peel acyclicity probe per step: first
-    over the counts ceil(alpha/2)..alpha, then over the row-major order of
-    the edges of the one threshold count.
+    whose removal leaves the graph acyclic.  The edge (i, j) of count m
+    has the key m*n*n + i*n + j in that order, and the prefix is found in
+    one binary search over the keys of the counts ceil(alpha/2)..alpha,
+    with a source-peel acyclicity probe per step.
     """
     # is_acyclic: perfbench/spans.py counts its calls by name (ROADMAP item 1)
     if is_acyclic(dg):
@@ -202,63 +206,35 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     # peels the principal submatrix over them.  Sorted, they keep row-major order.
     cyclic = np.arange(n)
 
-    def acyclic(edge: np.ndarray) -> bool:
+    def acyclic(key: int) -> bool:
+        """Acyclic once every edge of key up to `key` goes."""
         nonlocal cyclic
-        left = _source_rounds(edge, cyclic)[1]
+        sub = counts if len(cyclic) == n else counts.take(cyclic, 0)
+        left = _source_rounds(_outlast(sub, cyclic, key), cyclic)[1]
         if not left.any():
             return True
         cyclic = cyclic[left]
         return False
 
-    def rows() -> np.ndarray:
-        """The rows of `cyclic`: `counts` itself, not a copy, while that is every row."""
-        return counts if len(cyclic) == n else counts.take(cyclic, 0)
-
-    # smallest count whose removal, with every lighter one, leaves a DAG; it
-    # carries an edge, else its probe would be that of the count below it.
-    # Removing nothing (every count exceeds (alpha-1)//2) leaves a cycle, removing all does not.
-    top = _first_true((alpha - 1) // 2, alpha, lambda m: acyclic(rows() > m))
-
-    # Cycles left once every lighter edge goes lie among `cyclic`, so only
-    # the tied edges inside its principal submatrix decide the cut; (row,
-    # col) lists them in row-major order.
-    inside = np.zeros(n, dtype=bool)
-    inside[cyclic] = True
-    at, col = np.nonzero((rows() == top) & inside)
-    row = cyclic[at]
-
-    def without_through(k: int) -> bool:
-        """Acyclic once every lighter edge goes, and every tied edge up to
-        the k-th tied edge inside."""
-        return acyclic(_outlast(rows(), cyclic, top, row[k - 1], col[k - 1]))
-
-    # removing none of the tied edges leaves a cycle, removing all of them does not
-    k = _first_true(0, len(row), without_through)
-    kept = counts * _outlast(counts, np.arange(n), top, row[k - 1], col[k - 1])
+    # removing nothing leaves a cycle, removing every edge does not
+    keys = range((alpha + 1) // 2 * n * n, (alpha + 1) * n * n)
+    cut = keys[bisect_left(keys, True, key=acyclic)]
+    kept = counts * _outlast(counts, np.arange(n), cut)
     return WeightedDigraph._from_counts(labels, kept, alpha)
 
 
-def _outlast(sub: np.ndarray, rows: np.ndarray, top: int, cut_row: int,
-             cut_col: int) -> np.ndarray:
-    """Mask of the edges of `sub`, the rows `rows` (ascending) of a count
-    matrix, that outlast a cut: those of count above `top`, and those of
-    count `top` after (cut_row, cut_col) in row-major order."""
+def _outlast(sub: np.ndarray, rows: np.ndarray, key: int) -> np.ndarray:
+    """Mask of the edges of `sub`, the rows `rows` (ascending) of an n x n
+    count matrix, that outlast a cut: those of key above `key`."""
+    n = sub.shape[1]
+    top, rest = divmod(key, n * n)
+    cut_row, cut_col = divmod(rest, n)
+    # count above top before the cut row, at least top after it
     keep = sub > np.where(rows < cut_row, top, top - 1).astype(sub.dtype)[:, None]
     r = int(np.searchsorted(rows, cut_row))
     if r < len(rows) and rows[r] == cut_row:
         np.greater(sub[r, :cut_col + 1], top, out=keep[r, :cut_col + 1])
     return keep
-
-
-def _first_true(lo: int, hi: int, pred) -> int:
-    """Smallest x in (lo, hi] with pred(x), for pred monotone, false at lo, true at hi."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def bin_by_indegree(dag: WeightedDigraph) -> BinOrdering:

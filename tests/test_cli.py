@@ -196,6 +196,21 @@ def test_sweep_rejects_a_seed_outside_uint64(tmp_path, capsys, seed):
     assert "--seed must be an integer, unsigned 64-bit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, sizes", [("connections", ["--nodes", 40, "--from", 0]),
+                                         ("nodes", ["--connections", 3, "--from", 3])])
+def test_sweep_rejects_a_point_before_any_work(tmp_path, capsys, monkeypatch, mode, sizes):
+    # connections 0 was refused only by BAConfig inside _sweep_point, after fan-out began
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("a sweep point ran before every point was checked")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_pipeline)
+    code = run("sweep", "--mode", mode, *sizes, "--to", 4, "--centrality", "degree",
+               "--repeats", 1, "--seed", 1, "--out", tmp_path / "s.csv", "--jobs", 1)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: sweep point x={sizes[-1]}: require n > c >= 1")
+    assert not (tmp_path / "s.csv").exists()
+
+
 # sha256 of the sweep CSV below; pins the (point, repeat) seeds of every sweep task
 SWEEP_DIGEST = "af3e1b5a4ec752a5a6240b26a5aa0597971aa433f3f0018e4e1cf0ad8128a052"
 

@@ -6,6 +6,7 @@ comparison here is exact: same edges, same weights bit for bit, same bins.
 """
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from netchrono import (
     pairwise_digraph,
     shuffle_vertex_labels,
 )
+from netchrono import reconstruction
 from netchrono.reconstruction import reconstruct_with_ranking
 
 from builders import digraph
@@ -99,6 +101,13 @@ def assert_matches_oracles(dg: WeightedDigraph) -> list[frozenset[int]]:
                              (3, 4): 35, (4, 5): 40, (5, 3): 38, (5, 6): 50}, 50))
 @example(digraph(range(7), {(0, 1): 6, (1, 0): 6, (1, 2): 6, (2, 3): 6,
                              (3, 4): 6, (4, 5): 6, (5, 3): 6, (5, 6): 5}, 10))
+# alpha 1 and 2, whose lowest count is 1
+@example(digraph(range(3), {(0, 1): 1, (1, 2): 1, (2, 0): 1}, 1))
+@example(digraph(range(4), {(0, 1): 2, (1, 2): 1, (2, 0): 2, (2, 3): 1, (3, 2): 1}, 2))
+# the cut on the very last key: a count-alpha self-loop on the last vertex, so every edge goes
+@example(digraph(range(4), {(0, 1): 3, (1, 0): 2, (1, 2): 3, (3, 3): 3}, 3))
+# the cut on the first edge of row 0, the lowest key an edge can carry
+@example(digraph(range(3), {(0, 0): 3, (0, 1): 3, (1, 2): 4, (2, 1): 5}, 5))
 def test_break_and_bin_match_oracles(dg):
     assert_matches_oracles(dg)
 
@@ -122,10 +131,19 @@ def test_pairwise_digraph_matches_oracle(n, alpha, same, seed):
         assert np.array_equal(got, want)
 
 
-def test_pipeline_digraph_n1000_matches_oracles():
+def test_pipeline_digraph_n1000_matches_oracles(monkeypatch):
     g0, truth0 = generate_ba(BAConfig(1000, 3, 1))
     g, _ = shuffle_vertex_labels(g0, truth0, child_seed(1, 0))
     cfg = PipelineConfig(alpha=50, connections=3, kind=CentralityKind.DEGREE, master_seed=1)
     bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=1)
     assert not is_acyclic(dg)
     assert list(bins.bins) == assert_matches_oracles(dg)
+    # one binary search over the edge keys of the counts 25..50: a peel per probe,
+    # so a linear scan over counts or edges would show as many more
+    probes = []
+    peel = reconstruction._source_rounds
+    monkeypatch.setattr(reconstruction, "_source_rounds",
+                        lambda *a: probes.append(None) or peel(*a))
+    break_cycles(dg)
+    keys = (50 + 1 - 25) * 1000 ** 2
+    assert len(probes) <= math.ceil(math.log2(keys + 1))

@@ -564,11 +564,12 @@ def test_salted_rank_rejects_a_seed_that_is_not_uint64(seed):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**64])
 def test_every_seeded_entry_rejects_a_seed_that_is_not_uint64(seed):
-    # numpy raised a bare ValueError or TypeError from child_seed and shuffle_vertex_labels;
-    # rank_descending is checked above
+    # numpy raised a bare ValueError or TypeError from child_seed, master seed or key, and
+    # from shuffle_vertex_labels, and read a key of True as 1; rank_descending is checked above
     g, chronology = generate_ba(BAConfig(6, 2, 1))
     calls = [
         lambda: child_seed(seed, 1),
+        lambda: child_seed(1, seed),
         lambda: shuffle_vertex_labels(g, chronology, seed),
         lambda: BAConfig(6, 2, seed),
         lambda: PipelineConfig(alpha=1, connections=2, kind=CentralityKind.DEGREE, master_seed=seed),
@@ -614,4 +615,4 @@ def test_pipeline_ranks_on_arrays_without_the_score_mapping(monkeypatch):
         _, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
         assert sorted(ref_rank) == sorted(g.vertices)
         assert centrality_bins(g, kind, 4).covered() == g.vertices
-        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((60, 3, kind.value, 1)))
+        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((BAConfig(60, 3, 1), kind.value)))
