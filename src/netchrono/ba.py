@@ -9,23 +9,24 @@ the arrival completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidConfigError, SizeMismatchError
+from .errors import InvalidConfigError, SizeMismatchError, _require_integer, _require_seed
 from .graph import Chronology, UndirectedGraph, _csr_layout
 
 @dataclass(frozen=True)
 class BAConfig:
-    """Generation parameters: final node count, connections per arrival, RNG seed."""
+    """Generation parameters: final node count, connections per arrival, RNG seed.
+    The one check of n > c >= 1: the pipeline and the sweep build one per network."""
 
     n: int
     c: int
     seed: int
 
     def __post_init__(self):
-        _require_integers(self, "n", "c")
+        _require_integer(self.n, "n")
+        _require_integer(self.c, "c")
         _require_seed(self.seed)
         if self.c < 1 or self.n <= self.c:
             raise InvalidConfigError(f"require n > c >= 1, got n={self.n} c={self.c}")
@@ -34,24 +35,6 @@ class BAConfig:
         n, c = int(self.n), int(self.c)
         if c * (c - 1) + 2 * c * (n - 1 - c) >= 2**32:
             raise InvalidConfigError(f"n={self.n} c={self.c}: attachment list reaches 2**32")
-
-
-def _require_integers(cfg, *fields: str) -> None:
-    """Reject a config field that is not an integer; numpy integers pass, bools do not."""
-    for name in fields:
-        _require_integer(getattr(cfg, name), name)
-
-
-def _require_integer(value, name: str) -> None:
-    """Reject a value that is not an integer; numpy integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_seed(seed, name: str = "seed") -> None:
-    """Reject a seed that is not an unsigned 64-bit integer; numpy integers pass, bools do not."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise InvalidConfigError(f"{name} must be an integer, unsigned 64-bit, got {seed!r}")
 
 
 def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:

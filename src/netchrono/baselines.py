@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .centrality import CentralityKind, compute
 from .dcr import rank_descending
-from .errors import InvalidDeltaError, NotAPartitionError, TooSmallError
+from .errors import InvalidDeltaError, NotAPartitionError, TooSmallError, _require_integer
 from .graph import UndirectedGraph
 
 
@@ -53,8 +52,7 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
     (higher-confidence) bins are never the smaller ones.
     """
     n = g.vertex_count
-    if isinstance(delta, bool) or not isinstance(delta, Integral) or not 1 <= delta <= n:
-        raise InvalidDeltaError(f"delta must satisfy 1 <= delta <= |V|={n}, got {delta}")
+    _require_integer(delta, "delta", 1, n, InvalidDeltaError)
     order = rank_descending(compute(g, kind)).tolist()
     q, r = divmod(n, delta)
     bins: list[frozenset[int]] = []

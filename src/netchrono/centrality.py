@@ -39,6 +39,12 @@ class CentralityKind(Enum):
     EIGENVECTOR = "eigenvector"
 
 
+def _require_kind(kind) -> None:
+    """InvalidConfigError unless kind is a CentralityKind: the one kind check."""
+    if not isinstance(kind, CentralityKind):
+        raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """Per-vertex real scores: `values[i]` (float64) is the score of `labels[i]` (int64)."""
@@ -245,13 +251,12 @@ def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     by power iteration on the shifted matrix A + I (`eigenvector_scores`).
     """
     # only the baselines call it; perfbench/spans.py traces it by name (ROADMAP item 1)
+    _require_kind(kind)
     labels, indptr, indices = g.csr_arrays()
     if kind is CentralityKind.DEGREE:
         scores = degree_scores(np.diff(indptr))
     elif kind is CentralityKind.BETWEENNESS:
         scores = betweenness_scores(indptr, indices)
-    elif kind is CentralityKind.EIGENVECTOR:
-        scores = eigenvector_scores(indptr, indices, [len(labels)])
     else:
-        raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
+        scores = eigenvector_scores(indptr, indices, [len(labels)])
     return ScoreTable(labels, scores)

@@ -21,11 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import io as nio
-from .ba import BAConfig, _require_seed, generate_ba, shuffle_vertex_labels
+from .ba import BAConfig, generate_ba, shuffle_vertex_labels
 from .baselines import BinOrdering, centrality_bins, degree_bins
 from .centrality import CentralityKind, compute
 from .dcr import differential_core_ranking, rank_descending
-from .errors import InvalidConfigError, NetchronoError, SizeMismatchError
+from .errors import (InvalidConfigError, NetchronoError, SizeMismatchError, _require_integer,
+                     _require_seed)
 from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
 from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
@@ -220,9 +221,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(task: tuple) -> tuple[float, float]:
-    cfg, kind_value = task
-    kind = CentralityKind(kind_value)
+def _sweep_point(task: tuple[BAConfig, CentralityKind]) -> tuple[float, float]:
+    cfg, kind = task
     g, truth = generate_ba(cfg)
     # relabel so neither ranking can read arrival order out of the labels
     g, truth = shuffle_vertex_labels(g, truth, child_seed(cfg.seed, 0))
@@ -234,11 +234,10 @@ def _sweep_point(task: tuple) -> tuple[float, float]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise NetchronoError(f"--from {args.start} exceeds --to {args.stop}")
-    if args.step < 1:
-        raise NetchronoError("--step must be >= 1")
-    if args.repeats < 1:
-        raise NetchronoError("--repeats must be >= 1")
+    _require_integer(args.step, "--step", 1, error=NetchronoError)
+    _require_integer(args.repeats, "--repeats", 1, error=NetchronoError)
     _require_seed(args.seed, "--seed")
+    kind = CentralityKind(args.centrality)
     xs = list(range(args.start, args.stop + 1, args.step))
     tasks = []
     for pi, x in enumerate(xs):
@@ -248,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 cfg = BAConfig(n, c, child_seed(args.seed, pi, rep))
             except InvalidConfigError as exc:
                 raise InvalidConfigError(f"sweep point x={x}: {exc}") from None
-            tasks.append((cfg, args.centrality))
+            tasks.append((cfg, kind))
     results = fan_out(_sweep_point, tasks, args.jobs)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

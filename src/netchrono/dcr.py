@@ -17,15 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ba import _require_seed
-from .centrality import (
-    CentralityKind,
-    ScoreTable,
-    betweenness_scores,
-    degree_scores,
-    eigenvector_scores,
-)
-from .errors import InvalidConfigError, TooSmallError
+from .centrality import (CentralityKind, ScoreTable, _require_kind, betweenness_scores,
+                         degree_scores, eigenvector_scores)
+from .errors import TooSmallError, _require_seed
 from .graph import UndirectedGraph
 
 Level = tuple[np.ndarray, np.ndarray]  # alive CSR rows, ascending; their degrees in the level
@@ -106,8 +100,7 @@ def _dcm(n: int, levels: list[Level], scores: list[np.ndarray]) -> np.ndarray:
 
 def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     """DCM score per vertex of g, in the row order of its labels."""
-    if not isinstance(kind, CentralityKind):
-        raise InvalidConfigError(f"kind must be a CentralityKind, got {kind!r}")
+    _require_kind(kind)
     if g.vertex_count == 0:
         raise TooSmallError("differential core ranking requires a nonempty graph")
     labels, indptr, indices = g.csr_arrays()

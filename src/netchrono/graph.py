@@ -9,17 +9,18 @@ All types are immutable after construction (read-only arrays, no caches);
 structural operations return new objects, safe to share across processes.
 
 The one cycle test is Kahn's source peel (`_source_rounds`), read by
-`is_acyclic`, the probes of `break_cycles` and `bin_by_indegree`.
+`is_acyclic`, the probes of `break_cycles` and `bin_by_indegree`.  The
+one label rule, an integer in the int64 range, is `_int64_labels`.
 """
 from __future__ import annotations
 
 from itertools import chain
-from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError
+from .errors import (NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError,
+                     _is_integer_type)
 
 
 class UndirectedGraph:
@@ -99,15 +100,17 @@ def _csr_layout(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
 
 
 class Chronology:
-    """An ordered sequence of distinct integer vertex labels (an arrival order)."""
+    """An ordered sequence of distinct int64 vertex labels (an arrival order)."""
 
     __slots__ = ("_order",)
 
     def __init__(self, order: Iterable[int]):
-        labels = tuple(order)  # materialised once: callers pass generators
-        if not isinstance(order, range):  # a range holds distinct integers by construction
-            _require_integral(labels)
-            labels = tuple(map(int, labels))
+        if isinstance(order, range):
+            # distinct integers by construction, its extremes at its ends
+            _int64_labels([order[0], order[-1]] if order else [])
+            labels = tuple(order)
+        else:
+            labels = tuple(_int64_labels(list(order)).tolist())  # callers pass generators
             if len(set(labels)) != len(labels):
                 raise NotAPartitionError("chronology contains duplicate labels")
         self._order = labels
@@ -203,19 +206,13 @@ class WeightedDigraph:
         return f"WeightedDigraph(|V|={self.vertex_count}, |E|={self.edge_count})"
 
 
-def _require_integral(labels: Sequence) -> None:
-    """NetchronoError naming the first label that is not an integer (a cast
-    would truncate 1.9 to 1) or is a bool (an Integral, but surely a
-    mistake); the types are collected in one C-level pass."""
-    if not all(issubclass(t, Integral) and t is not bool for t in set(map(type, labels))):
-        bad = next(x for x in labels if isinstance(x, bool) or not isinstance(x, Integral))
-        raise NetchronoError(f"label {bad!r} is not an integer")
-
-
 def _int64_labels(labels: Sequence) -> np.ndarray:
-    """The labels as a new int64 array; NetchronoError for a label that is
-    not an integer or lies outside the int64 range."""
-    _require_integral(labels)
+    """The labels as a new int64 array; NetchronoError naming the first label that
+    is not an integer (a cast would read 1.9 and True as 1) or lies outside the
+    int64 range.  The types are collected in one C-level pass."""
+    if not all(map(_is_integer_type, set(map(type, labels)))):
+        bad = next(x for x in labels if not _is_integer_type(type(x)))
+        raise NetchronoError(f"label {bad!r} is not an integer")
     try:
         return np.array(labels, dtype=np.int64)
     except OverflowError:
@@ -250,12 +247,12 @@ def remove_vertices(g: UndirectedGraph, s: Iterable[int]) -> UndirectedGraph:
     """Induced subgraph on g.vertices minus s; g itself is unmodified."""
     # no pipeline caller: kept while perfbench/spans.py traces it by name (ROADMAP item 1)
     labels, indptr, indices = g.csr_arrays()
-    keep = np.ones(len(labels), dtype=bool)
-    for v in {int(v) for v in s}:
-        i = int(np.searchsorted(labels, v))
-        if i == len(labels) or labels[i] != v:
-            raise UnknownVertexError(v)
-        keep[i] = False
+    drop, known = list(s), set(labels.tolist())
+    # before the label rule: an integer beyond int64 is no vertex of g, not an unstorable label
+    stranger = next((v for v in drop if _is_integer_type(type(v)) and v not in known), None)
+    if stranger is not None:
+        raise UnknownVertexError(stranger)
+    keep = ~np.isin(labels, _int64_labels(drop))
     rows = np.repeat(np.arange(len(labels)), np.diff(indptr))
     entries = keep[rows] & keep[indices]
     position = np.cumsum(keep) - 1  # a kept row's row in the subgraph

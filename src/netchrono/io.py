@@ -7,6 +7,8 @@ survive a round trip; a file has at most one.
 
 Chronology: one vertex label per line, in arrival order.
 
+Writers reject a negative label, which no reader accepts, before opening the file.
+
 Readers reject a malformed line with an `InputFormatError` naming
 path:line: a wrong number of fields, a label or a "# vertices:" count
 that is not a non-negative ASCII decimal integer, a label or a vertex
@@ -56,6 +58,8 @@ def _bounded(digits: str, what: str, path, lineno: int) -> int:
 
 def write_edge_list(g: UndirectedGraph, path: str | Path) -> None:
     labels, indptr, _ = g.csr_arrays()
+    if len(labels) and labels[0] < 0:
+        raise NetchronoError(f"label {labels[0]} is negative: an edge list holds labels >= 0")
     contiguous = np.array_equal(labels, np.arange(len(labels)))
     if np.any(np.diff(indptr) == 0) and not contiguous:
         raise NetchronoError(
@@ -114,6 +118,8 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
 
 
 def write_chronology(chron: Chronology, path: str | Path) -> None:
+    if min(chron, default=0) < 0:
+        raise NetchronoError(f"label {min(chron)} is negative: a chronology holds labels >= 0")
     with open(path, "w", encoding="utf-8") as fh:
         for v in chron:
             fh.write(f"{v}\n")

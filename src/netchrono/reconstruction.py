@@ -25,17 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import BAConfig, _require_integer, _require_integers, _require_seed, generate_ba
+from .ba import BAConfig, generate_ba
 from .baselines import BinOrdering
-from .centrality import CentralityKind
+from .centrality import CentralityKind, _require_kind
 from .dcr import differential_core_ranking, rank_descending
-from .errors import (
-    CyclicInputError,
-    EmptyBatchError,
-    InvalidConfigError,
-    SizeMismatchError,
-    TooSmallError,
-)
+from .errors import (CyclicInputError, EmptyBatchError, InvalidConfigError, SizeMismatchError,
+                     TooSmallError, _require_integer, _require_seed)
 from .graph import (
     Chronology,
     UndirectedGraph,
@@ -61,14 +56,10 @@ class PipelineConfig:
     master_seed: int
 
     def __post_init__(self):
-        _require_integers(self, "alpha", "connections")
+        _require_integer(self.alpha, "alpha", 1)
+        _require_integer(self.connections, "connections", 1)
         _require_seed(self.master_seed, "master_seed")
-        if not isinstance(self.kind, CentralityKind):
-            raise InvalidConfigError(f"kind must be a CentralityKind, got {self.kind!r}")
-        if self.alpha < 1:
-            raise InvalidConfigError(f"alpha must be >= 1, got {self.alpha}")
-        if self.connections < 1:
-            raise InvalidConfigError(f"connections must be >= 1, got {self.connections}")
+        _require_kind(self.kind)
 
 
 def child_seed(master_seed: int, *key: int) -> int:
@@ -271,9 +262,7 @@ def fan_out(fn, tasks: list, jobs: int | None) -> list:
     a fresh one.  The pool is shut down at interpreter exit.
     """
     if jobs is not None:
-        _require_integer(jobs, "jobs")
-        if jobs < 1:
-            raise InvalidConfigError(f"jobs must be >= 1, got {jobs}")
+        _require_integer(jobs, "jobs", 1)
     if jobs is None or jobs == 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
     # imported here so that a serial run never loads multiprocessing
@@ -301,12 +290,11 @@ def _shutdown_pool() -> None:
         pool.shutdown()
 
 
-def _synthetic_prediction(task: tuple) -> np.ndarray:
+def _synthetic_prediction(task: tuple[BAConfig, CentralityKind]) -> np.ndarray:
     """Salted DCM rank of one synthetic network, as int32 labels."""
-    n, connections, seed, kind_value = task
-    g, _ = generate_ba(BAConfig(n, connections, seed))
-    table = differential_core_ranking(g, CentralityKind(kind_value))
-    return rank_descending(table, seed).astype(np.int32)
+    cfg, kind = task
+    g, _ = generate_ba(cfg)
+    return rank_descending(differential_core_ranking(g, kind), cfg.seed).astype(np.int32)
 
 
 def reconstruct_with_ranking(
@@ -320,23 +308,20 @@ def reconstruct_with_ranking(
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
     child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
     regenerate it from its seed (`fan_out`), and results merge by index,
-    so output is identical for any `jobs` value.  At jobs > 1 the workers
-    are the process's one pool, kept between calls: forked at the first
-    parallel call, so a monkeypatch made after it does not reach them,
-    replaced when the worker count changes and shut down at interpreter
-    exit.  The ranking drives the synthetic mappings anyway; callers
-    comparing it against a true chronology can take it from here instead
-    of paying for a second differential core ranking.
+    so output is identical for any `jobs` value; at jobs > 1 the workers
+    are `fan_out`'s one pool, kept between calls.  The ranking drives the
+    synthetic mappings anyway; callers comparing it against a true
+    chronology can take it from here instead of paying for a second
+    differential core ranking.
     """
     n = g_m.vertex_count
     if n == 0:
         raise TooSmallError("reconstruction requires a nonempty reference network")
-    if n <= cfg.connections:
-        raise InvalidConfigError(f"need |V_m| > connections, got {n} <= {cfg.connections}")
+    # built first: BAConfig refuses |V_m| <= connections before any ranking
+    tasks = [(BAConfig(n, cfg.connections, child_seed(cfg.master_seed, i)), cfg.kind)
+             for i in range(1, cfg.alpha + 1)]
     ref_table = differential_core_ranking(g_m, cfg.kind)
     ref_rank = rank_descending(ref_table, child_seed(cfg.master_seed, 0))
-    tasks = [(n, cfg.connections, child_seed(cfg.master_seed, i), cfg.kind.value)
-             for i in range(1, cfg.alpha + 1)]
     syn_ranks = fan_out(_synthetic_prediction, tasks, jobs)
     # generate_ba labels vertices by arrival, so a synthetic chronology is
     # 0..n-1: the vertex of synthetic rank k, a label, is the predicted

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import netchrono
 from netchrono.centrality import CentralityKind, compute
@@ -13,6 +14,13 @@ EDGES = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5)]
 def test_every_export_resolves():
     assert [name for name in netchrono.__all__ if not hasattr(netchrono, name)] == []
     assert len(set(netchrono.__all__)) == len(netchrono.__all__)
+
+
+def test_each_argument_rule_is_written_once():
+    # a hand-written copy of a rule is where a missed case (a bool, a float) slips through
+    texts = {p.name: p.read_text() for p in Path(netchrono.__file__).parent.glob("*.py")}
+    assert [name for name, text in texts.items() if "Integral" in text] == ["errors.py"]
+    assert sum(text.count("must be a CentralityKind") for text in texts.values()) == 1
 
 
 def test_import_loads_neither_scipy_nor_the_process_pool():

@@ -45,9 +45,13 @@ def test_invalid_configs():
     with pytest.raises(InvalidConfigError):
         BAConfig(2**31 + 2, 1, 1)
     # each field an integer: not a float, a string or a bool; numpy integers pass
-    for fields in [(30.0, 3, 1), (30, True, 1), (30, 3, 1.5), ("30", 3, 1), (30, 3, np.float64(1))]:
+    for fields in [(30, 3, 1.5), (30, 3, np.float64(1))]:
         with pytest.raises(InvalidConfigError, match="must be an integer"):
             BAConfig(*fields)
+    for bad in (30.0, True, "30", np.float64(30)):
+        for fields, name in [((bad, 3, 1), "n"), ((30, bad, 1), "c")]:
+            with pytest.raises(InvalidConfigError, match=f"^{name} must be an integer"):
+                BAConfig(*fields)
     BAConfig(np.int64(30), np.int32(3), np.uint64(2**64 - 1))
     with pytest.raises(InvalidConfigError, match="2\\*\\*32"):
         # 6 (n - 4) is 2**64 + 2: an int64 bound would wrap to 8 and pass
@@ -120,7 +124,7 @@ def test_shuffle_vertex_labels():
     [0, 1],           # too few labels
     [0, 1, 2, 9],     # a label the graph does not have
     [0, 1, 2, 3, 9],  # every vertex and one more
-    [0, 1, 2, 2**70],  # a label no int64 holds
+    [0, 1, 2, 2**63 - 1],  # a label at the int64 edge
 ])
 def test_shuffle_vertex_labels_rejects_a_chronology_of_other_vertices(order):
     g, _ = generate_ba(BAConfig(4, 2, 1))

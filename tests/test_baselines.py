@@ -82,7 +82,7 @@ def test_centrality_bins_invalid_delta():
     with pytest.raises(InvalidDeltaError):
         centrality_bins(g, CentralityKind.DEGREE, 11)
     # range() raised a bare TypeError on 2.5, and True was read as one bin
-    for delta in (2.5, 2.0, True, np.float64(2)):
+    for delta in (2.5, 2.0, True, "2", np.float64(2)):
         with pytest.raises(InvalidDeltaError):
             centrality_bins(g, CentralityKind.DEGREE, delta)
     assert centrality_bins(g, CentralityKind.DEGREE, np.int64(3)) == centrality_bins(g, CentralityKind.DEGREE, 3)

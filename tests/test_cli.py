@@ -211,6 +211,20 @@ def test_sweep_rejects_a_point_before_any_work(tmp_path, capsys, monkeypatch, mo
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--step", "--repeats"])
+def test_sweep_rejects_a_step_or_repeat_count_below_one(tmp_path, capsys, monkeypatch, flag):
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError(f"a sweep point ran with {flag} 0")
+
+    monkeypatch.setattr(cli, "_sweep_point", no_pipeline)
+    code = run("sweep", "--mode", "nodes", "--from", 20, "--to", 30, "--connections", 3,
+               "--centrality", "degree", "--seed", 1, "--out", tmp_path / "s.csv",
+               "--jobs", 1, flag, 0)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be an integer >= 1, got 0")
+    assert not (tmp_path / "s.csv").exists()
+
+
 # sha256 of the sweep CSV below; pins the (point, repeat) seeds of every sweep task
 SWEEP_DIGEST = "af3e1b5a4ec752a5a6240b26a5aa0597971aa433f3f0018e4e1cf0ad8128a052"
 

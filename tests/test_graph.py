@@ -245,10 +245,12 @@ def test_chronology_rejects_labels_that_are_not_integers(order):
     lambda labels: Chronology(labels),
     lambda labels: from_edge_list([labels]),
     lambda labels: pairwise_digraph(labels, np.array([[0, 1], [1, 0]])),
-], ids=["Chronology", "from_edge_list", "pairwise_digraph"])
-@pytest.mark.parametrize("labels", [[True, 2], [False, True]])
+    lambda labels: remove_vertices(from_edge_list([(0, 1), (1, 2), (2, 3)]), labels),
+], ids=["Chronology", "from_edge_list", "pairwise_digraph", "remove_vertices"])
+@pytest.mark.parametrize("labels", [[True, 2], [False, True], [1.9, 2], ["2", 3]])
 def test_bool_labels_are_rejected(build, labels):
-    # bool is an Integral, so a type check alone reads True as label 1
+    # bool is an Integral, so a type check alone reads True as label 1; and
+    # remove_vertices read each label with int(), so 1.9 removed vertex 1 and "2" vertex 2
     with pytest.raises(NetchronoError, match="is not an integer"):
         build(labels)
 
@@ -258,6 +260,12 @@ def test_chronology_reads_integral_labels_from_any_iterable():
     got = Chronology(np.array([4, 2, 7], dtype=np.uint64)).order
     assert got == (4, 2, 7) and all(type(v) is int for v in got)
     assert Chronology(range(3, 0, -1)).order == (3, 2, 1)
+    assert Chronology([2**63 - 1, np.int64(-2**63)]).order == (2**63 - 1, -2**63)
+    # int64 like every other label: Chronology([2**63]) was written to a file no reader takes
+    for order in ([2**63], [np.uint64(2**63 + 5)], [0, 1, 2, 2**70], [-2**63 - 1],
+                  range(2**63 - 2, 2**63 + 1), range(-2**63 - 1, 0)):
+        with pytest.raises(NetchronoError, match="outside the int64 range"):
+            Chronology(order)
 
 
 def test_chronology_positions():

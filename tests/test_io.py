@@ -22,6 +22,10 @@ def test_edge_list_roundtrip(tmp_path):
     path = tmp_path / "g.edges"
     write_edge_list(g, path)
     assert read_edge_list(path) == g
+    # a negative label was written, and the reader refused it
+    with pytest.raises(NetchronoError, match="label -1 is negative"):
+        write_edge_list(from_edge_list([(-1, 2), (2, 3)]), tmp_path / "neg.edges")
+    assert not (tmp_path / "neg.edges").exists()
 
 
 def test_edge_list_comments_ignored(tmp_path):
@@ -164,3 +168,7 @@ def test_chronology_roundtrip(tmp_path):
     path = tmp_path / "c.chron"
     write_chronology(c, path)
     assert read_chronology(path) == c
+    # a negative label was written, and the reader refused it
+    with pytest.raises(NetchronoError, match="label -4 is negative"):
+        write_chronology(Chronology([5, -1, -4, 2]), tmp_path / "neg.chron")
+    assert not (tmp_path / "neg.chron").exists()

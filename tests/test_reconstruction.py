@@ -59,11 +59,14 @@ def test_pipeline_config_validation():
         PipelineConfig(alpha=1, connections=3, kind=CentralityKind.DEGREE, master_seed=-1)
     # each count an integer (not a float, a string or a bool) and kind a CentralityKind
     valid = dict(alpha=2, connections=3, kind=CentralityKind.DEGREE, master_seed=1)
-    for field, value in [("alpha", 2.5), ("alpha", True), ("connections", "3"),
-                         ("master_seed", 1.0), ("kind", "degree"), ("kind", None)]:
+    for field, value in [("alpha", 2.5), ("master_seed", 1.0), ("kind", "degree"),
+                         ("kind", None),
+                         *itertools.product(["alpha", "connections"],
+                                            [2.0, True, "2", np.float64(2)])]:
         with pytest.raises(InvalidConfigError, match=field):
             PipelineConfig(**{**valid, field: value})
-    PipelineConfig(**{**valid, "alpha": np.int64(2), "master_seed": np.uint64(1)})
+    PipelineConfig(**{**valid, "alpha": np.int64(2), "connections": np.int64(3),
+                      "master_seed": np.uint64(1)})
 
 
 @pytest.mark.parametrize("env", ["0", "-2", "x"])
@@ -520,7 +523,7 @@ def test_reconstruct_reference_of_another_connection_count(connections, kind):
     assert _check_reconstruction(g, cfg).delta >= 2
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True])
+@pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True, 2.0, np.float64(2)])
 def test_jobs_below_one_are_rejected(jobs):
     # as `--jobs` and NETCHRONO_JOBS are, rather than read as serial; so is a
     # jobs that is not an integer (a bool included)
@@ -530,12 +533,18 @@ def test_jobs_below_one_are_rejected(jobs):
     cfg = PipelineConfig(alpha=2, connections=2, kind=CentralityKind.DEGREE, master_seed=3)
     with pytest.raises(InvalidConfigError):
         reconstruct_with_ranking(g, cfg, jobs=jobs)
+    assert fan_out(abs, [1, -2], np.int64(1)) == [1, 2]
 
 
-def test_reconstruct_validates_input():
+def test_reconstruct_validates_input(monkeypatch):
+    # BAConfig, the one check of n > c, refuses |V_m| <= connections before any ranking
+    def unranked(*args):
+        raise AssertionError("the reference was ranked before the synthetic configs were checked")
+
+    monkeypatch.setattr(netchrono.reconstruction, "differential_core_ranking", unranked)
     g, _ = generate_ba(BAConfig(5, 3, 2))
     cfg = PipelineConfig(alpha=2, connections=5, kind=CentralityKind.DEGREE, master_seed=3)
-    with pytest.raises(InvalidConfigError):
+    with pytest.raises(InvalidConfigError, match="require n > c >= 1"):
         reconstruct_with_ranking(g, cfg)
 
 
@@ -615,4 +624,4 @@ def test_pipeline_ranks_on_arrays_without_the_score_mapping(monkeypatch):
         _, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
         assert sorted(ref_rank) == sorted(g.vertices)
         assert centrality_bins(g, kind, 4).covered() == g.vertices
-        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((BAConfig(60, 3, 1), kind.value)))
+        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((BAConfig(60, 3, 1), kind)))
