@@ -51,15 +51,7 @@ def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> Bin
     When |V| = q*delta + r the first r bins get q+1 vertices, so earlier
     (higher-confidence) bins are never the smaller ones.
     """
-    n = g.vertex_count
-    _require_integer(delta, "delta", 1, n, InvalidDeltaError)
-    order = rank_descending(compute(g, kind)).tolist()
-    q, r = divmod(n, delta)
-    bins: list[frozenset[int]] = []
-    at = 0
-    for i in range(delta):
-        size = q + 1 if i < r else q
-        bins.append(frozenset(order[at:at + size]))
-        at += size
-    return BinOrdering(tuple(bins))
+    _require_integer(delta, "delta", 1, g.vertex_count, InvalidDeltaError)
+    order = rank_descending(compute(g, kind))
+    return BinOrdering(tuple(frozenset(part.tolist()) for part in np.array_split(order, delta)))
 

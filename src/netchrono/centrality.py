@@ -2,9 +2,11 @@
 
 Each measure is an array kernel on a CSR structure (`degree_scores`,
 `betweenness_scores`, `eigenvector_scores`), scores in row order.
-`compute` runs one of them on a graph's `csr_arrays` and returns the
-labels and scores as a `ScoreTable`; differential core ranking calls them
-on its peeling levels, eigenvector once on all of them as diagonal blocks.
+`_level_scores` is the one place a kind picks its kernel: it scores each
+of a list of vertex sets (differential core ranking's peeling levels) on
+its induced subgraph, eigenvector once on all of them as diagonal blocks.
+`compute` is its whole-graph case, returned as a `ScoreTable` of labels
+and scores.  `dcr` peels the levels and charges the score changes.
 
 Betweenness uses the Brandes dependency-accumulation scheme, vectorized
 over blocks of source vertices: one BFS level advances all sources in a
@@ -242,6 +244,46 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarra
     return x
 
 
+Level = tuple[np.ndarray, np.ndarray]  # alive CSR rows, ascending; their degrees in the level
+
+
+def _union_csr(indptr: np.ndarray, indices: np.ndarray,
+               levels: list[Level]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The levels' induced CSR structures as one block-diagonal CSR, and the block sizes.
+    An entry is in each level below the lesser depth (levels holding it) of its ends;
+    numbering (level, vertex) pairs in that order keeps each row's neighbours sorted."""
+    n = len(indptr) - 1
+    depth = np.bincount(np.concatenate([live for live, _ in levels]), minlength=n)
+    level = np.arange(len(levels))[:, None]
+    union_row = np.cumsum(depth > level).reshape(len(levels), n) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    k, at = np.nonzero(np.minimum(depth[rows], depth[indices]) > level)
+    sizes = np.array([len(live) for live, _ in levels])
+    counts = np.bincount(union_row[k, rows[at]], minlength=sizes.sum())
+    return np.concatenate([[0], np.cumsum(counts)]), union_row[k, indices[at]], sizes
+
+
+def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray,
+                  levels: list[Level]) -> list[np.ndarray]:
+    """Base centrality of each level's induced subgraph, in row order, as `compute` defines it.
+
+    Degree reads only each level's degrees; betweenness scores the union's
+    blocks one at a time, eigenvector all of them in one block power iteration.
+    """
+    if kind is CentralityKind.DEGREE:
+        return [degree_scores(degrees) for _, degrees in levels]
+    union_indptr, union_indices, sizes = _union_csr(indptr, indices, levels)
+    ends = np.cumsum(sizes)
+    if kind is CentralityKind.EIGENVECTOR:
+        return np.split(eigenvector_scores(union_indptr, union_indices, sizes), ends[:-1])
+    out = []
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        start, stop = union_indptr[lo], union_indptr[hi]
+        out.append(betweenness_scores(union_indptr[lo:hi + 1] - start,
+                                      union_indices[start:stop] - lo))
+    return out
+
+
 def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     """Base centrality of every vertex of g, in the row order of its labels.
 
@@ -249,14 +291,10 @@ def compute(g: UndirectedGraph, kind: CentralityKind) -> ScoreTable:
     unnormalized, over unordered pairs (`betweenness_scores`); eigenvector
     is the unit-norm dominant eigenvector of the adjacency matrix, found
     by power iteration on the shifted matrix A + I (`eigenvector_scores`).
+    It is `_level_scores` on the one level that holds the whole graph.
     """
     # only the baselines call it; perfbench/spans.py traces it by name (ROADMAP item 1)
     _require_kind(kind)
     labels, indptr, indices = g.csr_arrays()
-    if kind is CentralityKind.DEGREE:
-        scores = degree_scores(np.diff(indptr))
-    elif kind is CentralityKind.BETWEENNESS:
-        scores = betweenness_scores(indptr, indices)
-    else:
-        scores = eigenvector_scores(indptr, indices, [len(labels)])
-    return ScoreTable(labels, scores)
+    whole = (np.arange(len(labels)), np.diff(indptr))
+    return ScoreTable(labels, _level_scores(kind, indptr, indices, [whole])[0])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,7 +28,7 @@ from .centrality import CentralityKind, compute
 from .dcr import differential_core_ranking, rank_descending
 from .errors import (InvalidConfigError, NetchronoError, SizeMismatchError, _require_integer,
                      _require_seed)
-from .evaluation import bqm, bucket_count, eta_pairs, probability_bucket_table
+from .evaluation import bqm, eta_pairs, probability_bucket_table
 from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
 from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
                              reconstruct_with_ranking)
@@ -40,7 +41,21 @@ def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
                    help="worker processes (default: NETCHRONO_JOBS or hardware threads)")
 
 
+def _pipeline_flags() -> argparse.ArgumentParser:
+    """The flags `_run_pipeline` reads, shared by `reconstruct` and `compare-bins`."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--graph", type=Path, required=True, help="reference network edge list")
+    p.add_argument("--connections", type=int, required=True)
+    p.add_argument("--alpha", type=int, default=50, help="synthetic network count (default 50)")
+    p.add_argument("--centrality", choices=_CENTRALITY_CHOICES, default="betweenness")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out", type=Path, required=True, help="result JSON path")
+    _add_jobs_flag(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    pipeline = _pipeline_flags()
     parser = argparse.ArgumentParser(
         prog="netchrono",
         description="Predict node arrival order in preferential-attachment networks.",
@@ -58,16 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "information (chronology is rewritten to match)")
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("reconstruct", help="run the arrival-order reconstruction pipeline")
-    r.add_argument("--graph", type=Path, required=True, help="reference network edge list")
-    r.add_argument("--connections", type=int, required=True)
-    r.add_argument("--alpha", type=int, default=50, help="synthetic network count (default 50)")
-    r.add_argument("--centrality", choices=_CENTRALITY_CHOICES, default="betweenness")
-    r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--out", type=Path, required=True, help="result JSON path")
+    r = sub.add_parser("reconstruct", parents=[pipeline],
+                       help="run the arrival-order reconstruction pipeline")
     r.add_argument("--truth", type=Path, default=None, help="true chronology (enables metrics)")
-    r.add_argument("--bucket-width", type=float, default=0.1)
-    _add_jobs_flag(r)
     r.set_defaults(func=cmd_reconstruct)
 
     s = sub.add_parser(
@@ -94,16 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(s)
     s.set_defaults(func=cmd_sweep)
 
-    c = sub.add_parser("compare-bins",
+    c = sub.add_parser("compare-bins", parents=[pipeline],
                        help="BQM of pipeline bins vs equal-count centrality binning")
-    c.add_argument("--graph", type=Path, required=True)
-    c.add_argument("--truth", type=Path, required=True)
-    c.add_argument("--connections", type=int, required=True)
-    c.add_argument("--alpha", type=int, default=50)
-    c.add_argument("--centrality", choices=_CENTRALITY_CHOICES, default="betweenness")
-    c.add_argument("--seed", type=int, required=True)
-    c.add_argument("--out", type=Path, required=True, help="result JSON path")
-    _add_jobs_flag(c)
+    c.add_argument("--truth", type=Path, required=True, help="true chronology")
     c.set_defaults(func=cmd_compare_bins)
 
     return parser
@@ -164,19 +165,6 @@ def _write_json(result: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def _bucket_rows_json(rows) -> list[dict]:
-    return [
-        {
-            "low": r.range_low,
-            "high": r.range_high,
-            "edge_fraction": r.edge_fraction,
-            "correct_fraction": r.correct_fraction,
-            "count": r.edge_count,
-        }
-        for r in rows
-    ]
-
-
 def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
     """Min, mean and max edge weight m / alpha, from the edges of each count m."""
     _, counts, alpha = dg.matrix()
@@ -192,7 +180,6 @@ def _weight_summary(dg: WeightedDigraph) -> dict[str, float | None]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    bucket_count(args.bucket_width)  # reject a bad width before any work
     _, truth, bins, dg, ref_rank, config = _run_pipeline(args)
     result = {
         "config": config,
@@ -209,9 +196,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     if truth is not None:
         result["metrics"]["bqm"] = bqm(truth, bins)
         result["metrics"]["eta_pairs"] = eta_pairs(truth, Chronology(ref_rank))
-        result["bucket_table"] = _bucket_rows_json(
-            probability_bucket_table(dg, truth, args.bucket_width)
-        )
+        result["bucket_table"] = [dataclasses.asdict(row)
+                                  for row in probability_bucket_table(dg, truth)]
     _write_json(result, args.out)
     print(f"bins={bins.delta} edges={dg.edge_count}", end="")
     if truth is not None:

@@ -5,24 +5,20 @@ minimum degree) and charge each vertex the absolute change of its base
 centrality between consecutive levels; removed vertices are charged their
 full last value.  The accumulated total is the vertex's DCM score.
 
-The peel reads only degrees, which a removal lowers by one `bincount`
-over the removed CSR rows, so every level is listed before any is scored.
-Degree scores each level's degrees.  The other two read the union of the
-levels' induced CSR structures as diagonal blocks: betweenness scores one
-block at a time, eigenvector all of them in one block power iteration.
-The DCM comes back as a `ScoreTable` of label and value arrays, which
-`rank_descending` sorts as they are.
+This module peels and charges; `centrality._level_scores` scores the
+levels.  The peel reads only degrees, which a removal lowers by one
+`bincount` over the removed CSR rows, so every level is listed before any
+is scored; betweenness is then rescaled per level.  The DCM comes back as
+a `ScoreTable` of label and value arrays, which `rank_descending` sorts
+as they are.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .centrality import (CentralityKind, ScoreTable, _require_kind, betweenness_scores,
-                         degree_scores, eigenvector_scores)
+from .centrality import CentralityKind, Level, ScoreTable, _level_scores, _require_kind
 from .errors import TooSmallError, _require_seed
 from .graph import UndirectedGraph
-
-Level = tuple[np.ndarray, np.ndarray]  # alive CSR rows, ascending; their degrees in the level
 
 
 def _levels(indptr: np.ndarray, indices: np.ndarray) -> list[Level]:
@@ -47,46 +43,6 @@ def _levels(indptr: np.ndarray, indices: np.ndarray) -> list[Level]:
         degrees = degrees - np.bincount(indices[at], minlength=n)
 
 
-def _union_csr(indptr: np.ndarray, indices: np.ndarray,
-               levels: list[Level]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The levels' induced CSR structures as one block-diagonal CSR, and the block sizes.
-    An entry is in each level below the lesser depth (levels holding it) of its ends;
-    numbering (level, vertex) pairs in that order keeps each row's neighbours sorted."""
-    n = len(indptr) - 1
-    depth = np.bincount(np.concatenate([live for live, _ in levels]), minlength=n)
-    level = np.arange(len(levels))[:, None]
-    union_row = np.cumsum(depth > level).reshape(len(levels), n) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    k, at = np.nonzero(np.minimum(depth[rows], depth[indices]) > level)
-    counts = np.bincount(union_row[k, rows[at]], minlength=union_row[-1, -1] + 1)
-    sizes = np.array([len(live) for live, _ in levels])
-    return np.concatenate([[0], np.cumsum(counts)]), union_row[k, indices[at]], sizes
-
-
-def _level_scores(kind: CentralityKind, indptr: np.ndarray, indices: np.ndarray,
-                  levels: list[Level]) -> list[np.ndarray]:
-    """Base centrality of each peeling level, in row order, on a size-independent scale.
-
-    Peeled levels shrink, so the summands |change| must be comparable
-    across levels.  Degree (divided by |V|-1) and eigenvector (unit norm)
-    are already size-independent; raw betweenness grows with the squared
-    level size, so it is rescaled by the unordered pair count, which
-    leaves every within-level ranking untouched.
-    """
-    if kind is CentralityKind.DEGREE:
-        return [degree_scores(degrees) for _, degrees in levels]
-    union_indptr, union_indices, sizes = _union_csr(indptr, indices, levels)
-    ends = np.cumsum(sizes)
-    if kind is CentralityKind.EIGENVECTOR:
-        return np.split(eigenvector_scores(union_indptr, union_indices, sizes), ends[:-1])
-    out = []
-    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
-        start, stop = union_indptr[lo], union_indptr[hi]
-        scores = betweenness_scores(union_indptr[lo:hi + 1] - start, union_indices[start:stop] - lo)
-        out.append(scores * (2.0 / ((hi - lo - 1) * (hi - lo - 2))) if hi - lo >= 3 else scores)
-    return out
-
-
 def _dcm(n: int, levels: list[Level], scores: list[np.ndarray]) -> np.ndarray:
     """DCM per CSR row, adding up each vertex's charges in level order."""
     dcm = np.zeros(n)
@@ -105,8 +61,15 @@ def differential_core_ranking(g: UndirectedGraph, kind: CentralityKind) -> Score
         raise TooSmallError("differential core ranking requires a nonempty graph")
     labels, indptr, indices = g.csr_arrays()
     levels = _levels(indptr, indices)
-    dcm = _dcm(len(labels), levels, _level_scores(kind, indptr, indices, levels))
-    return ScoreTable(labels, dcm)
+    scores = _level_scores(kind, indptr, indices, levels)
+    if kind is CentralityKind.BETWEENNESS:
+        # peeled levels shrink, and raw betweenness grows with the squared level size:
+        # dividing by the unordered pair count makes the charges comparable across
+        # levels and leaves each within-level ranking as it is; degree (divided by
+        # |V| - 1) and eigenvector (unit norm) are on that scale already
+        scores = [s * (2.0 / ((len(s) - 1) * (len(s) - 2))) if len(s) >= 3 else s
+                  for s in scores]
+    return ScoreTable(labels, _dcm(len(labels), levels, scores))
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

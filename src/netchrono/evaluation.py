@@ -14,20 +14,23 @@ from math import comb
 import numpy as np
 
 from .baselines import BinOrdering
-from .errors import (DegenerateBinsError, InvalidConfigError, NotAPartitionError,
-                     SizeMismatchError, TooSmallError)
+from .errors import DegenerateBinsError, NotAPartitionError, SizeMismatchError, TooSmallError
 from .graph import Chronology, WeightedDigraph, _level_counts
+
+
+# the bucket table's buckets: five of width 0.1 over (0.5, 1.0]
+_BUCKETS = 5
 
 
 @dataclass(frozen=True)
 class BucketRow:
-    """One weight bucket (range_low, range_high] of digraph edges."""
+    """One weight bucket (low, high] of digraph edges; its fields are the result JSON's keys."""
 
-    range_low: float
-    range_high: float
+    low: float
+    high: float
     edge_fraction: float
     correct_fraction: float
-    edge_count: int
+    count: int
 
 
 def eta_pairs(truth: Chronology, predicted: Chronology) -> float:
@@ -82,30 +85,15 @@ def bqm(truth: Chronology, bins: BinOrdering) -> float:
     return total / comb(delta, 2)
 
 
-def bucket_count(bucket_width: float) -> int:
-    """Number of buckets of width bucket_width over (0.5, 1.0]; InvalidConfigError
-    unless the width is positive and divides 0.5 evenly."""
-    if not bucket_width > 0:
-        raise InvalidConfigError(f"bucket_width must be positive, got {bucket_width}")
-    n_buckets = round(0.5 / bucket_width)
-    if n_buckets < 1 or abs(n_buckets * bucket_width - 0.5) > 1e-9:
-        raise InvalidConfigError(f"bucket_width {bucket_width} does not divide 0.5 evenly")
-    return n_buckets
-
-
-def probability_bucket_table(
-    dg: WeightedDigraph,
-    truth: Chronology,
-    bucket_width: float = 0.1,
-) -> list[BucketRow]:
-    """Bucket digraph edges by weight over (0.5, 1.0] and score each bucket.
+def probability_bucket_table(dg: WeightedDigraph, truth: Chronology) -> list[BucketRow]:
+    """Bucket digraph edges by weight into five buckets of 0.1 over (0.5, 1.0]
+    and score each bucket.
 
     Per bucket: the fraction of all edges whose weight lands in it, and,
     among those, the fraction of edges (u, v) with u truly arriving before
     v.  Weight exactly 0.5 (an orientation tie) counts into the lowest
-    bucket.  bucket_width must divide 0.5 evenly.
+    bucket.
     """
-    n_buckets = bucket_count(bucket_width)
     pos = truth.positions()
     labels, counts, alpha = dg.matrix()
     missing = dg.vertices - set(truth.order)
@@ -119,17 +107,17 @@ def probability_bucket_table(
     for lo in range(0, len(labels), 256):
         correct += np.bincount(counts[lo:lo + 256][rank[lo:lo + 256, None] < rank],
                                minlength=alpha + 1)
-    # count m lands in bucket ceil((m/alpha - 0.5) / bucket_width) - 1, clipped; in
-    # integers, as bucket_width is 0.5 / n_buckets: ceil(n_buckets (2m - alpha) / alpha) - 1
+    # count m lands in bucket ceil((m/alpha - 0.5) / 0.1) - 1, clipped; in integers,
+    # as 0.1 is 0.5 / _BUCKETS: ceil(_BUCKETS (2m - alpha) / alpha) - 1
     m = np.arange(1, alpha + 1)
-    bucket = np.clip(-(n_buckets * (alpha - 2 * m) // alpha) - 1, 0, n_buckets - 1)
+    bucket = np.clip(-(_BUCKETS * (alpha - 2 * m) // alpha) - 1, 0, _BUCKETS - 1)
     # (edges, correct edges) per bucket, an integer product with the bucket membership
-    sums = (bucket == np.arange(n_buckets)[:, None]) @ np.stack(
+    sums = (bucket == np.arange(_BUCKETS)[:, None]) @ np.stack(
         [_level_counts(counts, alpha), correct[1:]], axis=1)
     total = int(sums[:, 0].sum())
-    return [BucketRow(range_low=0.5 + b * bucket_width,
-                      range_high=0.5 + (b + 1) * bucket_width,
+    return [BucketRow(low=0.5 + b * 0.1,
+                      high=0.5 + (b + 1) * 0.1,
                       edge_fraction=count / total if total else 0.0,
                       correct_fraction=good / count if count else 0.0,
-                      edge_count=count)
+                      count=count)
             for b, (count, good) in enumerate(sums.tolist())]

@@ -337,15 +337,12 @@ def reconstruct_with_ranking(
 def default_jobs() -> int:
     """--jobs default: NETCHRONO_JOBS env var, else the hardware thread count.
 
-    InvalidConfigError if NETCHRONO_JOBS is set to anything but an integer >= 1.
+    InvalidConfigError if NETCHRONO_JOBS is set to anything but ASCII decimal
+    digits (no sign, space or underscore) of a value >= 1.
     """
     env = os.environ.get("NETCHRONO_JOBS")
     if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0  # reported below, like any value under 1
-        if jobs < 1:
+        if not (env.isascii() and env.isdecimal() and int(env) >= 1):
             raise InvalidConfigError(f"NETCHRONO_JOBS must be an integer >= 1, got {env!r}")
-        return jobs
+        return int(env)
     return os.cpu_count() or 1

@@ -23,6 +23,16 @@ def test_each_argument_rule_is_written_once():
     assert sum(text.count("must be a CentralityKind") for text in texts.values()) == 1
 
 
+def test_each_scoring_decision_is_written_once():
+    # the kind picks its kernel in centrality.py alone, and the pipeline flags are declared once
+    texts = {p.name: p.read_text() for p in Path(netchrono.__file__).parent.glob("*.py")}
+    for kernel in ("degree_scores(", "betweenness_scores(", "eigenvector_scores("):
+        calls = [name for name, text in texts.items()
+                 if text.count(kernel) > text.count(f"def {kernel}")]
+        assert calls == ["centrality.py"], kernel
+    assert texts["cli.py"].count('"--alpha"') == 1
+
+
 def test_import_loads_neither_scipy_nor_the_process_pool():
     # scipy is imported by the Brandes product on first use, the pool by fan_out
     src = os.path.dirname(os.path.dirname(netchrono.__file__))

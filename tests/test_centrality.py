@@ -44,6 +44,13 @@ def test_degree_single_vertex():
     assert compute(g, DEGREE).scores == {7: 0.0}
 
 
+def test_every_kind_scores_the_empty_graph():
+    # compute scores one level through `_union_csr`, which must also build an empty union
+    for kind in CentralityKind:
+        table = compute(from_edge_list([]), kind)
+        assert table.labels.size == table.values.size == 0
+
+
 def test_degree_sum_rule():
     rng = random.Random(2)
     for _ in range(20):

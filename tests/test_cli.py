@@ -295,24 +295,14 @@ def test_truth_must_cover_the_graph_vertex_set(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
 
 
-@pytest.mark.parametrize("width", [0, -0.1, 0.15])
-def test_reconstruct_rejects_bucket_width_before_the_pipeline(tmp_path, capsys, monkeypatch,
-                                                               width):
-    edges = tmp_path / "g.edges"
-    chron = tmp_path / "g.chron"
-    run("generate", "--nodes", 40, "--connections", 3, "--seed", 13,
-        "--out", edges, "--chronology", chron)
-
-    def no_pipeline(*args, **kwargs):
-        raise AssertionError("the pipeline ran before the bucket width was checked")
-
-    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
+def test_reconstruct_has_no_bucket_width_flag(tmp_path, capsys):
+    # the bucket table's width is fixed at 0.1
     out = tmp_path / "r.json"
-    code = run("reconstruct", "--graph", edges, "--truth", chron, "--connections", 3,
-               "--alpha", 2, "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1,
-               "--bucket-width", width)
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("reconstruct", "--graph", tmp_path / "g.edges", "--connections", 3, "--seed", 1,
+            "--out", out, "--bucket-width", 0.1)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -366,7 +356,7 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
-@pytest.mark.parametrize("env", ["0", "-2", "x"])
+@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663"])
 def test_bad_jobs_env_is_rejected_before_any_input(tmp_path, capsys, monkeypatch, command, env):
     # the input files are missing: an error naming them would mean they were read first
     def no_pipeline(*args, **kwargs):

@@ -17,9 +17,9 @@ from netchrono import (
     rank_descending,
     remove_vertices,
 )
-from netchrono.centrality import degree_scores
+from netchrono.centrality import _union_csr, degree_scores
 from netchrono.errors import InvalidConfigError, TooSmallError
-from netchrono.dcr import _dcm, _levels, _union_csr
+from netchrono.dcr import _dcm, _levels
 
 from builders import adjacency, graph, level_csrs, score_table
 from oracles import oracle_differential_core_ranking, random_graph

@@ -27,8 +27,8 @@ from netchrono import (
     from_edge_list,
     generate_ba,
 )
-from netchrono.centrality import eigenvector_scores
-from netchrono.dcr import _level_scores, _levels
+from netchrono.centrality import _level_scores, eigenvector_scores
+from netchrono.dcr import _levels
 from netchrono.errors import NoConvergenceError
 
 from builders import graph, level_csrs

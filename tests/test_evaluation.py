@@ -14,13 +14,10 @@ from netchrono import (
 )
 from netchrono.errors import (
     DegenerateBinsError,
-    InvalidConfigError,
     NotAPartitionError,
     SizeMismatchError,
     TooSmallError,
 )
-
-from netchrono.evaluation import bucket_count
 
 from builders import digraph
 
@@ -122,9 +119,9 @@ def test_bucket_table_unanimous_tournament():
     edges = {(u, v): 10 for u in labels for v in labels if u < v}
     dg = digraph(labels, edges, 10)
     rows = probability_bucket_table(dg, Chronology(labels))
-    assert sum(r.edge_count for r in rows) == 6
+    assert sum(r.count for r in rows) == 6
     top = rows[-1]
-    assert (top.range_low, top.range_high) == (0.9, 1.0)
+    assert (top.low, top.high) == (0.9, 1.0)
     assert top.edge_fraction == 1.0
     assert top.correct_fraction == 1.0
     assert sum(r.edge_fraction for r in rows) == pytest.approx(1.0, abs=1e-12)
@@ -133,20 +130,17 @@ def test_bucket_table_unanimous_tournament():
 def test_bucket_table_tie_weight_goes_lowest():
     dg = digraph([0, 1], {(0, 1): 5}, 10)
     rows = probability_bucket_table(dg, Chronology([1, 0]))
-    assert rows[0].edge_count == 1
+    assert rows[0].count == 1
     assert rows[0].correct_fraction == 0.0
-    assert all(r.edge_count == 0 for r in rows[1:])
+    assert all(r.count == 0 for r in rows[1:])
 
 
 def test_bucket_table_boundaries_and_width():
     dg = digraph([0, 1, 2], {(0, 1): 6, (1, 2): 7}, 10)
-    rows = probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=0.1)
-    assert [r.edge_count for r in rows] == [1, 1, 0, 0, 0]
-    for width in (0.15, 0.0, -0.1, float("nan"), float("inf")):
-        with pytest.raises(InvalidConfigError):
-            probability_bucket_table(dg, Chronology([0, 1, 2]), bucket_width=width)
-        with pytest.raises(InvalidConfigError):
-            bucket_count(width)
+    rows = probability_bucket_table(dg, Chronology([0, 1, 2]))
+    assert [r.count for r in rows] == [1, 1, 0, 0, 0]
+    assert [(r.low, r.high) for r in rows] == [
+        (0.5 + b * 0.1, 0.5 + (b + 1) * 0.1) for b in range(5)]
 
 
 def test_bucket_table_truth_mismatch():
@@ -157,9 +151,9 @@ def test_bucket_table_truth_mismatch():
 
 @pytest.mark.parametrize("alphas", [range(1, 301), [1000, 4096, 65535]])
 def test_bucket_index_matches_exact_fractions(alphas):
-    """Each majority count m out of alpha lands in bucket ceil((m/alpha - 1/2) / width) - 1,
-    clipped to the table, as exact rationals say; every other edge points the right way,
-    in rows on both sides of the 256-row tally blocks when alpha is 65535."""
+    """Each majority count m out of alpha lands in bucket ceil((m/alpha - 1/2) / 0.1) - 1,
+    clipped to the five buckets, as exact rationals say; every other edge points the right
+    way, in rows on both sides of the 256-row tally blocks when alpha is 65535."""
     for alpha in alphas:
         majorities = range((alpha + 1) // 2, alpha + 1)
         n = next(n for n in itertools.count(2) if comb(n, 2) >= len(majorities))
@@ -170,14 +164,13 @@ def test_bucket_index_matches_exact_fractions(alphas):
                  for t, ((u, v), m) in enumerate(zip(pairs, majorities))}
         dg = digraph(range(n), edges, alpha)
         truth = Chronology(range(n - 1, -1, -1))
-        for k in (1, 2, 4, 5, 10, 20, 25, 50):
-            width = Fraction(1, 2 * k)
-            want_total, want_correct = [0] * k, [0] * k
-            for t, m in enumerate(majorities):
-                b = min(max(ceil((Fraction(m, alpha) - Fraction(1, 2)) / width) - 1, 0), k - 1)
-                want_total[b] += 1
-                want_correct[b] += t % 2 == 1
-            rows = probability_bucket_table(dg, truth, bucket_width=0.5 / k)
-            assert [r.edge_count for r in rows] == want_total, (alpha, k)
-            assert [r.correct_fraction for r in rows] == [
-                c / t if t else 0.0 for c, t in zip(want_correct, want_total)], (alpha, k)
+        k, width = 5, Fraction(1, 10)
+        want_total, want_correct = [0] * k, [0] * k
+        for t, m in enumerate(majorities):
+            b = min(max(ceil((Fraction(m, alpha) - Fraction(1, 2)) / width) - 1, 0), k - 1)
+            want_total[b] += 1
+            want_correct[b] += t % 2 == 1
+        rows = probability_bucket_table(dg, truth)
+        assert [r.count for r in rows] == want_total, alpha
+        assert [r.correct_fraction for r in rows] == [
+            c / t if t else 0.0 for c, t in zip(want_correct, want_total)], alpha

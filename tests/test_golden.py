@@ -61,7 +61,7 @@ def digests(kind: CentralityKind, jobs: int) -> tuple[str, str, str]:
     arrays = (np.ascontiguousarray(labels, dtype=np.int64), np.ascontiguousarray(src, dtype=np.int64),
               np.ascontiguousarray(dst, dtype=np.int64), np.ascontiguousarray(w, dtype=np.float64))
     rows = "\n".join(
-        f"{r.range_low!r} {r.range_high!r} {r.edge_fraction!r} {r.correct_fraction!r} {r.edge_count}"
+        f"{r.low!r} {r.high!r} {r.edge_fraction!r} {r.correct_fraction!r} {r.count}"
         for r in probability_bucket_table(dg, truth))
     return (_sha([bins_text.encode()]), _sha(a.tobytes() for a in arrays), _sha([rows.encode()]))
 

@@ -69,7 +69,7 @@ def test_pipeline_config_validation():
                       "master_seed": np.uint64(1)})
 
 
-@pytest.mark.parametrize("env", ["0", "-2", "x"])
+@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663"])
 def test_default_jobs_rejects_env_values_below_one(monkeypatch, env):
     monkeypatch.setenv("NETCHRONO_JOBS", env)
     with pytest.raises(InvalidConfigError, match="NETCHRONO_JOBS"):
