@@ -295,12 +295,24 @@ def test_truth_must_cover_the_graph_vertex_set(tmp_path, capsys, monkeypatch, co
     assert not out.exists()
 
 
-def test_reconstruct_has_no_bucket_width_flag(tmp_path, capsys):
-    # the bucket table's width is fixed at 0.1
+@pytest.mark.parametrize("width", [0, -0.1, 0.15, 0.1])
+def test_reconstruct_rejects_bucket_width_before_the_pipeline(tmp_path, capsys, monkeypatch,
+                                                               width):
+    # the bucket table's width is fixed at 0.1, so any --bucket-width is an unknown flag
+    edges = tmp_path / "g.edges"
+    chron = tmp_path / "g.chron"
+    run("generate", "--nodes", 40, "--connections", 3, "--seed", 13,
+        "--out", edges, "--chronology", chron)
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran on an unknown flag")
+
+    monkeypatch.setattr(cli, "reconstruct_with_ranking", no_pipeline)
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:
-        run("reconstruct", "--graph", tmp_path / "g.edges", "--connections", 3, "--seed", 1,
-            "--out", out, "--bucket-width", 0.1)
+        run("reconstruct", "--graph", edges, "--truth", chron, "--connections", 3,
+            "--alpha", 2, "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1,
+            "--bucket-width", width)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not out.exists()
