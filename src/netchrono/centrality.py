@@ -251,7 +251,8 @@ def _union_csr(indptr: np.ndarray, indices: np.ndarray,
                levels: list[Level]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The levels' induced CSR structures as one block-diagonal CSR, and the block sizes.
     An entry is in each level below the lesser depth (levels holding it) of its ends;
-    numbering (level, vertex) pairs in that order keeps each row's neighbours sorted."""
+    numbering (level, vertex) pairs in that order keeps each row's neighbours sorted,
+    and a row's length is the vertex's degree in its level, which the peel recorded."""
     n = len(indptr) - 1
     depth = np.bincount(np.concatenate([live for live, _ in levels]), minlength=n)
     level = np.arange(len(levels))[:, None]
@@ -259,7 +260,7 @@ def _union_csr(indptr: np.ndarray, indices: np.ndarray,
     rows = np.repeat(np.arange(n), np.diff(indptr))
     k, at = np.nonzero(np.minimum(depth[rows], depth[indices]) > level)
     sizes = np.array([len(live) for live, _ in levels])
-    counts = np.bincount(union_row[k, rows[at]], minlength=sizes.sum())
+    counts = np.concatenate([degrees for _, degrees in levels])
     return np.concatenate([[0], np.cumsum(counts)]), union_row[k, indices[at]], sizes
 
 

@@ -8,9 +8,10 @@ pairwise arrival-probability digraph and its acyclic transform) and
 All types are immutable after construction (read-only arrays, no caches);
 structural operations return new objects, safe to share across processes.
 
-The one cycle test is Kahn's source peel (`_source_rounds`), read by
-`is_acyclic`, the probes of `break_cycles` and `bin_by_indegree`.  The
-one label rule, an integer in the int64 range, is `_int64_labels`.
+The one cycle test is Kahn's source peel (`_source_rounds`) of a square
+bool matrix, read by `is_acyclic`, `bin_by_indegree` and the probes of
+`break_cycles`, which peel principal submatrices of the counts.  The one
+label rule, an integer in the int64 range, is `_int64_labels`.
 """
 from __future__ import annotations
 
@@ -269,28 +270,21 @@ def _level_counts(counts: np.ndarray, alpha: int) -> np.ndarray:
     return tally[1:]
 
 
-def _source_rounds(edge: np.ndarray,
-                   rows: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
-    """Kahn's source peel of an n x n bool edge matrix: the positions of
+def _source_rounds(edge: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Kahn's source peel of a square bool edge matrix: the positions of
     each round's sources, and the mask of positions never peeled (the
     vertices on a cycle, self-loops included, and those downstream of one;
     empty iff the digraph is acyclic).  A peeled vertex keeps in-degree 0,
     so only the columns a round lowers can hold the next round's sources.
-
-    With `rows` (ascending positions), `edge` holds only those rows, all n
-    columns, and the peel is that of the principal submatrix over `rows`,
-    read by position in `rows`: no column is gathered.  In-degrees are
-    column sums of the bytes, which needs no cast of the bools to intp."""
-    def indegree(part: np.ndarray) -> np.ndarray:
-        counts = part.view(np.uint8).sum(axis=0, dtype=np.int32)
-        return counts if rows is None else counts[rows]
-
-    indeg = indegree(edge)
+    In-degrees are column sums of the bytes, which needs no cast of the
+    bools to intp."""
+    edge = edge.view(np.uint8)
+    indeg = edge.sum(axis=0, dtype=np.int32)
     rounds = []
     sources = np.flatnonzero(indeg == 0)
     while len(sources):
         rounds.append(sources)
-        drop = indegree(edge[sources])
+        drop = edge[sources].sum(axis=0, dtype=np.int32)
         indeg -= drop
         sources = np.flatnonzero((indeg == 0) & (drop != 0))
     return rounds, indeg != 0

@@ -191,40 +191,39 @@ def break_cycles(dg: WeightedDigraph) -> WeightedDigraph:
     n = len(labels)
 
     # Every probe is a subgraph of the last probe found cyclic (a binary
-    # search only narrows; the first takes every row), so its cycles lie among
-    # the vertices that probe's source peel never reached: a probe takes only
-    # their rows, the cycle vertices and what lies downstream of them, and
-    # peels the principal submatrix over them.  Sorted, they keep row-major order.
-    cyclic = np.arange(n)
+    # search only narrows), so its cycles lie among the vertices that probe's
+    # source peel never reached: it peels the principal submatrix of the counts
+    # over them, kept until a probe is cyclic (the first peels the whole
+    # matrix).  Sorted, they keep row-major order.
+    cyclic, sub = np.arange(n), counts
 
     def acyclic(key: int) -> bool:
         """Acyclic once every edge of key up to `key` goes."""
-        nonlocal cyclic
-        sub = counts if len(cyclic) == n else counts.take(cyclic, 0)
-        left = _source_rounds(_outlast(sub, cyclic, key), cyclic)[1]
-        if not left.any():
-            return True
-        cyclic = cyclic[left]
-        return False
+        nonlocal cyclic, sub
+        left = np.flatnonzero(_source_rounds(_outlast(sub, cyclic, n, key))[1])
+        if len(left):
+            cyclic, sub = cyclic[left], sub.take(left, 0).take(left, 1)
+        return not len(left)
 
     # removing nothing leaves a cycle, removing every edge does not
     keys = range((alpha + 1) // 2 * n * n, (alpha + 1) * n * n)
     cut = keys[bisect_left(keys, True, key=acyclic)]
-    kept = counts * _outlast(counts, np.arange(n), cut)
+    kept = counts * _outlast(counts, np.arange(n), n, cut)
     return WeightedDigraph._from_counts(labels, kept, alpha)
 
 
-def _outlast(sub: np.ndarray, rows: np.ndarray, key: int) -> np.ndarray:
-    """Mask of the edges of `sub`, the rows `rows` (ascending) of an n x n
-    count matrix, that outlast a cut: those of key above `key`."""
-    n = sub.shape[1]
+def _outlast(sub: np.ndarray, at: np.ndarray, n: int, key: int) -> np.ndarray:
+    """Mask of the edges of `sub`, the principal submatrix over the ascending positions
+    `at` of an n x n count matrix, that outlast a cut: those of key above `key`."""
     top, rest = divmod(key, n * n)
     cut_row, cut_col = divmod(rest, n)
     # count above top before the cut row, at least top after it
-    keep = sub > np.where(rows < cut_row, top, top - 1).astype(sub.dtype)[:, None]
-    r = int(np.searchsorted(rows, cut_row))
-    if r < len(rows) and rows[r] == cut_row:
-        np.greater(sub[r, :cut_col + 1], top, out=keep[r, :cut_col + 1])
+    keep = sub > np.where(at < cut_row, top, top - 1).astype(sub.dtype)[:, None]
+    r = int(np.searchsorted(at, cut_row))
+    if r < len(at) and at[r] == cut_row:
+        # above top up to the cut column, which `at` may no longer hold
+        c = int(np.searchsorted(at, cut_col, side="right"))
+        np.greater(sub[r, :c], top, out=keep[r, :c])
     return keep
 
 
@@ -338,11 +337,14 @@ def default_jobs() -> int:
     """--jobs default: NETCHRONO_JOBS env var, else the hardware thread count.
 
     InvalidConfigError if NETCHRONO_JOBS is set to anything but ASCII decimal
-    digits (no sign, space or underscore) of a value >= 1.
+    digits (no sign, space or underscore) of a value >= 1 with at most 19
+    digits past its leading zeros: `int` refuses a string of over 4300 digits.
     """
     env = os.environ.get("NETCHRONO_JOBS")
     if env:
-        if not (env.isascii() and env.isdecimal() and int(env) >= 1):
-            raise InvalidConfigError(f"NETCHRONO_JOBS must be an integer >= 1, got {env!r}")
-        return int(env)
+        digits = env.lstrip("0")
+        if not (env.isascii() and env.isdecimal() and 1 <= len(digits) <= 19):
+            raise InvalidConfigError(
+                f"NETCHRONO_JOBS must be an integer >= 1 of at most 19 digits, got {env!r}")
+        return int(digits)
     return os.cpu_count() or 1

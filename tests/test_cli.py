@@ -368,7 +368,8 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, command, jobs):
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "compare-bins", "sweep"])
-@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663"])
+@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663",
+                                 pytest.param("1" * 5000, id="5000_ones")])
 def test_bad_jobs_env_is_rejected_before_any_input(tmp_path, capsys, monkeypatch, command, env):
     # the input files are missing: an error naming them would mean they were read first
     def no_pipeline(*args, **kwargs):

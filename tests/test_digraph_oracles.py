@@ -106,6 +106,9 @@ def assert_matches_oracles(dg: WeightedDigraph) -> list[frozenset[int]]:
 @example(digraph(range(4), {(0, 1): 2, (1, 2): 1, (2, 0): 2, (2, 3): 1, (3, 2): 1}, 2))
 # the cut on the very last key: a count-alpha self-loop on the last vertex, so every edge goes
 @example(digraph(range(4), {(0, 1): 3, (1, 0): 2, (1, 2): 3, (3, 3): 3}, 3))
+# probes in row 2 after the cyclic set has shrunk to {2}: their cut columns 0 and 1
+# are no longer in it, so the self-loop's column must stay right of the cut
+@example(digraph(range(3), {(1, 2): 4, (2, 0): 4, (2, 1): 3, (2, 2): 5}, 5))
 # the cut on the first edge of row 0, the lowest key an edge can carry
 @example(digraph(range(3), {(0, 0): 3, (0, 1): 3, (1, 2): 4, (2, 1): 5}, 5))
 def test_break_and_bin_match_oracles(dg):

@@ -15,7 +15,7 @@ from netchrono import (
     remove_vertices,
 )
 from netchrono.errors import NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError
-from netchrono.graph import _level_counts, _source_rounds
+from netchrono.graph import _level_counts
 from netchrono.reconstruction import pairwise_digraph
 
 from builders import adjacency, digraph, graph
@@ -132,23 +132,6 @@ def test_level_counts_match_bincount(n):
     # 256 rows are counted at a time: an empty matrix, one row, and block edges
     counts = np.random.default_rng(n).integers(0, 7, size=(n, n), dtype=np.uint8)
     assert np.array_equal(_level_counts(counts, 6), np.bincount(counts.ravel(), minlength=7)[1:])
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 12), data=st.data())
-def test_row_subset_peel_matches_principal_submatrix(n, data):
-    """The peel of `rows` out of a full-width row gather is the square peel
-    of the principal submatrix over them: same rounds, same leftover mask
-    (random bool matrices, self-loops included)."""
-    cells = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    edge = np.array(cells, dtype=bool).reshape(n, n)
-    rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-                          ) if n else np.empty(0, dtype=np.int64)
-    rounds, left = _source_rounds(edge.take(rows, 0), rows)
-    want_rounds, want_left = _source_rounds(edge[np.ix_(rows, rows)])
-    assert len(rounds) == len(want_rounds)
-    assert all(np.array_equal(a, b) for a, b in zip(rounds, want_rounds))
-    assert np.array_equal(left, want_left)
 
 
 def test_is_acyclic_iff_singleton_sccs():

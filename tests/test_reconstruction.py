@@ -69,7 +69,8 @@ def test_pipeline_config_validation():
                       "master_seed": np.uint64(1)})
 
 
-@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663"])
+@pytest.mark.parametrize("env", ["0", "-2", "x", "1_6", " +2 ", "\u0663",
+                                 pytest.param("1" * 5000, id="5000_ones")])
 def test_default_jobs_rejects_env_values_below_one(monkeypatch, env):
     monkeypatch.setenv("NETCHRONO_JOBS", env)
     with pytest.raises(InvalidConfigError, match="NETCHRONO_JOBS"):
@@ -78,6 +79,8 @@ def test_default_jobs_rejects_env_values_below_one(monkeypatch, env):
 
 def test_default_jobs_reads_the_env(monkeypatch):
     monkeypatch.setenv("NETCHRONO_JOBS", "3")
+    assert default_jobs() == 3
+    monkeypatch.setenv("NETCHRONO_JOBS", "0" * 5000 + "3")  # leading zeros past int's limit
     assert default_jobs() == 3
     monkeypatch.delenv("NETCHRONO_JOBS")
     assert default_jobs() >= 1
