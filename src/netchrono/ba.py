@@ -9,11 +9,12 @@ the arrival completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .errors import InvalidConfigError, SizeMismatchError, _require_integer, _require_seed
-from .graph import Chronology, UndirectedGraph, _csr_layout
+from .graph import Chronology, UndirectedGraph, _csr_layout, _positions
 
 @dataclass(frozen=True)
 class BAConfig:
@@ -37,14 +38,14 @@ class BAConfig:
             raise InvalidConfigError(f"n={self.n} c={self.c}: attachment list reaches 2**32")
 
 
-def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
+def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, np.ndarray]:
     """Grow a BA network of cfg.n nodes; fully deterministic given cfg.seed.
 
     Uses numpy's PCG64 generator.  Degree-proportional sampling draws
     uniformly from an attachment list holding each vertex once per unit of
     degree (equivalent to inverting the cumulative degree distribution);
     duplicate targets within one arrival are rejected and redrawn.
-    Returns the graph and the chronology [0, 1, ..., n-1].
+    Returns the graph and its labels [0, 1, ..., n-1], its chronology.
 
     The draws are those of one scalar `integers(0, len(list))` call per
     pick, in arrival order; see `_draw_targets`.
@@ -56,7 +57,7 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, Chronology]:
     dst = np.concatenate([clique_v, targets.reshape(-1)])
     indptr, indices = _csr_layout(n, np.concatenate([src, dst]), np.concatenate([dst, src]))
     g = UndirectedGraph._from_csr(np.arange(n, dtype=np.int64), indptr, indices)
-    return g, Chronology(range(n))
+    return g, g.csr_arrays()[0]
 
 
 def _draw_targets(n: int, c: int, bitgen: np.random.BitGenerator) -> np.ndarray:
@@ -149,9 +150,9 @@ def _lemire(words, bounds, floors):
 
 def shuffle_vertex_labels(
     g: UndirectedGraph,
-    chronology: Chronology,
+    chronology: Iterable[int],
     seed: int,
-) -> tuple[UndirectedGraph, Chronology]:
+) -> tuple[UndirectedGraph, np.ndarray]:
     """Permute vertex labels uniformly at random (PCG64-seeded).
 
     Freshly generated networks carry labels equal to their arrival ranks,
@@ -162,13 +163,12 @@ def shuffle_vertex_labels(
     """
     _require_seed(seed)
     labels, indptr, indices = g.csr_arrays()
-    if set(chronology) != set(labels.tolist()):
-        raise SizeMismatchError("the chronology does not list exactly the graph's vertices")
-    order = np.fromiter(chronology, dtype=np.int64, count=len(chronology))
+    rows = _positions(labels, chronology, SizeMismatchError(
+        "the chronology does not list exactly the graph's vertices"))
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(len(labels))
     # labels[i] becomes labels[perm[i]], so row i moves to row perm[i]
     relabeled = UndirectedGraph._from_csr(labels, *_csr_layout(
         len(labels), np.repeat(perm, np.diff(indptr)), perm[indices]))
-    return relabeled, Chronology(labels[perm[np.searchsorted(labels, order)]].tolist())
+    return relabeled, Chronology(labels[perm[rows]])
 

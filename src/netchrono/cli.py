@@ -29,7 +29,7 @@ from .dcr import differential_core_ranking, rank_descending
 from .errors import (InvalidConfigError, NetchronoError, SizeMismatchError, _require_integer,
                      _require_seed)
 from .evaluation import bqm, eta_pairs, probability_bucket_table
-from .graph import Chronology, UndirectedGraph, WeightedDigraph, _level_counts
+from .graph import UndirectedGraph, WeightedDigraph, _level_counts, _positions
 from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
                              reconstruct_with_ranking)
 
@@ -124,8 +124,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_pipeline(args: argparse.Namespace) -> tuple[UndirectedGraph, Chronology | None,
-                                                     BinOrdering, WeightedDigraph, list[int], dict]:
+def _run_pipeline(args: argparse.Namespace) -> tuple[
+        UndirectedGraph, np.ndarray | None, BinOrdering, WeightedDigraph, np.ndarray, dict]:
     """The pipeline on --graph: the network, its --truth if given, the bins,
     the digraph, the reference ranking and the result's `config` block.
     The config and the truth, which must list exactly the network's
@@ -140,13 +140,8 @@ def _run_pipeline(args: argparse.Namespace) -> tuple[UndirectedGraph, Chronology
     truth = None
     if args.truth is not None:
         truth = nio.read_chronology(args.truth)
-        labels = set(truth.order)
-        if labels != g.vertices:
-            raise SizeMismatchError(
-                f"{args.truth} lists {len(labels)} vertices, {len(labels - g.vertices)} of them "
-                f"not in {args.graph}, which has {g.vertex_count} vertices, "
-                f"{len(g.vertices - labels)} of them missing from the chronology"
-            )
+        _positions(g.csr_arrays()[0], truth, SizeMismatchError(
+            f"{args.truth} does not list exactly the {g.vertex_count} vertices of {args.graph}"))
     bins, dg, ref_rank = reconstruct_with_ranking(g, cfg, jobs=args.jobs)
     config = {
         "graph": str(args.graph),
@@ -195,7 +190,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     }
     if truth is not None:
         result["metrics"]["bqm"] = bqm(truth, bins)
-        result["metrics"]["eta_pairs"] = eta_pairs(truth, Chronology(ref_rank))
+        result["metrics"]["eta_pairs"] = eta_pairs(truth, ref_rank)
         result["bucket_table"] = [dataclasses.asdict(row)
                                   for row in probability_bucket_table(dg, truth)]
     _write_json(result, args.out)
@@ -212,8 +207,8 @@ def _sweep_point(task: tuple[BAConfig, CentralityKind]) -> tuple[float, float]:
     g, truth = generate_ba(cfg)
     # relabel so neither ranking can read arrival order out of the labels
     g, truth = shuffle_vertex_labels(g, truth, child_seed(cfg.seed, 0))
-    plain = Chronology(rank_descending(compute(g, kind)).tolist())
-    differential = Chronology(rank_descending(differential_core_ranking(g, kind)).tolist())
+    plain = rank_descending(compute(g, kind))
+    differential = rank_descending(differential_core_ranking(g, kind))
     return eta_pairs(truth, plain), eta_pairs(truth, differential)
 
 

@@ -4,18 +4,21 @@ eta_pairs scores a full predicted arrival list by the fraction of vertex
 pairs in correct relative order; bqm scores a bin ordering by averaging,
 over bin pairs, the fraction of cross-bin vertex pairs in correct true
 order; the probability bucket table summarizes how often pre-cycle-break
-digraph edges of a given confidence point the right way.
+digraph edges of a given confidence point the right way.  Orders are
+any label sequences, lined up with the truth by `graph._positions`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
+from typing import Iterable
 
 import numpy as np
 
 from .baselines import BinOrdering
 from .errors import DegenerateBinsError, NotAPartitionError, SizeMismatchError, TooSmallError
-from .graph import Chronology, WeightedDigraph, _level_counts
+from .graph import Chronology, WeightedDigraph, _level_counts, _positions
 
 
 # the bucket table's buckets: five of width 0.1 over (0.5, 1.0]
@@ -33,16 +36,13 @@ class BucketRow:
     count: int
 
 
-def eta_pairs(truth: Chronology, predicted: Chronology) -> float:
+def eta_pairs(truth: Iterable[int], predicted: Iterable[int]) -> float:
     """Fraction of unordered vertex pairs whose relative order matches truth."""
-    n = len(truth)
-    if set(truth.order) != set(predicted.order):
-        raise SizeMismatchError("truth and predicted must be permutations of the same set")
-    if n < 2:
+    seq = _positions(Chronology(truth), predicted, SizeMismatchError(
+        "truth and predicted must be permutations of the same set"))
+    if len(seq) < 2:
         raise TooSmallError("need at least 2 vertices to compare pair orders")
-    pos = truth.positions()
-    seq = [pos[v] for v in predicted]
-    return _concordant_pairs(seq) / comb(n, 2)
+    return _concordant_pairs(seq.tolist()) / comb(len(seq), 2)
 
 
 def _concordant_pairs(seq: list[int]) -> int:
@@ -62,19 +62,19 @@ def _concordant_pairs(seq: list[int]) -> int:
     return total
 
 
-def bqm(truth: Chronology, bins: BinOrdering) -> float:
+def bqm(truth: Iterable[int], bins: BinOrdering) -> float:
     """Binning quality: mean over bin pairs (i < j) of beta(i, j).
 
     beta(i, j) is the fraction of (u in B_i, v in B_j) pairs with u truly
     arriving before v.
     """
-    if bins.covered() != set(truth.order):
-        raise NotAPartitionError("bins must partition exactly the truth vertex set")
+    place = _positions(Chronology(truth), chain.from_iterable(bins.bins), NotAPartitionError(
+        "bins must partition exactly the truth vertex set"))
     delta = bins.delta
     if delta < 2:
         raise DegenerateBinsError("bqm needs at least 2 bins")
-    pos = truth.positions()
-    bin_positions = [np.sort(np.array([pos[v] for v in b], dtype=np.int64)) for b in bins.bins]
+    ends = np.cumsum([len(b) for b in bins.bins])[:-1]
+    bin_positions = [np.sort(p) for p in np.split(place, ends)]
     total = 0.0
     for i in range(delta):
         earlier = bin_positions[i]
@@ -85,24 +85,21 @@ def bqm(truth: Chronology, bins: BinOrdering) -> float:
     return total / comb(delta, 2)
 
 
-def probability_bucket_table(dg: WeightedDigraph, truth: Chronology) -> list[BucketRow]:
+def probability_bucket_table(dg: WeightedDigraph, truth: Iterable[int]) -> list[BucketRow]:
     """Bucket digraph edges by weight into five buckets of 0.1 over (0.5, 1.0]
     and score each bucket.
 
     Per bucket: the fraction of all edges whose weight lands in it, and,
     among those, the fraction of edges (u, v) with u truly arriving before
     v.  Weight exactly 0.5 (an orientation tie) counts into the lowest
-    bucket.
+    bucket.  The truth must list exactly the digraph's vertices.
     """
-    pos = truth.positions()
     labels, counts, alpha = dg.matrix()
-    missing = dg.vertices - set(truth.order)
-    if missing:
-        raise SizeMismatchError(f"truth is missing {len(missing)} digraph vertices")
-
+    # argsort inverts the rows of the truth's labels: the arrival of each label
+    rank = np.argsort(_positions(labels, truth, SizeMismatchError(
+        "truth must list exactly the digraph vertices")))
     # edges per count m = 1..alpha, and the correct ones, from an earlier to
     # a later arrival, tallied 256 rows at a time
-    rank = np.array([pos[int(v)] for v in labels], dtype=np.int64)
     correct = np.zeros(alpha + 1, dtype=np.intp)
     for lo in range(0, len(labels), 256):
         correct += np.bincount(counts[lo:lo + 256][rank[lo:lo + 256, None] < rank],

@@ -1,17 +1,17 @@
 """Core graph types and structural algorithms.
 
-Three value types underpin the whole pipeline: `UndirectedGraph` (the
-reference network and its peeled remnants), `WeightedDigraph` (the
-pairwise arrival-probability digraph and its acyclic transform) and
-`Chronology` (a recorded or predicted vertex arrival order).
+Two value types underpin the whole pipeline: `UndirectedGraph` (the
+reference network and its peeled remnants) and `WeightedDigraph` (the
+pairwise arrival-probability digraph and its acyclic transform).
 
-All types are immutable after construction (read-only arrays, no caches);
+Both are immutable after construction (read-only arrays, no caches);
 structural operations return new objects, safe to share across processes.
 
 The one cycle test is Kahn's source peel (`_source_rounds`) of a square
 bool matrix, read by `is_acyclic`, `bin_by_indegree` and the probes of
 `break_cycles`, which peel principal submatrices of the counts.  The one
-label rule, an integer in the int64 range, is `_int64_labels`.
+label rule, an integer in the int64 range, is `_int64_labels`; the order
+rule is `Chronology` and the position rule, placing labels in an order, `_positions`.
 """
 from __future__ import annotations
 
@@ -100,51 +100,27 @@ def _csr_layout(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray,
     return indptr, indices
 
 
-class Chronology:
-    """An ordered sequence of distinct int64 vertex labels (an arrival order)."""
+def Chronology(order: Iterable[int]) -> np.ndarray:
+    """A new read-only int64 array of `order`'s labels, NotAPartitionError on a
+    repeat; named as a type because perfbench/ calls `Chronology(ref_rank)`."""
+    if isinstance(order, range) and order:  # list() overflows past sys.maxsize labels
+        _int64_labels([order[0], order[-1]])
+    labels = _int64_labels(list(order))  # callers pass generators
+    if len(set(labels.tolist())) != len(labels):  # np.unique imports numpy.ma on first use
+        raise NotAPartitionError("chronology contains duplicate labels")
+    labels.setflags(write=False)
+    return labels
 
-    __slots__ = ("_order",)
 
-    def __init__(self, order: Iterable[int]):
-        if isinstance(order, range):
-            # distinct integers by construction, its extremes at its ends
-            _int64_labels([order[0], order[-1]] if order else [])
-            labels = tuple(order)
-        else:
-            labels = tuple(_int64_labels(list(order)).tolist())  # callers pass generators
-            if len(set(labels)) != len(labels):
-                raise NotAPartitionError("chronology contains duplicate labels")
-        self._order = labels
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self._order
-
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self._order)}
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._order)
-
-    def __getitem__(self, i: int) -> int:
-        return self._order[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Chronology):
-            return NotImplemented
-        return self._order == other._order
-
-    def __hash__(self) -> int:
-        return hash(self._order)
-
-    def __repr__(self) -> str:
-        if len(self._order) > 8:
-            head = ", ".join(map(str, self._order[:8]))
-            return f"Chronology([{head}, ...], n={len(self._order)})"
-        return f"Chronology({list(self._order)})"
+def _positions(order: np.ndarray, labels: Iterable[int], error: NetchronoError) -> np.ndarray:
+    """Where each of `labels` sits in `order`, an int64 array of distinct
+    labels; `error` unless `labels` lists order's labels, each once."""
+    labels = _int64_labels(list(labels))
+    by_label = np.argsort(order)
+    ascending = order[by_label]
+    if not np.array_equal(np.sort(labels), ascending):
+        raise error
+    return by_label[np.searchsorted(ascending, labels)]
 
 
 class WeightedDigraph:
@@ -173,10 +149,6 @@ class WeightedDigraph:
         for a in (labels, counts):
             a.setflags(write=False)
         return dg
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(int(v) for v in self._labels)
 
     @property
     def vertex_count(self) -> int:

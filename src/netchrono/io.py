@@ -7,7 +7,7 @@ survive a round trip; a file has at most one.
 
 Chronology: one vertex label per line, in arrival order.
 
-Writers reject a negative label, which no reader accepts, before opening the file.
+Writers refuse a label no reader takes (negative, repeated, non-integer) before opening the file.
 
 Readers reject a malformed line with an `InputFormatError` naming
 path:line: a wrong number of fields, a label or a "# vertices:" count
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -117,7 +118,8 @@ def read_edge_list(path: str | Path) -> UndirectedGraph:
     return g
 
 
-def write_chronology(chron: Chronology, path: str | Path) -> None:
+def write_chronology(chron: Iterable[int], path: str | Path) -> None:
+    chron = Chronology(chron).tolist()
     if min(chron, default=0) < 0:
         raise NetchronoError(f"label {min(chron)} is negative: a chronology holds labels >= 0")
     with open(path, "w", encoding="utf-8") as fh:
@@ -125,7 +127,7 @@ def write_chronology(chron: Chronology, path: str | Path) -> None:
             fh.write(f"{v}\n")
 
 
-def read_chronology(path: str | Path) -> Chronology:
+def read_chronology(path: str | Path) -> np.ndarray:
     first_line: dict[int, int] = {}  # label -> its line, in arrival order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):

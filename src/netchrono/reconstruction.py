@@ -36,6 +36,7 @@ from .graph import (
     UndirectedGraph,
     WeightedDigraph,
     _int64_labels,
+    _positions,
     _source_rounds,
     is_acyclic,
 )
@@ -81,8 +82,8 @@ def child_seed(master_seed: int, *key: int) -> int:
 def map_and_predict(
     ref_rank: list[int],
     syn_rank: list[int],
-    syn_chronology: Chronology,
-) -> Chronology:
+    syn_chronology: list[int],
+) -> np.ndarray:
     """Prediction list from one synthetic network.
 
     Position k of syn_rank maps to position k of ref_rank (equal-importance
@@ -92,15 +93,11 @@ def map_and_predict(
     straight into positions); it stays while perfbench/spans.py traces it
     by name, so removing it waits for ROADMAP item 1.
     """
-    if not (len(ref_rank) == len(syn_rank) == len(syn_chronology)):
-        raise SizeMismatchError(
-            f"rank/chronology sizes differ: {len(ref_rank)}, {len(syn_rank)}, "
-            f"{len(syn_chronology)}"
-        )
-    if set(syn_rank) != set(syn_chronology.order):
-        raise SizeMismatchError("syn_rank and syn_chronology cover different vertices")
-    position = {u: k for k, u in enumerate(syn_rank)}
-    return Chronology(ref_rank[position[w]] for w in syn_chronology)
+    arrival = _positions(Chronology(syn_chronology), syn_rank, SizeMismatchError(
+        "syn_rank and syn_chronology cover different vertices"))  # when rank k arrives
+    if len(ref_rank) != len(arrival):
+        raise SizeMismatchError(f"ref_rank has {len(ref_rank)} labels, syn_rank {len(arrival)}")
+    return Chronology(Chronology(ref_rank)[np.argsort(arrival)])  # the rank at each arrival
 
 
 # rows of pair counts held at once in `pairwise_digraph`; the block stays in cache
@@ -300,9 +297,9 @@ def reconstruct_with_ranking(
     g_m: UndirectedGraph,
     cfg: PipelineConfig,
     jobs: int | None = None,
-) -> tuple[BinOrdering, WeightedDigraph, list[int]]:
+) -> tuple[BinOrdering, WeightedDigraph, np.ndarray]:
     """Full pipeline: the bin ordering, the pre-cycle-break digraph, and
-    the reference network's own salted DCM-descending ranking.
+    the reference network's own salted DCM-descending ranking (int64).
 
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
     child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
@@ -327,10 +324,11 @@ def reconstruct_with_ranking(
     # position of the reference vertex of rank k
     labels = g_m.csr_arrays()[0]
     positions = np.empty((cfg.alpha, n), dtype=np.int32)
-    positions[:, np.searchsorted(labels, ref_rank)] = syn_ranks
+    positions[:, _positions(labels, ref_rank, SizeMismatchError(
+        "the reference ranking does not list the network's vertices"))] = syn_ranks
     dg = pairwise_digraph(labels, positions)
     bins = bin_by_indegree(break_cycles(dg))
-    return bins, dg, ref_rank.tolist()
+    return bins, dg, ref_rank
 
 
 def default_jobs() -> int:

@@ -233,7 +233,7 @@ def test_criterion_7_structural_invariants():
         broken = break_cycles(dg)
         pw &= is_acyclic(broken)
         bins = bin_by_indegree(broken)
-        pw &= set().union(*bins.bins) == dg.vertices
+        pw &= set().union(*bins.bins) == set(dg.matrix()[0].tolist())
     checks["pairwise_break_bin_invariants"] = pw
 
     # eta / bqm boundary identities
@@ -253,7 +253,8 @@ def test_criterion_7_structural_invariants():
     a = reconstruct_with_ranking(g, cfg, jobs=1)
     b = reconstruct_with_ranking(g, cfg, jobs=1)
     c2 = reconstruct_with_ranking(g, cfg, jobs=3)
-    checks["determinism_repeat_and_jobs"] = a == b == c2
+    checks["determinism_repeat_and_jobs"] = (a[:2] == b[:2] == c2[:2]
+                                             and a[2].tolist() == b[2].tolist() == c2[2].tolist())
 
     elapsed = time.time() - start
     ok = all(checks.values()) and elapsed <= 60

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,12 @@ def test_each_argument_rule_is_written_once():
     texts = {p.name: p.read_text() for p in Path(netchrono.__file__).parent.glob("*.py")}
     assert [name for name, text in texts.items() if "Integral" in text] == ["errors.py"]
     assert sum(text.count("must be a CentralityKind") for text in texts.values()) == 1
+    # one order rule (`Chronology`) and one position rule (`graph._positions`):
+    # no module keeps its own map of where each label sits
+    assert sum(text.count("duplicate labels") for text in texts.values()) == 1
+    position_map = re.compile(r"\{\s*\w+\s*:\s*\w+\s+for\s+\w+\s*,\s*\w+\s+in\s+enumerate\(")
+    assert [name for name, text in texts.items()
+            if ".positions(" in text or position_map.search(text)] == []
 
 
 def test_each_scoring_decision_is_written_once():

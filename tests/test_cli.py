@@ -10,14 +10,19 @@ from netchrono import (
     BinOrdering,
     WeightedDigraph,
     bqm,
+    eta_pairs,
+    from_edge_list,
+    probability_bucket_table,
     read_chronology,
     read_edge_list,
     reconstruct_with_ranking,
+    shuffle_vertex_labels,
 )
 from netchrono import cli
 from netchrono.cli import main
+from netchrono.errors import NotAPartitionError, SizeMismatchError
 
-from builders import adjacency
+from builders import adjacency, digraph
 
 
 def run(*argv):
@@ -68,7 +73,7 @@ def test_generate_shuffle_labels(tmp_path):
     plain = read_chronology(plain_c)
     shuffled = read_chronology(shuf_c)
     assert list(plain) == list(range(50))
-    assert sorted(shuffled.order) == list(range(50))
+    assert sorted(shuffled.tolist()) == list(range(50))
     assert list(shuffled) != list(range(50))
 
 
@@ -293,6 +298,40 @@ def test_truth_must_cover_the_graph_vertex_set(tmp_path, capsys, monkeypatch, co
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# the entry points that line an order up with the vertices 1..4, and the error each raises
+LABEL_SET_CALLS = {
+    "eta_pairs": (lambda order: eta_pairs([3, 1, 4, 2], order), SizeMismatchError),
+    "bqm": (lambda order: bqm(order, BinOrdering((frozenset({1, 3}), frozenset({2, 4})))),
+            NotAPartitionError),
+    "probability_bucket_table": (
+        lambda order: probability_bucket_table(digraph([1, 2, 3, 4], {(3, 1): 8}, 10), order),
+        SizeMismatchError),
+    "shuffle_vertex_labels": (
+        lambda order: shuffle_vertex_labels(from_edge_list([(1, 2), (2, 3), (3, 4)]), order, 4),
+        SizeMismatchError),
+}
+
+
+@pytest.mark.parametrize("order", [[3, 1, 4], [3, 1, 4, 2, 9], [3, 1, 4, 2, 1]],
+                         ids=["missing", "extra", "repeated"])
+@pytest.mark.parametrize("entry", [*LABEL_SET_CALLS, "reconstruct --truth"])
+def test_one_label_set_rule_at_every_entry_point(tmp_path, capsys, entry, order):
+    if entry in LABEL_SET_CALLS:
+        call, error = LABEL_SET_CALLS[entry]
+        with pytest.raises(error):
+            call(order)
+        return
+    edges, truth, out = tmp_path / "g.edges", tmp_path / "g.chron", tmp_path / "r.json"
+    edges.write_text("1 2\n2 3\n3 4\n")
+    truth.write_text("".join(f"{v}\n" for v in order))
+    code = run("reconstruct", "--graph", edges, "--truth", truth, "--connections", 1,
+               "--alpha", 2, "--centrality", "degree", "--seed", 1, "--out", out, "--jobs", 1)
+    assert code == 1 and not out.exists()
+    # a repeat never reaches the vertex count: the chronology reader refuses it first
+    want = "already appeared" if len(set(order)) < len(order) else "the 4 vertices of"
+    assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("width", [0, -0.1, 0.15, 0.1])

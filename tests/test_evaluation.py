@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from math import ceil, comb
 
+import numpy as np
 import pytest
 
 from netchrono import (
@@ -10,10 +11,12 @@ from netchrono import (
     Chronology,
     bqm,
     eta_pairs,
+    map_and_predict,
     probability_bucket_table,
 )
 from netchrono.errors import (
     DegenerateBinsError,
+    NetchronoError,
     NotAPartitionError,
     SizeMismatchError,
     TooSmallError,
@@ -37,7 +40,7 @@ def test_eta_identical():
 
 def test_eta_reversal():
     truth = Chronology([3, 1, 4, 2])
-    assert eta_pairs(truth, Chronology(reversed(truth.order))) == 0.0
+    assert eta_pairs(truth, truth[::-1]) == 0.0
 
 
 def test_eta_single_swap():
@@ -174,3 +177,26 @@ def test_bucket_index_matches_exact_fractions(alphas):
         assert [r.count for r in rows] == want_total, alpha
         assert [r.correct_fraction for r in rows] == [
             c / t if t else 0.0 for c, t in zip(want_correct, want_total)], alpha
+
+
+# each entry point that reads orders, as a function of the form its orders take
+ORDER_READERS = {
+    "eta_pairs": lambda form: eta_pairs(form([3, 1, 4, 2]), form([1, 3, 2, 4])),
+    "bqm": lambda form: bqm(form([3, 1, 4, 2]),
+                            BinOrdering((frozenset({1, 3}), frozenset({2, 4})))),
+    "probability_bucket_table": lambda form: probability_bucket_table(
+        digraph([1, 2, 3, 4], {(3, 1): 8, (2, 4): 6, (4, 1): 10}, 10), form([3, 1, 4, 2])),
+    "map_and_predict": lambda form: map_and_predict(
+        form([12, 10, 11]), form([1, 0, 2]), form([0, 1, 2])).tolist(),
+}
+
+
+@pytest.mark.parametrize("reader", ORDER_READERS.values(), ids=ORDER_READERS)
+def test_orders_are_any_label_sequence(reader):
+    # each read its orders' `.order` or `.positions()`: a list was a bare AttributeError
+    forms = [list, lambda labels: np.array(labels, dtype=np.int64), Chronology]
+    values = [reader(form) for form in forms]
+    assert values[0] == values[1] == values[2]
+    for bad in (True, 1.5):
+        with pytest.raises(NetchronoError, match="is not an integer"):
+            reader(lambda labels: [bad, *labels[1:]])

@@ -15,7 +15,7 @@ from netchrono import (
     remove_vertices,
 )
 from netchrono.errors import NetchronoError, NotAPartitionError, SelfLoopError, UnknownVertexError
-from netchrono.graph import _level_counts
+from netchrono.graph import _level_counts, _positions
 from netchrono.reconstruction import pairwise_digraph
 
 from builders import adjacency, digraph, graph
@@ -149,7 +149,7 @@ def test_is_acyclic_iff_singleton_sccs():
 
 def test_weighted_digraph_accessors():
     dg = digraph([3, 1, 2], {(1, 3): 3, (2, 1): 5}, 5)
-    assert dg.vertices == {1, 2, 3}
+    assert dg.matrix()[0].tolist() == [1, 2, 3]
     assert dg.edge_count == 2
     labels, src, dst, w = dg.arrays()
     assert labels.tolist() == [1, 2, 3]
@@ -239,11 +239,11 @@ def test_bool_labels_are_rejected(build, labels):
 
 
 def test_chronology_reads_integral_labels_from_any_iterable():
-    assert Chronology(v for v in [4, 2, 7]).order == (4, 2, 7)
-    got = Chronology(np.array([4, 2, 7], dtype=np.uint64)).order
-    assert got == (4, 2, 7) and all(type(v) is int for v in got)
-    assert Chronology(range(3, 0, -1)).order == (3, 2, 1)
-    assert Chronology([2**63 - 1, np.int64(-2**63)]).order == (2**63 - 1, -2**63)
+    assert Chronology(v for v in [4, 2, 7]).tolist() == [4, 2, 7]
+    got = Chronology(np.array([4, 2, 7], dtype=np.uint64))
+    assert got.tolist() == [4, 2, 7] and got.dtype == np.int64
+    assert Chronology(range(3, 0, -1)).tolist() == [3, 2, 1]
+    assert Chronology([2**63 - 1, np.int64(-2**63)]).tolist() == [2**63 - 1, -2**63]
     # int64 like every other label: Chronology([2**63]) was written to a file no reader takes
     for order in ([2**63], [np.uint64(2**63 + 5)], [0, 1, 2, 2**70], [-2**63 - 1],
                   range(2**63 - 2, 2**63 + 1), range(-2**63 - 1, 0)):
@@ -252,10 +252,16 @@ def test_chronology_reads_integral_labels_from_any_iterable():
 
 
 def test_chronology_positions():
-    c = Chronology([4, 2, 7])
-    assert c.positions() == {4: 0, 2: 1, 7: 2}
+    source = np.array([4, 2, 7])
+    c = Chronology(source)
+    assert _positions(c, [4, 2, 7], NetchronoError()).tolist() == [0, 1, 2]
+    assert _positions(c, [7, 4, 2], NetchronoError()).tolist() == [2, 0, 1]
     assert list(c) == [4, 2, 7]
     assert len(c) == 3
+    # a new read-only int64 array: the order cannot change under its reader
+    assert c.dtype == np.int64 and not c.flags.writeable
+    source[0] = 9
+    assert c.tolist() == [4, 2, 7]
 
 
 def _canonical_edges(nxg: nx.Graph) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,8 +168,18 @@ def test_chronology_roundtrip(tmp_path):
     c = Chronology([5, 3, 0, 2])
     path = tmp_path / "c.chron"
     write_chronology(c, path)
-    assert read_chronology(path) == c
+    back = read_chronology(path)
+    assert back.tolist() == [5, 3, 0, 2] and back.dtype == np.int64
     # a negative label was written, and the reader refused it
     with pytest.raises(NetchronoError, match="label -4 is negative"):
         write_chronology(Chronology([5, -1, -4, 2]), tmp_path / "neg.chron")
     assert not (tmp_path / "neg.chron").exists()
+
+
+@pytest.mark.parametrize("order", [[1, 1], [1.5, 2], [True, 2], ["3"]])
+def test_write_chronology_writes_only_what_the_reader_reads(tmp_path, order):
+    # each was written as a file the reader refuses (a repeat, 1.5, True), or a bare TypeError
+    path = tmp_path / "bad.chron"
+    with pytest.raises(NetchronoError):
+        write_chronology(order, path)
+    assert not path.exists()
