@@ -9,7 +9,7 @@ the arrival completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class BAConfig:
             raise InvalidConfigError(f"n={self.n} c={self.c}: attachment list reaches 2**32")
 
 
-def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, np.ndarray]:
+def generate_ba(cfg: BAConfig, *,
+                _targets: np.ndarray | None = None) -> tuple[UndirectedGraph, np.ndarray]:
     """Grow a BA network of cfg.n nodes; fully deterministic given cfg.seed.
 
     Uses numpy's PCG64 generator.  Degree-proportional sampling draws
@@ -48,10 +49,14 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, np.ndarray]:
     Returns the graph and its labels [0, 1, ..., n-1], its chronology.
 
     The draws are those of one scalar `integers(0, len(list))` call per
-    pick, in arrival order; see `_draw_targets`.
+    pick, in arrival order; see `_draw_targets`.  `_targets` is the
+    network's row of a `_draw_targets(cfg.n, cfg.c, seeds)` call, drawn
+    already: the pipeline draws its whole ensemble at once and builds each
+    network here only so that perfbench/spans.py, which times and counts
+    this function by name, still sees one call per network (ROADMAP item 1).
     """
     n, c = cfg.n, cfg.c
-    targets = _draw_targets(n, c, np.random.PCG64(cfg.seed))
+    targets = _draw_targets(n, c, [cfg.seed])[0] if _targets is None else _targets
     clique_u, clique_v = np.triu_indices(c, k=1)
     src = np.concatenate([clique_u, np.repeat(np.arange(c, n), c)])
     dst = np.concatenate([clique_v, targets.reshape(-1)])
@@ -60,84 +65,129 @@ def generate_ba(cfg: BAConfig) -> tuple[UndirectedGraph, np.ndarray]:
     return g, g.csr_arrays()[0]
 
 
-def _draw_targets(n: int, c: int, bitgen: np.random.BitGenerator) -> np.ndarray:
-    """targets[u - c]: the c distinct vertices arrival u attaches to, in draw order.
+def _draw_targets(n: int, c: int, seeds: Sequence[int]) -> np.ndarray:
+    """targets[s, u - c]: the c distinct vertices arrival u attaches to, in draw
+    order, in the network grown from seeds[s]; the networks grow in lockstep.
 
-    `attach` is the network's attachment list: c(c-1) seed positions
+    `attach` holds one attachment list per network: c(c-1) seed positions
     (vertex p // (c-1)), then per arrival its c picks (-1 until accepted)
-    and itself c times; arrival u draws below c(c-1) + 2c(u-c).  A chunk of
-    arrivals reads one word per pick (`_lemire`) and gathers its picks from
-    `attach`, a -1 being a pick of the same chunk.  The arrivals before the
-    first that repeats a pick or reads a rejected word are accepted; that
-    one is finished word by word, as numpy's scalar calls would, and the
-    next chunk starts at the next word.
+    and itself c times; arrival u draws below c(c-1) + 2c(u-c).  A round
+    takes a chunk of arrivals from every unfinished network, each from its
+    own next arrival and next word: it reads one word per pick (`_lemire`)
+    and gathers the picks from `attach`, a -1 being a pick of the same
+    chunk.  A network's arrivals before the first that repeats a pick or
+    reads a rejected word are accepted.  That arrival is then finished word
+    by word, as numpy's scalar calls would, together with the stuck
+    arrivals of the other networks, and the network's next chunk starts at
+    its next word.  All networks take chunks of one length, which changes
+    how much a round redoes, never a pick.
     """
-    base = c * (c - 1)
-    attach = np.full(base + 2 * c * (n - c), -1, dtype=np.int64)
-    attach[:base] = np.arange(base) // max(c - 1, 1)
-    blocks = attach[base:].reshape(n - c, 2 * c)
-    blocks[:, c:] = np.arange(c, n)[:, None]
-    bounds = np.repeat(base + 2 * c * np.arange(n - c, dtype=np.uint64), c)
+    nets, base, arrivals = len(seeds), c * (c - 1), n - c
+    width = base + 2 * c * arrivals
+    attach = np.full((nets, width), -1, dtype=np.min_scalar_type(-n))  # -1 and every label
+    attach[:, :base] = np.arange(base) // max(c - 1, 1)
+    blocks = attach[:, base:].reshape(nets, arrivals, 2 * c)
+    blocks[:, :, c:] = np.arange(c, n)[:, None]
+    flat = attach.reshape(-1)
+    bounds = base + 2 * c * np.arange(arrivals, dtype=np.uint64)
     floors = (2**32 - bounds) % np.maximum(bounds, 1)  # bound 0: arrival 1 of c = 1
-    offsets = np.repeat(np.arange(n - c) * n, c)
-    words, at, u = np.empty(0, dtype=np.uint64), 0, c
+    u, at = np.full(nets, c), np.zeros(nets, dtype=np.int64)
     if base == 0:
         # K_1 has no degree mass: arrival 1 draws integers(0, 1), which reads no word
-        attach[0] = 0
+        blocks[:, 0, 0] = 0
         u += 1
-    while u < n:
-        lo, hi = (u - c) * c, (min(n, u + max(_CHUNK_MIN, u // _CHUNK_SHARE)) - c) * c
-        if len(words) - at < hi - lo:
-            words, at = np.concatenate([words[at:], _words(bitgen, hi - lo)]), 0
-        pos, accepted = _lemire(words[at:at + hi - lo], bounds[lo:hi], floors[lo:hi])
-        picks = attach[pos]
-        miss = (picks < 0).nonzero()[0]
+    # every pick's word, and words enough for the longest chunk past the last arrival
+    bitgens = [np.random.PCG64(s) for s in seeds]
+    ahead = (arrivals + max(_CHUNK_MIN, n // _CHUNK_SHARE)) * c // 2 + _CHUNK_MIN
+    words = np.stack([_words(b, ahead) for b in bitgens])
+
+    def read(net: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """words[net, first], drawing further words first where some are missing."""
+        nonlocal words
+        short = int(first.max()) + 1 - words.shape[1]
+        if short > 0:
+            more = short // 2 + _CHUNK_MIN
+            words = np.concatenate([words, np.stack([_words(b, more) for b in bitgens])], 1)
+        return words.reshape(-1)[net * words.shape[1] + first]
+
+    def finish(net: np.ndarray, picks: np.ndarray, accepted: np.ndarray) -> None:
+        """Pick the next arrival of each network `net`, whose next c words gave
+        `picks` and `accepted`, then word by word: an accepted word's pick is
+        kept unless the arrival has it already."""
+        for r in range(1, c):
+            accepted[:, r] &= ~(accepted[:, :r] & (picks[:, :r] == picks[:, r:r + 1])).any(1)
+        count = accepted.sum(axis=1)
+        chosen = np.take_along_axis(picks, np.argsort(~accepted, axis=1, kind="stable"), 1)
+        chosen[np.arange(c) >= count[:, None]] = -1
+        at[net] += c
+        t, rows = u[net] - c, np.arange(len(net))
+        while (open_ := count < c).any():
+            p, ok = _lemire(read(net, at[net]), bounds[t], floors[t])
+            at[net] += open_
+            pick = flat[net * width + p.view(np.int64)]
+            ok &= open_ & (chosen != pick[:, None]).all(axis=1)
+            chosen[rows[ok], count[ok]] = pick[ok]
+            count += ok
+        blocks[net, t, :c] = chosen
+        u[net] += 1
+
+    live = np.flatnonzero(u < n)
+    while live.size:
+        first = int(u[live].min())
+        span = min(max(_CHUNK_MIN, first // _CHUNK_SHARE), n - first)
+        # the chunk's arrivals less c, those past the last read as the last
+        t = np.minimum(u[live, None] - c + np.arange(span), arrivals - 1)
+        pos, accepted = _lemire(
+            read(live[:, None], at[live, None] + np.arange(span * c)).reshape(-1, span, c),
+            bounds[t][:, :, None], floors[t][:, :, None])
+        pos = pos.view(np.int64)
+        picks = flat[(live * width)[:, None, None] + pos]
+        miss = np.flatnonzero(picks < 0)
         if miss.size:
-            # each refers to an earlier slot of this chunk; chains resolve one link a round
-            block, r = np.divmod(pos[miss] - base, 2 * c)
-            ref = block * c + r - lo
+            # each refers to an earlier slot of its chunk; chains resolve one link a round
+            found = picks.reshape(-1)
+            block, r = np.divmod(pos.reshape(-1)[miss] - base, 2 * c)
+            ref = (miss // (span * c) * span + block - t[miss // (span * c), 0]) * c + r
             while miss.size:
-                picks[miss] = picks[ref]
-                left = picks[miss] < 0
+                found[miss] = found[ref]
+                left = found[miss] < 0
                 miss, ref = miss[left], ref[left]
-        rows = picks.reshape(-1, c)
-        # a repeat is an equal pair once each pick is offset by its arrival times n
-        keys = picks + offsets[lo:hi]
-        keys.sort()
-        same = (keys[1:] == keys[:-1]).nonzero()[0]
-        k = int(keys[same[0]]) // n - (u - c) if same.size else len(rows)
+        # k: the arrivals before the first that is past the last, rejects a word or
+        # repeats a pick (pick j against pick j + i, for each i)
+        k = np.minimum(n - u[live], span)
         if not accepted.all():
-            k = min(k, int(np.argmin(accepted)) // c)
-        blocks[u - c:u - c + k, :c] = rows[:k]
-        u, at = u + k, at + k * c
-        if k == len(rows):
-            continue
-        # arrival u: its c words above, then one at a time; its picks share one bound
-        chosen = list(dict.fromkeys(rows[k][accepted[k * c:(k + 1) * c]].tolist()))
-        bound, floor = int(bounds[lo + k * c]), int(floors[lo + k * c])
-        at += c
-        while len(chosen) < c:
-            if at == len(words):
-                words, at = _words(bitgen, _CHUNK_MIN), 0
-            p, ok = _lemire(int(words[at]), bound, floor)
-            at += 1
-            if ok and int(attach[p]) not in chosen:
-                chosen.append(int(attach[p]))
-        blocks[u - c, :c] = chosen
-        u += 1
-    return blocks[:, :c]
+            k = np.minimum(k, _first(~accepted, c, span))
+        for i in range(1, c):
+            k = np.minimum(k, _first(picks[:, :, i:] == picks[:, :, :-i], c - i, span))
+        done = np.arange(span) < k[:, None]
+        slots = (live * width + base)[:, None] + 2 * c * t  # each arrival's first pick
+        flat[slots[done][:, None] + np.arange(c)] = picks[done]
+        u[live] += k
+        at[live] += k * c
+        j = np.flatnonzero((k < span) & (u[live] < n))
+        if j.size:
+            finish(live[j], picks[j, k[j]], accepted[j, k[j]])
+        live = live[u[live] < n]
+    return blocks[:, :, :c]
 
 
-# a chunk is _CHUNK_MIN arrivals, or one in _CHUNK_SHARE of those grown if more
-_CHUNK_MIN = 64
+def _first(flags: np.ndarray, per: int, none: int) -> np.ndarray:
+    """Per row of `flags`, the index of the group of `per` flags holding its
+    first set flag, or `none` if it has none."""
+    flags = flags.reshape(len(flags), -1)
+    return np.where(flags.any(axis=1), flags.argmax(axis=1) // per, none)
+
+
+# a chunk is _CHUNK_MIN arrivals, or one in _CHUNK_SHARE of those the least grown
+# network has grown if more
+_CHUNK_MIN = 32
 _CHUNK_SHARE = 8
 
 
 def _words(bitgen: np.random.BitGenerator, outputs: int) -> np.ndarray:
     """The next 2 * outputs 32-bit words, in the order PCG64's next_uint32
     hands them out: each 64-bit output's low half, then its high half."""
-    raw = bitgen.random_raw(outputs)
-    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
+    return bitgen.random_raw(outputs).astype("<u8", copy=False).view("<u4")
 
 
 def _lemire(words, bounds, floors):

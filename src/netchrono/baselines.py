@@ -42,7 +42,7 @@ def degree_bins(g: UndirectedGraph) -> BinOrdering:
     labels, indptr, _ = g.csr_arrays()
     degrees = np.diff(indptr)
     return BinOrdering(tuple(frozenset(labels[degrees == d].tolist())
-                             for d in np.unique(degrees)[::-1]))
+                             for d in np.flatnonzero(np.bincount(degrees))[::-1]))
 
 
 def centrality_bins(g: UndirectedGraph, kind: CentralityKind, delta: int) -> BinOrdering:

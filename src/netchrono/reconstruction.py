@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ba import BAConfig, generate_ba
+from .ba import BAConfig, _draw_targets, generate_ba
 from .baselines import BinOrdering
 from .centrality import CentralityKind, _require_kind
 from .dcr import differential_core_ranking, rank_descending
@@ -143,14 +143,10 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
     # A pair i < j whose lists place labels[i] first k times is the edge
     # i -> j of count k when 2k >= alpha, else the edge j -> i of count alpha - k.
     dtype = np.min_scalar_type(alpha)
-    k = np.arange(alpha + 1)
-    upper = np.where(2 * k >= alpha, k, 0).astype(dtype)  # count at [i, j]
-    lower = np.where(2 * k >= alpha, 0, alpha - k).astype(dtype)  # count at [j, i]
-
     counts = np.zeros((n, n), dtype=dtype)
     agree = np.empty((_ROW_BLOCK, n), dtype=dtype)
     before = np.empty((_ROW_BLOCK, n), dtype=bool)
-    on_or_below = np.tri(_ROW_BLOCK, dtype=bool)
+    above = np.triu(np.ones((_ROW_BLOCK, _ROW_BLOCK), dtype=dtype), 1)
     for lo in range(0, n, _ROW_BLOCK):
         # rows lo..hi against columns lo..n: the pairs i < j with i in the block
         hi = min(lo + _ROW_BLOCK, n)
@@ -159,11 +155,11 @@ def pairwise_digraph(labels: np.ndarray, positions: np.ndarray) -> WeightedDigra
         for p in pos:
             np.less(p[lo:hi, None], p[lo:], out=less)
             block += less.view(np.uint8)  # a same-type add when block is uint8
-        up, down = upper.take(block), lower.take(block)  # `take` beats fancy indexing
+        major = block >= (alpha + 1) // 2
+        up, down = block * major, (alpha - block) * ~major
         # in the block's own square, only the counts right of the diagonal are pairs i < j
-        not_pairs = on_or_below[:hi - lo, :hi - lo]
-        up[:, :hi - lo][not_pairs] = 0
-        down[:, :hi - lo][not_pairs] = 0
+        up[:, :hi - lo] *= above[:hi - lo, :hi - lo]
+        down[:, :hi - lo] *= above[:hi - lo, :hi - lo]
         counts[lo:hi, lo:] = up
         counts[lo:, lo:hi] += down.T
     return WeightedDigraph._from_counts(labels, counts, alpha)
@@ -286,10 +282,11 @@ def _shutdown_pool() -> None:
         pool.shutdown()
 
 
-def _synthetic_prediction(task: tuple[BAConfig, CentralityKind]) -> np.ndarray:
-    """Salted DCM rank of one synthetic network, as int32 labels."""
-    cfg, kind = task
-    g, _ = generate_ba(cfg)
+def _synthetic_prediction(task: tuple[BAConfig, CentralityKind, np.ndarray]) -> np.ndarray:
+    """Salted DCM rank of one synthetic network, built from its drawn
+    targets, as int32 labels."""
+    cfg, kind, targets = task
+    g, _ = generate_ba(cfg, _targets=targets)
     return rank_descending(differential_core_ranking(g, kind), cfg.seed).astype(np.int32)
 
 
@@ -302,10 +299,12 @@ def reconstruct_with_ranking(
     the reference network's own salted DCM-descending ranking (int64).
 
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
-    child_seed(cfg.master_seed, i))) for i = 1..alpha: worker processes
-    regenerate it from its seed (`fan_out`), and results merge by index,
-    so output is identical for any `jobs` value; at jobs > 1 the workers
-    are `fan_out`'s one pool, kept between calls.  The ranking drives the
+    child_seed(cfg.master_seed, i))) for i = 1..alpha.  This process draws
+    the attachment targets of all alpha networks in one lockstep pass
+    (`ba._draw_targets`); one task per network then builds and ranks it
+    (`fan_out`), and results merge by index, so output is identical for
+    any `jobs` value; at jobs > 1 the tasks run in `fan_out`'s one pool,
+    kept between calls.  The ranking drives the
     synthetic mappings anyway; callers comparing it against a true
     chronology can take it from here instead of paying for a second
     differential core ranking.
@@ -314,11 +313,13 @@ def reconstruct_with_ranking(
     if n == 0:
         raise TooSmallError("reconstruction requires a nonempty reference network")
     # built first: BAConfig refuses |V_m| <= connections before any ranking
-    tasks = [(BAConfig(n, cfg.connections, child_seed(cfg.master_seed, i)), cfg.kind)
-             for i in range(1, cfg.alpha + 1)]
+    syn = [BAConfig(n, cfg.connections, child_seed(cfg.master_seed, i))
+           for i in range(1, cfg.alpha + 1)]
     ref_table = differential_core_ranking(g_m, cfg.kind)
     ref_rank = rank_descending(ref_table, child_seed(cfg.master_seed, 0))
-    syn_ranks = fan_out(_synthetic_prediction, tasks, jobs)
+    targets = _draw_targets(n, cfg.connections, [s.seed for s in syn])
+    syn_ranks = fan_out(_synthetic_prediction,
+                        [(s, cfg.kind, rows) for s, rows in zip(syn, targets)], jobs)
     # generate_ba labels vertices by arrival, so a synthetic chronology is
     # 0..n-1: the vertex of synthetic rank k, a label, is the predicted
     # position of the reference vertex of rank k

@@ -5,7 +5,8 @@ enumeration for betweenness, dense eigendecomposition for eigenvector
 scores, edge-probability random graphs for fuzzing, the pairwise
 digraph, cycle break and in-degree binning on raw position arrays with
 full-mask probing, the CSR build, block Brandes kernel and scipy-product
-power iteration as first written, and the BA draw loop, dict-based core peeling and sort-key tie
+power iteration as first written, the BA draw loop as first written and
+as one network's chunked draw, dict-based core peeling and sort-key tie
 salting as first written.  None of it shares code with the package
 internals, except that the peeling oracle scores each level through the
 public `netchrono.centrality.compute`.  `list_positions` is plumbing, not
@@ -289,8 +290,9 @@ def oracle_bin_by_indegree(n: int, src: np.ndarray, dst: np.ndarray) -> list[fro
 
 
 # Synthetic-ensemble stages, as first written: a per-draw Python loop over
-# the attachment list, peeling by copying the graph's neighbour sets, and a
-# sort key holding a Python-integer splitmix64 hash.
+# the attachment list and its first vectorised form, one network a chunk at
+# a time, peeling by copying the graph's neighbour sets, and a sort key
+# holding a Python-integer splitmix64 hash.
 
 def oracle_generate_ba(n: int, c: int, seed: int) -> dict[int, set[int]]:
     """Adjacency sets of BA(n, c) grown from `seed`, one scalar draw at a time."""
@@ -326,6 +328,94 @@ def oracle_generate_ba(n: int, c: int, seed: int) -> dict[int, set[int]]:
             attach.append(v)
         attach.extend([u] * c)
     return adj
+
+
+def oracle_chunked_targets(n: int, c: int, seed: int) -> np.ndarray:
+    """targets[u - c]: the c distinct vertices arrival u of BA(n, c) grown from
+    `seed` attaches to, in draw order; one network a chunk at a time.
+
+    `attach` is the network's attachment list: c(c-1) seed positions
+    (vertex p // (c-1)), then per arrival its c picks (-1 until accepted)
+    and itself c times; arrival u draws below c(c-1) + 2c(u-c).  A chunk of
+    arrivals reads one word per pick (`_oracle_lemire`) and gathers its picks from
+    `attach`, a -1 being a pick of the same chunk.  The arrivals before the
+    first that repeats a pick or reads a rejected word are accepted; that
+    one is finished word by word, as numpy's scalar calls would, and the
+    next chunk starts at the next word.
+    """
+    bitgen = np.random.PCG64(seed)
+    base = c * (c - 1)
+    attach = np.full(base + 2 * c * (n - c), -1, dtype=np.int64)
+    attach[:base] = np.arange(base) // max(c - 1, 1)
+    blocks = attach[base:].reshape(n - c, 2 * c)
+    blocks[:, c:] = np.arange(c, n)[:, None]
+    bounds = np.repeat(base + 2 * c * np.arange(n - c, dtype=np.uint64), c)
+    floors = (2**32 - bounds) % np.maximum(bounds, 1)  # bound 0: arrival 1 of c = 1
+    offsets = np.repeat(np.arange(n - c) * n, c)
+    words, at, u = np.empty(0, dtype=np.uint64), 0, c
+    if base == 0:
+        # K_1 has no degree mass: arrival 1 draws integers(0, 1), which reads no word
+        attach[0] = 0
+        u += 1
+    while u < n:
+        lo, hi = (u - c) * c, (min(n, u + max(_ORACLE_CHUNK_MIN, u // _ORACLE_CHUNK_SHARE)) - c) * c
+        if len(words) - at < hi - lo:
+            words, at = np.concatenate([words[at:], _oracle_words(bitgen, hi - lo)]), 0
+        pos, accepted = _oracle_lemire(words[at:at + hi - lo], bounds[lo:hi], floors[lo:hi])
+        picks = attach[pos]
+        miss = (picks < 0).nonzero()[0]
+        if miss.size:
+            # each refers to an earlier slot of this chunk; chains resolve one link a round
+            block, r = np.divmod(pos[miss] - base, 2 * c)
+            ref = block * c + r - lo
+            while miss.size:
+                picks[miss] = picks[ref]
+                left = picks[miss] < 0
+                miss, ref = miss[left], ref[left]
+        rows = picks.reshape(-1, c)
+        # a repeat is an equal pair once each pick is offset by its arrival times n
+        keys = picks + offsets[lo:hi]
+        keys.sort()
+        same = (keys[1:] == keys[:-1]).nonzero()[0]
+        k = int(keys[same[0]]) // n - (u - c) if same.size else len(rows)
+        if not accepted.all():
+            k = min(k, int(np.argmin(accepted)) // c)
+        blocks[u - c:u - c + k, :c] = rows[:k]
+        u, at = u + k, at + k * c
+        if k == len(rows):
+            continue
+        # arrival u: its c words above, then one at a time; its picks share one bound
+        chosen = list(dict.fromkeys(rows[k][accepted[k * c:(k + 1) * c]].tolist()))
+        bound, floor = int(bounds[lo + k * c]), int(floors[lo + k * c])
+        at += c
+        while len(chosen) < c:
+            if at == len(words):
+                words, at = _oracle_words(bitgen, _ORACLE_CHUNK_MIN), 0
+            p, ok = _oracle_lemire(int(words[at]), bound, floor)
+            at += 1
+            if ok and int(attach[p]) not in chosen:
+                chosen.append(int(attach[p]))
+        blocks[u - c, :c] = chosen
+        u += 1
+    return blocks[:, :c]
+
+
+# a chunk is _ORACLE_CHUNK_MIN arrivals, or one in _ORACLE_CHUNK_SHARE of those grown if more
+_ORACLE_CHUNK_MIN = 64
+_ORACLE_CHUNK_SHARE = 8
+
+
+def _oracle_words(bitgen: np.random.BitGenerator, outputs: int) -> np.ndarray:
+    """The next 2 * outputs 32-bit words of PCG64's next_uint32: each 64-bit
+    output's low half, then its high half."""
+    raw = bitgen.random_raw(outputs)
+    return np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).reshape(-1)
+
+
+def _oracle_lemire(words, bounds, floors):
+    """numpy's integers(0, L) rule for L < 2**32: (value, accepted)."""
+    m = words * bounds
+    return m >> 32, (m & 0xFFFFFFFF) >= floors
 
 
 def _oracle_remove_vertices(g: UndirectedGraph, drop: set[int]) -> UndirectedGraph:

@@ -7,11 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netchrono import BAConfig, Chronology, generate_ba, shuffle_vertex_labels
-from netchrono.ba import _lemire, _words
+from netchrono.ba import _draw_targets, _lemire, _words
 from netchrono.errors import InvalidConfigError, SizeMismatchError
 
 from builders import adjacency
-from oracles import oracle_csr_arrays, oracle_generate_ba
+from oracles import oracle_chunked_targets, oracle_csr_arrays, oracle_generate_ba
 
 
 def expected_edges(n, c):
@@ -172,6 +172,40 @@ def test_adjacency_matches_scalar_draw_loop(c, extra, seed):
     expected = oracle_generate_ba(n, c, seed)
     assert g.vertices == frozenset(expected)
     assert adjacency(g) == {v: frozenset(nbrs) for v, nbrs in expected.items()}
+
+
+def _grown_alone(n, c, seeds, targets):
+    """Each row of a lockstep draw is the chunked draw of its seed alone, and
+    builds the network the scalar draw loop grows."""
+    assert targets.shape == (len(seeds), n - c, c)
+    for seed, rows in zip(seeds, targets):
+        assert np.array_equal(rows, oracle_chunked_targets(n, c, seed))
+        g, _ = generate_ba(BAConfig(n, c, seed), _targets=rows)
+        assert adjacency(g) == {v: frozenset(nbrs) for v, nbrs in oracle_generate_ba(n, c, seed).items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.integers(1, 7), extra=st.integers(1, 300),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+# a K_7 start, whose first arrival must hit all seven; a c = 1 batch, which
+# reads no word for arrival 1; one seed twice, and networks that end together
+@example(c=7, extra=1, seeds=[0, 5, 0])
+@example(c=1, extra=2, seeds=[0, 1, 2, 3])
+@example(c=2, extra=200, seeds=[11, 11, 2**64 - 1])
+def test_lockstep_draw_matches_each_network_alone(c, extra, seeds):
+    _grown_alone(c + extra, c, seeds, _draw_targets(c + extra, c, seeds))
+
+
+@pytest.mark.parametrize("n,c,seeds", [
+    # seed 180 reads a word numpy's bounded-integer rule rejects at arrival 2700
+    (3000, 3, [1, 180, 2**63 + 2**40 + 3, 2, 180]),
+    # seed 8386 rejects a word while it redraws a repeated pick
+    (3000, 7, [3, 8386, 4]),
+    (400, 1, [2**63 + 11, 5, 0, 1, 2, 3, 4, 6]),
+    (8, 7, [0, 1, 2]),
+])
+def test_lockstep_draw_pinned_batches(n, c, seeds):
+    _grown_alone(n, c, seeds, _draw_targets(n, c, seeds))
 
 
 @pytest.mark.parametrize("n,c,seed", [(2, 1, 0), (50, 1, 3), (300, 3, 2**63), (200, 6, 4)])

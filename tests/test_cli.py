@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -43,6 +46,23 @@ def test_generate_writes_files(tmp_path, capsys):
     degrees = [len(nbrs) for nbrs in adjacency(g).values()]
     assert (f"degree min={min(degrees)} max={max(degrees)} mean={2 * 21 / 9:.3f} "
             f"distinct={len(set(degrees))}") in out.splitlines()
+
+
+def test_generate_and_degree_bins_leave_numpy_ma_unloaded(tmp_path):
+    # with numpy 2.4 a plain np.unique imports numpy.ma, about 10 ms, on first use
+    code = ("import sys\n"
+            "from netchrono import degree_bins, read_edge_list\n"
+            "from netchrono.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "degree_bins(read_edge_list(sys.argv[-3]))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code, "generate", "--nodes", "50", "--connections", "3",
+         "--seed", "1", "--out", str(tmp_path / "g.edges"), "--chronology", str(tmp_path / "g.chron")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_generate_invalid_config_fails(tmp_path, capsys):

@@ -417,6 +417,28 @@ def test_reconstruct_smoke_small():
     assert dg.edge_count == 10
 
 
+@pytest.mark.parametrize("n,connections", [(120, 2), (300, 3), (40, 1)])
+def test_drawn_ensemble_is_each_network_grown_from_its_seed(monkeypatch, n, connections):
+    # the ensemble is drawn in one lockstep pass; task i must still get the
+    # network that generate_ba grows alone from child_seed(master_seed, i)
+    built = []
+
+    def spy(cfg, **kwargs):
+        out = generate_ba(cfg, **kwargs)
+        built.append((cfg, out[0]))
+        return out
+
+    monkeypatch.setattr(netchrono.reconstruction, "generate_ba", spy)
+    g, _ = generate_ba(BAConfig(n, connections, 4))
+    cfg = PipelineConfig(alpha=7, connections=connections, kind=CentralityKind.DEGREE,
+                         master_seed=33)
+    reconstruct_with_ranking(g, cfg, jobs=1)
+    assert [syn for syn, _ in built] == [BAConfig(n, connections, child_seed(33, i))
+                                         for i in range(1, 8)]
+    for syn, network in built:
+        assert network == generate_ba(syn)[0]
+
+
 def _worker_pids() -> set[int]:
     return {p.pid for p in multiprocessing.active_children()}
 
