@@ -51,9 +51,11 @@ def generate_ba(cfg: BAConfig, *,
     The draws are those of one scalar `integers(0, len(list))` call per
     pick, in arrival order; see `_draw_targets`.  `_targets` is the
     network's row of a `_draw_targets(cfg.n, cfg.c, seeds)` call, drawn
-    already: the pipeline draws its whole ensemble at once and builds each
-    network here only so that perfbench/spans.py, which times and counts
-    this function by name, still sees one call per network (ROADMAP item 1).
+    already: every ensemble task, a pipeline synthetic or a sweep network,
+    builds its network here from the row that
+    `reconstruction._fan_out_grown` drew for it with the others of its
+    batch.  Each network thus still takes one call, which
+    perfbench/spans.py times and counts by name (ROADMAP item 1).
     """
     n, c = cfg.n, cfg.c
     targets = _draw_targets(n, c, [cfg.seed])[0] if _targets is None else _targets

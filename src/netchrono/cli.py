@@ -30,7 +30,7 @@ from .errors import (InvalidConfigError, NetchronoError, SizeMismatchError, _req
                      _require_seed)
 from .evaluation import bqm, eta_pairs, probability_bucket_table
 from .graph import UndirectedGraph, WeightedDigraph, _level_counts, _positions
-from .reconstruction import (PipelineConfig, child_seed, default_jobs, fan_out,
+from .reconstruction import (PipelineConfig, _fan_out_grown, child_seed, default_jobs,
                              reconstruct_with_ranking)
 
 _CENTRALITY_CHOICES = [k.value for k in CentralityKind]
@@ -202,9 +202,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(task: tuple[BAConfig, CentralityKind]) -> tuple[float, float]:
-    cfg, kind = task
-    g, truth = generate_ba(cfg)
+def _sweep_point(task: tuple[BAConfig, CentralityKind, np.ndarray]) -> tuple[float, float]:
+    """eta of the plain and the differential ranking of one sweep network,
+    built from its drawn targets."""
+    cfg, kind, targets = task
+    g, truth = generate_ba(cfg, _targets=targets)
     # relabel so neither ranking can read arrival order out of the labels
     g, truth = shuffle_vertex_labels(g, truth, child_seed(cfg.seed, 0))
     plain = rank_descending(compute(g, kind))
@@ -220,16 +222,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _require_seed(args.seed, "--seed")
     kind = CentralityKind(args.centrality)
     xs = list(range(args.start, args.stop + 1, args.step))
-    tasks = []
+    cfgs = []
     for pi, x in enumerate(xs):
         n, c = (x, args.connections) if args.mode == "nodes" else (args.nodes, x)
         for rep in range(args.repeats):
             try:
-                cfg = BAConfig(n, c, child_seed(args.seed, pi, rep))
+                cfgs.append(BAConfig(n, c, child_seed(args.seed, pi, rep)))
             except InvalidConfigError as exc:
                 raise InvalidConfigError(f"sweep point x={x}: {exc}") from None
-            tasks.append((cfg, kind))
-    results = fan_out(_sweep_point, tasks, args.jobs)
+    # every config is checked before any work; the repeats of a point are drawn in one pass
+    results = _fan_out_grown(_sweep_point, cfgs, kind, args.jobs)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

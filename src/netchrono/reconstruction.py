@@ -282,6 +282,23 @@ def _shutdown_pool() -> None:
         pool.shutdown()
 
 
+def _fan_out_grown(fn, cfgs: list[BAConfig], kind: CentralityKind, jobs: int | None) -> list:
+    """fan_out(fn, [(cfg, kind, rows) for each cfg], jobs), rows being the
+    attachment targets of the network generate_ba grows from cfg: this
+    process draws each consecutive run of configs of one (n, c) in one
+    lockstep `_draw_targets` pass, and a task builds its network with
+    generate_ba(cfg, _targets=rows)."""
+    runs = []  # consecutive configs of one (n, c)
+    for cfg in cfgs:
+        if runs and (runs[-1][0].n, runs[-1][0].c) == (cfg.n, cfg.c):
+            runs[-1].append(cfg)
+        else:
+            runs.append([cfg])
+    tasks = [(cfg, kind, rows) for run in runs
+             for cfg, rows in zip(run, _draw_targets(run[0].n, run[0].c, [s.seed for s in run]))]
+    return fan_out(fn, tasks, jobs)
+
+
 def _synthetic_prediction(task: tuple[BAConfig, CentralityKind, np.ndarray]) -> np.ndarray:
     """Salted DCM rank of one synthetic network, built from its drawn
     targets, as int32 labels."""
@@ -299,15 +316,15 @@ def reconstruct_with_ranking(
     the reference network's own salted DCM-descending ranking (int64).
 
     Synthetic network i is generate_ba(BAConfig(|V_m|, cfg.connections,
-    child_seed(cfg.master_seed, i))) for i = 1..alpha.  This process draws
-    the attachment targets of all alpha networks in one lockstep pass
-    (`ba._draw_targets`); one task per network then builds and ranks it
-    (`fan_out`), and results merge by index, so output is identical for
-    any `jobs` value; at jobs > 1 the tasks run in `fan_out`'s one pool,
-    kept between calls.  The ranking drives the
-    synthetic mappings anyway; callers comparing it against a true
-    chronology can take it from here instead of paying for a second
-    differential core ranking.
+    child_seed(cfg.master_seed, i))) for i = 1..alpha.  `_fan_out_grown`
+    draws the attachment targets of all alpha networks in one lockstep
+    pass in this process, and one task per network then builds and ranks
+    it; results merge by index, so output is identical for any `jobs`
+    value; at jobs > 1 the tasks run in `fan_out`'s one pool, kept between
+    calls.  The drawn targets are dropped before the digraph stages.  The
+    ranking drives the synthetic mappings anyway; callers comparing it
+    against a true chronology can take it from here instead of paying for
+    a second differential core ranking.
     """
     n = g_m.vertex_count
     if n == 0:
@@ -317,9 +334,7 @@ def reconstruct_with_ranking(
            for i in range(1, cfg.alpha + 1)]
     ref_table = differential_core_ranking(g_m, cfg.kind)
     ref_rank = rank_descending(ref_table, child_seed(cfg.master_seed, 0))
-    targets = _draw_targets(n, cfg.connections, [s.seed for s in syn])
-    syn_ranks = fan_out(_synthetic_prediction,
-                        [(s, cfg.kind, rows) for s, rows in zip(syn, targets)], jobs)
+    syn_ranks = _fan_out_grown(_synthetic_prediction, syn, cfg.kind, jobs)
     # generate_ba labels vertices by arrival, so a synthetic chronology is
     # 0..n-1: the vertex of synthetic rank k, a label, is the predicted
     # position of the reference vertex of rank k

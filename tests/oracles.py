@@ -7,10 +7,12 @@ digraph, cycle break and in-degree binning on raw position arrays with
 full-mask probing, the CSR build, block Brandes kernel and scipy-product
 power iteration as first written, the BA draw loop as first written and
 as one network's chunked draw, dict-based core peeling and sort-key tie
-salting as first written.  None of it shares code with the package
-internals, except that the peeling oracle scores each level through the
-public `netchrono.centrality.compute`.  `list_positions` is plumbing, not
-an oracle: it turns prediction lists into `pairwise_digraph`'s input.
+salting as first written, and the whole pipeline composed of these.
+None of it shares code with the package internals, except that the
+peeling oracle scores each level through the public
+`netchrono.centrality.compute` and the pipeline oracle derives its seeds
+with the public `netchrono.child_seed`.  `list_positions` is plumbing,
+not an oracle: it turns prediction lists into `pairwise_digraph`'s input.
 """
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph, csr_matrix
 
 import netchrono.centrality
-from netchrono import ScoreTable, UndirectedGraph, from_edge_list
+from netchrono import PipelineConfig, ScoreTable, UndirectedGraph, child_seed, from_edge_list
 from netchrono.centrality import CentralityKind, compute
 from netchrono.errors import NoConvergenceError
 
-from builders import adjacency, graph
+from builders import adjacency, graph, score_table
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> UndirectedGraph:
@@ -462,3 +464,39 @@ def oracle_salted_rank(table: ScoreTable, salt: int) -> list[int]:
     """Score-descending labels, ties by the splitmix64 hash of label ^ salt."""
     scores = table.scores
     return sorted(scores, key=lambda v: (-scores[v], oracle_mix64(v ^ salt)))
+
+
+# The pipeline as the paper states it, one oracle per stage and the rank
+# bijection as a loop.
+
+def oracle_reconstruct(g: UndirectedGraph, cfg: PipelineConfig) -> tuple[list[frozenset[int]],
+                                                                       np.ndarray]:
+    """The bins of g's labels, in order, and the pre-break count matrix over
+    g's sorted labels: counts[i, j] = m for the pair's edge i -> j of weight
+    m / alpha, else 0.
+
+    The reference and synthetic network i (1..alpha) are ranked by DCM,
+    ties salted by child_seed(master_seed, 0) and by the synthetic's own
+    seed child_seed(master_seed, i); the reference vertex of rank k takes
+    the arrival time of the synthetic vertex of rank k.
+    """
+    n, alpha = g.vertex_count, cfg.alpha
+    ref_rank = oracle_salted_rank(score_table(oracle_differential_core_ranking(g, cfg.kind)),
+                                  oracle_mix64(child_seed(cfg.master_seed, 0)))
+    orders = []
+    for i in range(1, alpha + 1):
+        seed = child_seed(cfg.master_seed, i)
+        syn = graph(oracle_generate_ba(n, cfg.connections, seed))
+        syn_rank = oracle_salted_rank(
+            score_table(oracle_differential_core_ranking(syn, cfg.kind)), oracle_mix64(seed))
+        arrival = {v: t for t, v in enumerate(range(n))}  # a BA label is its arrival time
+        order = [None] * n
+        for k in range(n):
+            order[arrival[syn_rank[k]]] = ref_rank[k]
+        orders.append(order)
+    labels, src, dst, w = oracle_pairwise_digraph(orders, alpha)
+    counts = np.zeros((n, n), dtype=np.int64)
+    counts[src, dst] = np.rint(w * alpha)
+    keep = oracle_break_cycles(n, src, dst, w)
+    bins = oracle_bin_by_indegree(n, src[keep], dst[keep])
+    return [frozenset(labels[sorted(b)].tolist()) for b in bins], counts

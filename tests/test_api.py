@@ -40,6 +40,19 @@ def test_each_scoring_decision_is_written_once():
     assert texts["cli.py"].count('"--alpha"') == 1
 
 
+def test_each_ensemble_is_drawn_and_fanned_out_by_one_helper():
+    # `reconstruction._fan_out_grown` grows both the pipeline's synthetics and the
+    # sweep's networks; `generate_ba` alone draws its batch of one
+    texts = {p.name: p.read_text() for p in Path(netchrono.__file__).parent.glob("*.py")}
+
+    def callers(call):
+        return sorted(name for name, text in texts.items()
+                      if text.count(call) > text.count(f"def {call}"))
+
+    assert callers("fan_out(") == ["reconstruction.py"]
+    assert callers("_draw_targets(") == ["ba.py", "reconstruction.py"]
+
+
 def test_import_loads_neither_scipy_nor_the_process_pool():
     # scipy is imported by the Brandes product on first use, the pool by fan_out
     src = os.path.dirname(os.path.dirname(netchrono.__file__))

@@ -10,18 +10,22 @@ import numpy as np
 import pytest
 
 from netchrono import (
+    BAConfig,
     BinOrdering,
     WeightedDigraph,
     bqm,
+    child_seed,
     eta_pairs,
     from_edge_list,
+    generate_ba,
     probability_bucket_table,
     read_chronology,
     read_edge_list,
     reconstruct_with_ranking,
     shuffle_vertex_labels,
 )
-from netchrono import cli
+from netchrono import cli, reconstruction
+from netchrono.ba import _draw_targets
 from netchrono.cli import main
 from netchrono.errors import NotAPartitionError, SizeMismatchError
 
@@ -248,6 +252,35 @@ def test_sweep_rejects_a_step_or_repeat_count_below_one(tmp_path, capsys, monkey
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {flag} must be an integer >= 1, got 0")
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_draws_each_point_once_and_grows_each_network_from_its_seed(tmp_path,
+                                                                          monkeypatch):
+    # the repeats of a point share (n, C), so they are drawn in one lockstep pass;
+    # repeat r of point p must still be the network generate_ba grows alone
+    built, draws = [], []
+
+    def spy(cfg, **kwargs):
+        out = generate_ba(cfg, **kwargs)
+        built.append((cfg, out[0]))
+        return out
+
+    def draw_spy(n, c, seeds):
+        draws.append((n, c, list(seeds)))
+        return _draw_targets(n, c, seeds)
+
+    monkeypatch.setattr(cli, "generate_ba", spy)
+    monkeypatch.setattr(reconstruction, "_draw_targets", draw_spy)
+    code = run("sweep", "--mode", "connections", "--nodes", 40, "--from", 2, "--to", 4,
+               "--step", 1, "--centrality", "degree", "--repeats", 3, "--seed", 5,
+               "--out", tmp_path / "s.csv", "--jobs", 1)
+    assert code == 0
+    assert draws == [(40, c, [child_seed(5, p, r) for r in range(3)])
+                     for p, c in enumerate((2, 3, 4))]
+    assert [cfg for cfg, _ in built] == [BAConfig(40, c, child_seed(5, p, r))
+                                         for p, c in enumerate((2, 3, 4)) for r in range(3)]
+    for cfg, network in built:
+        assert network == generate_ba(cfg)[0]
 
 
 # sha256 of the sweep CSV below; pins the (point, repeat) seeds of every sweep task

@@ -1,4 +1,5 @@
-"""Pairwise digraph, cycle break and in-degree binning against the oracles.
+"""Pairwise digraph, cycle break and in-degree binning against the oracles,
+and the whole pipeline against `oracle_reconstruct`.
 
 The oracles in `oracles.py` work on raw position arrays and exact weights
 max(k, alpha - k) / alpha, and share no code with `netchrono.graph`; every
@@ -11,6 +12,7 @@ import random
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,14 +30,16 @@ from netchrono import (
     shuffle_vertex_labels,
 )
 from netchrono import reconstruction
+from netchrono.errors import NoConvergenceError
 from netchrono.reconstruction import reconstruct_with_ranking
 
-from builders import digraph
+from builders import adjacency, digraph, graph
 from oracles import (
     list_positions,
     oracle_bin_by_indegree,
     oracle_break_cycles,
     oracle_pairwise_digraph,
+    oracle_reconstruct,
 )
 
 # a small alpha makes count ties common, a large one makes them rare; above
@@ -150,3 +154,49 @@ def test_pipeline_digraph_n1000_matches_oracles(monkeypatch):
     break_cycles(dg)
     keys = (50 + 1 - 25) * 1000 ** 2
     assert len(probes) <= math.ceil(math.log2(keys + 1))
+
+
+@st.composite
+def references(draw):
+    """(reference, C): BA(n, C) for n in 5..40, as grown, with its labels
+    shuffled, or as two BA networks side by side, the second's labels shifted."""
+    n = draw(st.integers(5, 40))
+    c = draw(st.integers(1, min(4, n - 1)))
+    seeds = st.integers(0, 2**64 - 1)
+    shapes = ["grown", "shuffled"] + (["side by side"] if n >= 2 * c + 2 else [])
+    shape = draw(st.sampled_from(shapes))
+    if shape == "side by side":
+        first = draw(st.integers(c + 1, n - c - 1))
+        shift = draw(st.integers(first, 10**6))
+        left = adjacency(generate_ba(BAConfig(first, c, draw(seeds)))[0])
+        right = adjacency(generate_ba(BAConfig(n - first, c, draw(seeds)))[0])
+        return graph({**left, **{v + shift: [w + shift for w in nbrs]
+                                 for v, nbrs in right.items()}}), c
+    g, truth = generate_ba(BAConfig(n, c, draw(seeds)))
+    if shape == "shuffled":
+        g, _ = shuffle_vertex_labels(g, truth, draw(seeds))
+    return g, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref=references(), alpha=st.integers(1, 9), kind=st.sampled_from(list(CentralityKind)),
+       master=st.integers(0, 2**64 - 1))
+def test_pipeline_matches_the_literal_oracle(ref, alpha, kind, master):
+    # pins the step from ranks to positions: the salted reference rank, the
+    # scatter of synthetic ranks into positions and the child-seed keys
+    g, c = ref
+    cfg = PipelineConfig(alpha=alpha, connections=c, kind=kind, master_seed=master)
+    try:
+        bins, dg, _ = reconstruct_with_ranking(g, cfg, jobs=1)
+    except NoConvergenceError:
+        # power iteration stalls on a level whose two largest parts have nearly
+        # equal spectral radii, as two BA networks side by side can; the oracle,
+        # which scores its levels with the same kernel, must stall there too
+        with pytest.raises(NoConvergenceError):
+            oracle_reconstruct(g, cfg)
+        return
+    want_bins, want_counts = oracle_reconstruct(g, cfg)
+    assert list(bins.bins) == want_bins
+    labels, counts, _ = dg.matrix()
+    assert labels.tolist() == sorted(g.vertices)
+    assert np.array_equal(counts, want_counts)

@@ -41,6 +41,7 @@ from netchrono.errors import (
 )
 import netchrono
 from netchrono import cli
+from netchrono.ba import _draw_targets
 from netchrono.baselines import centrality_bins
 from netchrono.centrality import ScoreTable
 from netchrono.dcr import rank_descending
@@ -421,18 +422,24 @@ def test_reconstruct_smoke_small():
 def test_drawn_ensemble_is_each_network_grown_from_its_seed(monkeypatch, n, connections):
     # the ensemble is drawn in one lockstep pass; task i must still get the
     # network that generate_ba grows alone from child_seed(master_seed, i)
-    built = []
+    built, draws = [], []
 
     def spy(cfg, **kwargs):
         out = generate_ba(cfg, **kwargs)
         built.append((cfg, out[0]))
         return out
 
+    def draw_spy(n, c, seeds):
+        draws.append((n, c, list(seeds)))
+        return _draw_targets(n, c, seeds)
+
     monkeypatch.setattr(netchrono.reconstruction, "generate_ba", spy)
+    monkeypatch.setattr(netchrono.reconstruction, "_draw_targets", draw_spy)
     g, _ = generate_ba(BAConfig(n, connections, 4))
     cfg = PipelineConfig(alpha=7, connections=connections, kind=CentralityKind.DEGREE,
                          master_seed=33)
     reconstruct_with_ranking(g, cfg, jobs=1)
+    assert draws == [(n, connections, [child_seed(33, i) for i in range(1, 8)])]
     assert [syn for syn, _ in built] == [BAConfig(n, connections, child_seed(33, i))
                                          for i in range(1, 8)]
     for syn, network in built:
@@ -652,4 +659,5 @@ def test_pipeline_ranks_on_arrays_without_the_score_mapping(monkeypatch):
         _, _, ref_rank = reconstruct_with_ranking(g, cfg, jobs=1)
         assert sorted(ref_rank) == sorted(g.vertices)
         assert centrality_bins(g, kind, 4).covered() == g.vertices
-        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point((BAConfig(60, 3, 1), kind)))
+        task = (BAConfig(60, 3, 1), kind, _draw_targets(60, 3, [1])[0])
+        assert all(0.0 <= eta <= 1.0 for eta in cli._sweep_point(task))
