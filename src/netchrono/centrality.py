@@ -217,16 +217,17 @@ def eigenvector_scores(indptr: np.ndarray, indices: np.ndarray, sizes: np.ndarra
     z, x_next, step = np.empty(n), np.empty(n), np.empty(n)
     norms, lam, diff = np.ones(len(sizes)), np.zeros(len(sizes)), np.full(len(sizes), np.inf)
     z_blocks = [z[s] for s in slices]  # views: each step writes z in place
+    ax = np.bincount(rows, x[indices], n)  # A x, for the step and for the residual check
     for _ in range(MAX_ITERATIONS):
-        np.add(np.bincount(rows, x[indices], n), x, out=z)
+        np.add(ax, x, out=z)
         norms[active] = np.sqrt([z_blocks[b].dot(z_blocks[b]) for b in active.tolist()])
         np.divide(z, np.repeat(norms, sizes), out=x_next)
         np.copyto(x_next, x, where=frozen)
         diff = np.maximum.reduceat(np.abs(np.subtract(x_next, x, out=step), out=step), starts)
         x, x_next = x_next, x
+        ax = np.bincount(rows, x[indices], n)
         near = ~done & (diff <= TOLERANCE)
         if near.any():
-            ax = np.bincount(rows, x[indices], n)
             for b in np.flatnonzero(near).tolist():
                 lam[b] = x[slices[b]].dot(ax[slices[b]])
             residual = np.maximum.reduceat(np.abs(ax - np.repeat(lam, sizes) * x), starts)

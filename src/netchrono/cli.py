@@ -38,7 +38,8 @@ _CENTRALITY_CHOICES = [k.value for k in CentralityKind]
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: NETCHRONO_JOBS or hardware threads)")
+                   help="worker processes (default: NETCHRONO_JOBS, else the CPUs "
+                        "this process may run on)")
 
 
 def _pipeline_flags() -> argparse.ArgumentParser:

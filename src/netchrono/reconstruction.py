@@ -22,6 +22,7 @@ import atexit
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -245,6 +246,11 @@ def fan_out(fn, tasks: list, jobs: int | None) -> list:
     when jobs > 1, else serially (jobs None included); results keep task
     order.  InvalidConfigError unless jobs is None or an integer >= 1.
 
+    The workers take the tasks in chunks of consecutive tasks, each chunk
+    sized by `_guided_chunks`: large chunks first, to save dispatches, and
+    single tasks at the end, so that the workers still finish together.
+    A task error raises from the first failing task, as a serial run would.
+
     The workers are one pool kept for the life of the process, so that a
     call pays no fork and no join.  They are forked at the first parallel
     call and run the module code as it was at that fork: a monkeypatch made
@@ -266,11 +272,29 @@ def fan_out(fn, tasks: list, jobs: int | None) -> list:
     if _pool is None or _pool[0] != workers:
         _shutdown_pool()
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    ends = list(accumulate(_guided_chunks(len(tasks), workers)))
+    chunks = [tasks[lo:hi] for lo, hi in zip([0, *ends], ends)]
     try:
-        return list(_pool[1].map(fn, tasks))
+        return [out for part in _pool[1].map(_run_chunk, repeat(fn), chunks) for out in part]
     except BrokenProcessPool:
         _shutdown_pool()
         raise
+
+
+def _guided_chunks(count: int, workers: int) -> list[int]:
+    """Guided self-scheduling (Polychronopoulos and Kuck 1987): each chunk
+    takes max(1, left // (2 * workers)) of the `left` tasks not yet handed
+    out, so the sizes never grow, sum to `count` and end in single tasks."""
+    sizes = []
+    while count:
+        sizes.append(max(1, count // (2 * workers)))
+        count -= sizes[-1]
+    return sizes
+
+
+def _run_chunk(fn, chunk: list) -> list:
+    """[fn(t) for t in chunk]: one pool task of `fan_out`."""
+    return [fn(t) for t in chunk]
 
 
 @atexit.register
@@ -326,6 +350,8 @@ def reconstruct_with_ranking(
     against a true chronology can take it from here instead of paying for
     a second differential core ranking.
     """
+    if jobs is not None:  # refused before any ranking or draw
+        _require_integer(jobs, "jobs", 1)
     n = g_m.vertex_count
     if n == 0:
         raise TooSmallError("reconstruction requires a nonempty reference network")
@@ -348,7 +374,8 @@ def reconstruct_with_ranking(
 
 
 def default_jobs() -> int:
-    """--jobs default: NETCHRONO_JOBS env var, else the hardware thread count.
+    """--jobs default: NETCHRONO_JOBS env var, else the number of CPUs this
+    process may run on (its affinity mask where the platform has one).
 
     InvalidConfigError if NETCHRONO_JOBS is set to anything but ASCII decimal
     digits (no sign, space or underscore) of a value >= 1 with at most 19
@@ -361,4 +388,6 @@ def default_jobs() -> int:
             raise InvalidConfigError(
                 f"NETCHRONO_JOBS must be an integer >= 1 of at most 19 digits, got {env!r}")
         return int(digits)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

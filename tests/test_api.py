@@ -53,6 +53,13 @@ def test_each_ensemble_is_drawn_and_fanned_out_by_one_helper():
     assert callers("_draw_targets(") == ["ba.py", "reconstruction.py"]
 
 
+def test_fan_out_is_the_one_pool_dispatch():
+    # a second pool path would skip the guided chunks and the early jobs check
+    texts = {p.name: p.read_text() for p in Path(netchrono.__file__).parent.glob("*.py")}
+    for call in ("ProcessPoolExecutor(", ".map("):
+        assert [name for name, text in texts.items() if call in text] == ["reconstruction.py"], call
+
+
 def test_import_loads_neither_scipy_nor_the_process_pool():
     # scipy is imported by the Brandes product on first use, the pool by fan_out
     src = os.path.dirname(os.path.dirname(netchrono.__file__))

@@ -45,7 +45,7 @@ from netchrono.ba import _draw_targets
 from netchrono.baselines import centrality_bins
 from netchrono.centrality import ScoreTable
 from netchrono.dcr import rank_descending
-from netchrono.reconstruction import default_jobs, fan_out
+from netchrono.reconstruction import _guided_chunks, default_jobs, fan_out
 
 from builders import digraph, edge_map, score_table
 from oracles import list_positions, oracle_break_cycles, oracle_mix64, oracle_salted_rank
@@ -85,6 +85,20 @@ def test_default_jobs_reads_the_env(monkeypatch):
     assert default_jobs() == 3
     monkeypatch.delenv("NETCHRONO_JOBS")
     assert default_jobs() >= 1
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # pinned to one CPU of a larger host, the default forks one worker's worth
+    monkeypatch.delenv("NETCHRONO_JOBS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert default_jobs() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert default_jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert default_jobs() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert default_jobs() == 1
 
 
 def test_child_seed_deterministic_and_distinct():
@@ -468,11 +482,37 @@ def test_reconstruct_deterministic_across_jobs():
 
 
 def test_task_error_in_a_worker_propagates_and_the_pool_is_kept():
-    with pytest.raises(TypeError, match="bad operand type for abs"):
-        fan_out(abs, [1, "x", -3], 2)
+    # 12 tasks go out in chunks of 3, 2, 1, ...: "x" sits inside the chunk of
+    # two, and the first failing task raises, as in a serial run
+    tasks = [1, -2, 3, -4, "x", -6, 7, -8, 9, None, 11, -12]
+    assert _guided_chunks(len(tasks), 2)[:2] == [3, 2]
+    with pytest.raises(TypeError, match="bad operand type for abs.*'str'"):
+        fan_out(abs, tasks, 2)
     workers = _worker_pids()
     assert fan_out(abs, [1, -2, 3], 2) == [1, 2, 3]
     assert _worker_pids() == workers
+
+
+def test_guided_chunks_of_fifty_tasks_over_two_workers():
+    assert _guided_chunks(50, 2) == [12, 9, 7, 5, 4, 3, 2, 2, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("count,workers", [(2, 2), (7, 2), (7, 3), (8, 2), (50, 2), (50, 3),
+                                           (50, 7), (100, 2), (1000, 16), (3, 3)])
+def test_guided_chunks_cover_the_tasks_and_end_in_single_tasks(count, workers):
+    sizes = _guided_chunks(count, workers)
+    assert sum(sizes) == count
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == 1 and min(sizes) >= 1
+    # the first chunk is a (2 * workers)-th share of all the tasks
+    assert sizes[0] == max(1, count // (2 * workers))
+
+
+@pytest.mark.parametrize("count", [7, 50])
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_chunked_fan_out_keeps_task_order(count, jobs):
+    tasks = [(-1) ** i * i for i in range(count)]
+    assert fan_out(abs, tasks, jobs) == [abs(t) for t in tasks]
 
 
 def test_a_killed_worker_breaks_its_call_and_the_next_call_forks_a_fresh_pool():
@@ -557,15 +597,22 @@ def test_reconstruct_reference_of_another_connection_count(connections, kind):
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 2.5, "2", True, 2.0, np.float64(2)])
-def test_jobs_below_one_are_rejected(jobs):
+def test_jobs_below_one_are_rejected(monkeypatch, jobs):
     # as `--jobs` and NETCHRONO_JOBS are, rather than read as serial; so is a
-    # jobs that is not an integer (a bool included)
+    # jobs that is not an integer (a bool included), and before any work
     with pytest.raises(InvalidConfigError):
         fan_out(abs, [1, 2], jobs)
     g, _ = generate_ba(BAConfig(8, 2, 4))
     cfg = PipelineConfig(alpha=2, connections=2, kind=CentralityKind.DEGREE, master_seed=3)
-    with pytest.raises(InvalidConfigError):
-        reconstruct_with_ranking(g, cfg, jobs=jobs)
+
+    def unreached(*args):
+        raise AssertionError("work was done before jobs was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(netchrono.reconstruction, "differential_core_ranking", unreached)
+        m.setattr(netchrono.reconstruction, "_draw_targets", unreached)
+        with pytest.raises(InvalidConfigError, match="jobs"):
+            reconstruct_with_ranking(g, cfg, jobs=jobs)
     assert fan_out(abs, [1, -2], np.int64(1)) == [1, 2]
 
 
